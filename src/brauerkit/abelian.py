@@ -9,7 +9,7 @@ to Smith normal form over arbitrary-precision integers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -49,10 +49,6 @@ def _transpose(A: Sequence[Sequence[int]]) -> List[List[int]]:
     if not A:
         return []
     return [list(col) for col in zip(*A)]
-
-
-def _columns(A: Sequence[Sequence[int]]) -> List[List[int]]:
-    return _transpose(A)
 
 
 def _from_columns(cols: Sequence[Sequence[int]], nrows: int) -> List[List[int]]:
@@ -552,7 +548,7 @@ def hom_kernel(f: GroupHom):
 def hom_cokernel(f: GroupHom):
     """Cokernel of f with the projection from f.target."""
     nt = f.target.num_generators
-    cols = _columns(f.matrix) + _relation_columns(f.target)
+    cols = _transpose(f.matrix) + _relation_columns(f.target)
     cols = [c for c in cols if any(c)]
     if nt == 0:
         return FgAbGroup.zero(), GroupHom.zero_map(f.target, FgAbGroup.zero())
@@ -589,13 +585,13 @@ def homology(f: GroupHom, g: GroupHom) -> FgAbGroup:
         A = [list(row) + [c[i] for c in rt] for i, row in enumerate(f.matrix)]
         full = _kernel_columns(A, n + len(rt))
         k_cols = [c[:n] for c in full]
-    denom = _columns(g.matrix) + _relation_columns(mid)
+    denom = _transpose(g.matrix) + _relation_columns(mid)
     group, _ = _subquotient(k_cols, denom, n)
     return group
 
 
 # ---------------------------------------------------------------------------
-# extension resolution by exhaustive enumeration
+# extension resolution by per-prime partition criteria
 # ---------------------------------------------------------------------------
 
 
@@ -647,113 +643,118 @@ def abelian_groups_of_order(n: int) -> List[FgAbGroup]:
     return out
 
 
-def _element_order(vec, cyc) -> int:
-    out = 1
-    for a, c in zip(vec, cyc):
-        out = out * (c // gcd(c, a)) // gcd(out, c // gcd(c, a))
+def _valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _p_type(orders: Iterable[int], p: int) -> Tuple[int, ...]:
+    """The partition λ with ⊕ Z/p^λ_i the p-primary part of ⊕ Z/d over orders."""
+    return tuple(sorted((v for v in (_valuation(d, p) for d in orders) if v), reverse=True))
+
+
+def _contains(lam: Sequence[int], mu: Sequence[int]) -> bool:
+    return len(mu) <= len(lam) and all(m <= l for m, l in zip(mu, lam))
+
+
+def _lr_positive(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> bool:
+    """Whether c^λ_{μν} > 0: search for one LR tableau of shape λ/μ and
+    content ν.  A row is filled letter by letter; `ends[j]` is the column
+    where its letters < j end, `above` that of the row above, and `done[j]`
+    counts the letters j above (lattice word and content bounds)."""
+    if not _contains(lam, mu):
+        return False
+    mu = tuple(mu) + (0,) * (len(lam) - len(mu))
+
+    def fill(r, above, ends, done):
+        j = len(ends) - 1
+        if j == len(nu):
+            if ends[-1] != lam[r]:
+                return False
+            done = [d + b - a for d, a, b in zip(done, ends, ends[1:])]
+            if r + 1 == len(lam):
+                return done == list(nu)
+            return fill(r + 1, ends, [mu[r + 1]], done)
+        hi = min(lam[r] - ends[-1], nu[j] - done[j])
+        if j:
+            hi = min(hi, done[j - 1] - done[j])
+        if r:
+            hi = min(hi, above[j] - ends[-1])
+        return any(fill(r, above, ends + [ends[-1] + x], done) for x in range(hi, -1, -1))
+
+    return fill(0, None, [mu[0]], [0] * len(nu))
+
+
+def _generator_types(p: int, mu: Tuple[int, ...], b: int, c: int) -> set:
+    """Types of G ⊇ H of type μ with G/H ≅ Z/p^b generated by an e of order p^c.
+
+    G = H ⊕ Ze / (p^b·e = h).  Up to Aut(H) (units on the cyclic summands
+    g_i, swaps of equal ones) h = Σ p^v_i·g_i with 0 ≤ v_i ≤ μ_i, so e has
+    order p^(b + max(μ_i − v_i)) and G = coker(diag(p^μ_i) | (p^v_i, −p^b)).
+    """
+    k = len(mu)
+    out = set()
+    for v in itertools.product(*(range(m + 1) for m in mu)):
+        if any(mu[i] == mu[i + 1] and v[i] > v[i + 1] for i in range(k - 1)):
+            continue
+        if max((m - x for m, x in zip(mu, v)), default=0) != c - b:
+            continue
+        M = [[p ** m if j == i else 0 for j in range(k)] + [p ** x] for i, (m, x) in enumerate(zip(mu, v))]
+        M.append([0] * k + [-p ** b])
+        out.add(_p_type(_diag(_snf_ext(M)[1]), p))
     return out
 
 
-def _closure(h: frozenset, e: tuple, cyc) -> frozenset:
-    out = set(h)
-    cur = e
-    ordr = _element_order(e, cyc)
-    for _ in range(ordr - 1):
-        for x in h:
-            out.add(tuple((a + b) % c for a, b, c in zip(x, cur, cyc)))
-        cur = tuple((a + b) % c for a, b, c in zip(cur, e, cyc))
-    return frozenset(out)
+def _candidate_test(sub: FgAbGroup, quot: Optional[FgAbGroup], total: int,
+                    witness: Optional[ExtensionWitness]):
+    """cand -> None if accepted, else the reason; per-prime set-up runs once."""
+    generator = witness is not None and witness.maps_to_generator_of_quotient
+    criteria = []
+    for p, e in sorted(_factorize(total).items()):
+        mu = _p_type(sub.invariant_factors, p)
+        if generator:
+            types = _generator_types(p, mu, e - sum(mu), _valuation(witness.witness_order, p))
+            criteria.append((p, types.__contains__))
+        elif quot is not None:
+            nu = _p_type(quot.invariant_factors, p)
+            criteria.append((p, lambda lam, mu=mu, nu=nu: _lr_positive(lam, mu, nu)))
+        else:
+            criteria.append((p, lambda lam, mu=mu: _contains(lam, mu)))
 
+    def rejection(cand: FgAbGroup) -> Optional[str]:
+        if witness is not None and cand.exponent() % witness.witness_order:
+            return f"no element of order {witness.witness_order}"
+        if generator and quot is not None and not quot.is_cyclic():
+            raise ValueError("generator witness requires a cyclic quotient")
+        if not all(ok(_p_type(cand.invariant_factors, p)) for p, ok in criteria):
+            return "no subgroup with the required quotient"
+        return None
 
-def _subgroups_of_order(cyc: Sequence[int], k: int) -> List[frozenset]:
-    zero = tuple(0 for _ in cyc)
-    if k == 1:
-        return [frozenset({zero})]
-    elements = [e for e in itertools.product(*(range(c) for c in cyc))
-                if k % _element_order(e, cyc) == 0]
-    seen = {frozenset({zero})}
-    frontier = [frozenset({zero})]
-    while frontier:
-        h = frontier.pop()
-        for e in elements:
-            if e in h:
-                continue
-            h2 = _closure(h, e, cyc)
-            if k % len(h2) == 0 and h2 not in seen:
-                seen.add(h2)
-                frontier.append(h2)
-    return [h for h in seen if len(h) == k]
-
-
-def _set_structure(h: frozenset, cyc: Sequence[int]) -> FgAbGroup:
-    n = len(cyc)
-    rel_cols = []
-    for i, c in enumerate(cyc):
-        col = [0] * n
-        col[i] = c
-        rel_cols.append(col)
-    group, _ = _subquotient([list(v) for v in sorted(h)], rel_cols, n)
-    return group
-
-
-def _quotient_structure(h: frozenset, cyc: Sequence[int]) -> FgAbGroup:
-    n = len(cyc)
-    cols = [list(v) for v in sorted(h)]
-    for i, c in enumerate(cyc):
-        col = [0] * n
-        col[i] = c
-        cols.append(col)
-    cols = [c for c in cols if any(c)]
-    if not cols:
-        return FgAbGroup.from_orders(cyc)
-    X = _from_columns(cols, n)
-    _, D, _, _, _ = _snf_ext(X)
-    diag = _diag(D)
-    orders = [diag[j] if j < len(diag) else 0 for j in range(n)]
-    return FgAbGroup.from_orders([d for d in orders if d != 1])
-
-
-def _coset_order(g: tuple, h: frozenset, cyc: Sequence[int]) -> int:
-    cur = g
-    k = 1
-    while cur not in h:
-        cur = tuple((a + b) % c for a, b, c in zip(cur, g, cyc))
-        k += 1
-    return k
-
-
-def _candidate_matches(cand: FgAbGroup, sub: FgAbGroup, quot: Optional[FgAbGroup],
-                       witness: Optional[ExtensionWitness]) -> Tuple[bool, str]:
-    cyc = list(cand.invariant_factors)
-    if witness is not None:
-        elements = list(itertools.product(*(range(c) for c in cyc))) if cyc else [()]
-        orders = {_element_order(e, cyc) for e in elements}
-        if witness.witness_order not in orders:
-            return False, f"no element of order {witness.witness_order}"
-    sub_order = sub.order()
-    need_generator = witness is not None and witness.maps_to_generator_of_quotient
-    if need_generator and quot is not None and not quot.is_cyclic():
-        raise ValueError("generator witness requires a cyclic quotient")
-    for h in _subgroups_of_order(cyc, sub_order):
-        if not _set_structure(h, cyc).same_structure(sub):
-            continue
-        if quot is not None and not _quotient_structure(h, cyc).same_structure(quot):
-            continue
-        if not need_generator:
-            return True, "subgroup and quotient matched"
-        qorder = (cand.order() // sub_order)
-        for e in itertools.product(*(range(c) for c in cyc)):
-            if _element_order(e, cyc) == witness.witness_order and _coset_order(e, h, cyc) == qorder:
-                return True, "witness maps to a quotient generator"
-    return False, "no subgroup with the required quotient"
+    return rejection
 
 
 def _resolve(sub: FgAbGroup, quot: Optional[FgAbGroup], total: int,
              witness: Optional[ExtensionWitness]):
+    """The unique abelian group of order `total` extending quot (None: any
+    quotient of that order) by sub; the trace holds every candidate.
+
+    The constraints split over the primes p of `total`.  With λ, μ, ν the
+    types of the p-parts of candidate, sub and quot:
+    - an element of order w exists iff w divides the exponent;
+    - H ≅ μ with G/H ≅ ν exists iff c^λ_{μν} > 0 (Green–Klein; Macdonald,
+      *Symmetric Functions and Hall Polynomials*, ch. II (4.3));
+    - with the quotient order only, H ≅ μ exists iff μ ⊆ λ (Birkhoff);
+    - with a generator witness, λ is a type from `_generator_types`, over
+      Aut(H)-classes of elements (Dutta–Prasad, J. Group Theory 14, 2011).
+    """
+    rejection = _candidate_test(sub, quot, total, witness)
     accepted, rejected = [], []
     for cand in abelian_groups_of_order(total):
-        ok, why = _candidate_matches(cand, sub, quot, witness)
-        if ok:
+        why = rejection(cand)
+        if why is None:
             accepted.append(cand)
         else:
             rejected.append((cand, why))

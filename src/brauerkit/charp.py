@@ -12,7 +12,6 @@ the standard chart cover.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple

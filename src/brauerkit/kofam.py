@@ -29,7 +29,6 @@ from .ssengine import (
     Entry,
     SSPage,
     assemble_abutment,
-    column_filtration,
     turn_page,
 )
 

@@ -15,13 +15,14 @@ connect two nonzero positions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .abelian import (
     ExtensionWitness,
     FgAbGroup,
     GroupHom,
+    abelian_groups_of_order,
     hom_cokernel,
     hom_kernel,
     homology,
@@ -365,7 +366,7 @@ def assemble_abutment_by_orders(orders_deepest_first: Sequence[int],
     if not orders:
         return FgAbGroup.zero()
     first = orders[0]
-    candidates = [g for g in _groups_of_order(first)]
+    candidates = abelian_groups_of_order(first)
     if len(candidates) != 1:
         raise AmbiguousExtension(f"deepest stage of order {first} is not unique")
     total = candidates[0]
@@ -374,11 +375,6 @@ def assemble_abutment_by_orders(orders_deepest_first: Sequence[int],
         total = resolve_extension_by_order(
             total, n, ExtensionWitness(clamp, witness.maps_to_generator_of_quotient))
     return total
-
-
-def _groups_of_order(n: int) -> List[FgAbGroup]:
-    from .abelian import abelian_groups_of_order
-    return abelian_groups_of_order(n)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ an explicit `assumed` marker; no report silently depends on a guess.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .abelian import ExtensionWitness, FgAbGroup, resolve_extension
 from .charp import parse_operator
@@ -35,7 +35,7 @@ from .sheaftab import (
     sheaf_display,
     sheaf_from_json,
 )
-from .ssengine import Entry, assemble_abutment_by_orders
+from .ssengine import assemble_abutment_by_orders
 
 UNRESOLVED_NAMES = ("d13_row5", "d25_row5", "d23_row7", "d9_lbr_row6")
 

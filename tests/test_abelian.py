@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brauerkit import abelian
 from brauerkit.abelian import (
     ExtensionWitness,
     FgAbGroup,
@@ -305,6 +306,46 @@ def test_resolve_trace_is_exhaustive():
 def test_resolve_by_order():
     g = resolve_extension_by_order(FgAbGroup.cyclic(8), 2, ExtensionWitness(16))
     assert g.same_structure(FgAbGroup.cyclic(16))
+
+
+def test_resolve_order_2_pow_20():
+    sub = FgAbGroup.cyclic(2 ** 19)
+    witness = ExtensionWitness(2 ** 20, maps_to_generator_of_quotient=True)
+    want = FgAbGroup.cyclic(2 ** 20)
+    assert resolve_extension(sub, FgAbGroup.cyclic(2), witness).same_structure(want)
+    assert resolve_extension_by_order(sub, 2, witness).same_structure(want)
+
+
+def test_resolve_mixed_2_pow_6_3_pow_4():
+    want = FgAbGroup.from_orders([2 ** 5, 2, 3 ** 3, 3])
+    # generator witness: the p^b·e = h relations leave one type per prime
+    sub = FgAbGroup.from_orders([8, 2, 9, 3])
+    witness = ExtensionWitness(2 ** 5 * 3 ** 3, maps_to_generator_of_quotient=True)
+    assert resolve_extension(sub, FgAbGroup.cyclic(12), witness).same_structure(want)
+    assert resolve_extension_by_order(sub, 12, witness).same_structure(want)
+    # known quotient, plain witness: Pieri leaves (5,1),(4,2),(4,1,1),(3,2,1) at
+    # 2 and (3,1),(2,2),(2,1,1) at 3; the witness exponent keeps the first of each
+    sub = FgAbGroup.from_orders([4, 2, 9, 3])
+    quot = FgAbGroup.from_orders([8, 3])
+    g, trace = resolve_extension(sub, quot, ExtensionWitness(2 ** 5 * 3 ** 3), with_trace=True)
+    assert g.same_structure(want)
+    assert len(trace.rejected) == len(abelian_groups_of_order(2 ** 6 * 3 ** 4)) - 1
+    # exponent 2^4·3^2 keeps three types at each prime
+    with pytest.raises(AmbiguousExtension) as exc:
+        resolve_extension(sub, quot, ExtensionWitness(2 ** 4 * 3 ** 2))
+    assert len(exc.value.candidates) == 3 * 3
+
+
+def test_resolve_generator_witness_needs_cyclic_quotient():
+    sub, quot = FgAbGroup.cyclic(2), FgAbGroup.from_orders([2, 2])
+    # raised once some candidate has an element of the witness order ...
+    with pytest.raises(ValueError):
+        resolve_extension(sub, quot, ExtensionWitness(2, maps_to_generator_of_quotient=True))
+    # ... and never when none has
+    with pytest.raises(NoExtension):
+        resolve_extension(sub, quot, ExtensionWitness(16, maps_to_generator_of_quotient=True))
+    with pytest.raises(NoExtension):
+        abelian._resolve(sub, quot, 8, ExtensionWitness(16, maps_to_generator_of_quotient=True))
 
 
 def test_resolve_output_order_invariant():
