@@ -632,13 +632,16 @@ def abelian_groups_of_order(n: int) -> List[FgAbGroup]:
     """All abelian groups of order n, deterministically ordered."""
     if n < 1:
         raise ValueError("order must be positive")
-    per_prime = []
-    for p, e in sorted(_factorize(n).items()):
-        per_prime.append([[p ** x for x in part] for part in _partitions(e)])
+    per_prime = [[[p ** x for x in part] for part in _partitions(e)]
+                 for p, e in sorted(_factorize(n).items())]
     out = []
-    for combo in itertools.product(*per_prime) if per_prime else [()]:
-        orders = [q for block in combo for q in block]
-        out.append(FgAbGroup.from_orders(orders))
+    for combo in itertools.product(*per_prime):
+        # slot i multiplies the i-th largest prime power of every prime
+        factors = [1] * max((len(block) for block in combo), default=0)
+        for block in combo:
+            for i, q in enumerate(block):
+                factors[i] *= q
+        out.append(FgAbGroup(0, tuple(reversed(factors))))
     out.sort(key=lambda g: g.invariant_factors)
     return out
 

@@ -74,7 +74,7 @@ class SemilinearOperator:
         return " + ".join(parts)
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:j(?:\^(-?\d+))?\*?)?([a-ik-z])(?:\^(\d+))?$")
+_TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:j(?:\^(-?\d+))?\*?)?x(?:\^(\d+))?$")
 
 
 def parse_operator(text: str, p: int) -> SemilinearOperator:
@@ -106,8 +106,10 @@ def parse_operator(text: str, p: int) -> SemilinearOperator:
             raise ValueError(f"cannot parse operator term {chunk!r}")
         coeff = int(m.group(1)) if m.group(1) else 1
         k = int(m.group(2)) if m.group(2) else (1 if "j" in chunk else 0)
-        power = int(m.group(4)) if m.group(4) else 1
+        power = int(m.group(3)) if m.group(3) else 1
         e = 0
+        if power == 0:
+            raise ValueError(f"exponent 0 is not a power of {p}")
         while power > 1:
             if power % p:
                 raise ValueError(f"exponent {power} is not a power of {p}")

@@ -71,8 +71,19 @@ def _poly_str(poly) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _int_matrix(value) -> list:
+    """A JSON matrix as rows of equal length with integer entries."""
+    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
+        raise ValueError("the matrix must be a list of rows")
+    if len({len(row) for row in value}) > 1:
+        raise ValueError("the matrix rows must have equal length")
+    if any(type(x) is not int for row in value for x in row):
+        raise ValueError("the matrix entries must be integers")
+    return value
+
+
 def _cmd_snf(args) -> dict:
-    matrix = json.loads(args.matrix)
+    matrix = _int_matrix(json.loads(args.matrix))
     u, d, v = smith_normal_form(matrix)
     return {
         "U": u, "D": d, "V": v,

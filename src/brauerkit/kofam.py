@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .abelian import ExtensionWitness, FgAbGroup, GroupHom
 from .charp import TruncatedCharPModule, operator_kernel, parse_operator
-from .cyccoh import group_cohomology, trivial
+from .cyccoh import cohomology_row, group_cohomology, sign, trivial
 from .errors import NoFact
 from .numbrauer import DivisibleGroupDescriptor
 from .sheaftab import ClosedPush, cohomology
@@ -128,14 +128,14 @@ def ku_additive_pages(r: EtaleRingDescriptor, s_max: int = 10,
     if not r.connected:
         raise ValueError("additive pages are built componentwise")
     entries: Dict[Tuple[int, int], Entry] = {}
+    # H^s(C_2; pi_t KU) depends only on t mod 4 (trivial or sign action)
+    rows = {k: cohomology_row(action(FgAbGroup.free(1)), s_max) if s_max >= 0 else []
+            for k, action in ((0, trivial), (2, sign))}
     t_lo, t_hi = t_range
     for t in range(t_lo, t_hi + 1):
         if t % 2:
             continue
-        module = trivial(FgAbGroup.free(1)) if t % 4 == 0 \
-            else _sign_module()
-        for s in range(0, s_max + 1):
-            h = group_cohomology(module, s)
+        for s, h in enumerate(rows[t % 4]):
             if h.is_zero():
                 continue
             k = _bott_power(s, t)
@@ -146,11 +146,6 @@ def ku_additive_pages(r: EtaleRingDescriptor, s_max: int = 10,
     rules = ku_additive_d3_rules(e3)
     e4 = turn_page(e3, rules)
     return [e2, e3, e4]
-
-
-def _sign_module():
-    from .cyccoh import sign
-    return sign(FgAbGroup.free(1))
 
 
 def _class_label(s: int, k: Optional[int]) -> str:

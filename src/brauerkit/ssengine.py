@@ -162,8 +162,24 @@ def _validate_rules(page: SSPage, rules: Sequence[DifferentialRule]) -> None:
             raise ValueError(f"d∘d ≠ 0 at ({s},{t}) on page {rule.r}")
 
 
-def _rule_for(rules: Sequence[DifferentialRule], s: int, t: int) -> Optional[DifferentialRule]:
-    found = [rule for rule in rules if rule.matches(s, t)]
+_RuleIndex = Tuple[Dict[Tuple[int, int], List[DifferentialRule]], List[DifferentialRule]]
+
+
+def _index_rules(rules: Sequence[DifferentialRule]) -> _RuleIndex:
+    """Position-sourced rules by source, and the predicate-sourced ones."""
+    by_source: Dict[Tuple[int, int], List[DifferentialRule]] = {}
+    predicates = []
+    for rule in rules:
+        if callable(rule.source):
+            predicates.append(rule)
+        elif isinstance(rule.source, tuple):
+            by_source.setdefault(rule.source, []).append(rule)
+    return by_source, predicates
+
+
+def _rule_for(index: _RuleIndex, s: int, t: int) -> Optional[DifferentialRule]:
+    by_source, predicates = index
+    found = by_source.get((s, t), []) + [rule for rule in predicates if rule.matches(s, t)]
     if len(found) > 1:
         raise ValueError(f"multiple rules match ({s},{t})")
     return found[0] if found else None
@@ -182,12 +198,13 @@ def turn_page(page: SSPage, rules: Sequence[DifferentialRule],
     """Replace every entry by ker(outgoing d_r)/im(incoming d_r)."""
     _validate_rules(page, rules)
     table = table or default_fact_table()
+    index = _index_rules(rules)
     killed: set = set()
     new_entries: Dict[Tuple[int, int], Entry] = {}
     for (s, t), entry in sorted(page.entries.items()):
-        out_rule = _rule_for(rules, s, t)
+        out_rule = _rule_for(index, s, t)
         in_pos = page.source_of(s, t)
-        in_rule = _rule_for(rules, *in_pos) if page.entry(*in_pos) else None
+        in_rule = _rule_for(index, *in_pos) if page.entry(*in_pos) else None
         new = _evolve_entry(page, entry, (s, t), out_rule, in_rule, table, killed)
         if new is not None and not new.is_zero():
             new_entries[(s, t)] = new

@@ -268,6 +268,19 @@ def test_enumeration_of_abelian_groups():
     assert len(abelian_groups_of_order(36)) == 4
 
 
+def test_enumeration_matches_from_orders_construction():
+    # the construction used before invariant factors were built directly
+    def from_orders_groups(n):
+        per_prime = [[[p ** x for x in part] for part in abelian._partitions(e)]
+                     for p, e in sorted(abelian._factorize(n).items())]
+        out = [FgAbGroup.from_orders([q for block in combo for q in block])
+               for combo in itertools.product(*per_prime)]
+        return sorted(out, key=lambda g: g.invariant_factors)
+
+    for n in range(1, 2001):
+        assert abelian_groups_of_order(n) == from_orders_groups(n), n
+
+
 def test_resolve_order8_cyclic():
     g = resolve_extension(FgAbGroup.cyclic(2), FgAbGroup.cyclic(4),
                           ExtensionWitness(8, maps_to_generator_of_quotient=True))

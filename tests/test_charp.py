@@ -70,6 +70,15 @@ def test_parse_rejects_non_frobenius_power():
         parse_operator("", 2)
 
 
+def test_parse_rejects_zero_exponent_and_other_variables():
+    with pytest.raises(ValueError, match="exponent 0"):
+        parse_operator("x^0 + x^2", 2)
+    with pytest.raises(ValueError, match="'y'"):
+        parse_operator("y + j*y^2", 2)
+    with pytest.raises(ValueError):
+        parse_operator("x + j*z^2", 2)
+
+
 def test_operator_str_roundtrip():
     op = parse_operator("x + j*x^2", 2)
     assert parse_operator(str(op), 2).terms == op.terms
@@ -97,7 +106,7 @@ def test_kernel_x_plus_jx2_laurent():
 
 
 def test_kernel_z_minus_z3_residue_field():
-    op = parse_operator("z - z^3", 3)
+    op = parse_operator("x - x^3", 3)  # z - z^3; operators are written in x
     m = TruncatedCharPModule(3, (0, 0))
     basis, stabilized = operator_kernel(op, m)
     assert stabilized

@@ -172,6 +172,19 @@ def test_exit_2_on_bad_operator(capsys):
     assert main(["artin-schreier", "--p", "2", "--op", "x + @@"]) == 2
 
 
+def test_exit_2_on_zero_exponent_or_other_variable(capsys):
+    assert main(["artin-schreier", "--p", "2", "--op", "x^0 + x^2"]) == 2
+    assert main(["artin-schreier", "--p", "2", "--op", "y + j*y^2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_exit_2_on_non_integer_snf_entries(capsys):
+    for matrix in ("[[1.5]]", "[[true, 2]]", '[["1"]]', "[[1, 2], [3]]", "5"):
+        assert main(["snf", "--matrix", matrix]) == 2, matrix
+    assert capsys.readouterr().out == ""
+    assert run_json(capsys, "snf", "--matrix", "[]")["diagonal"] == []
+
+
 def test_exit_3_on_missing_fact(capsys):
     # no shipped ring by that name and no such file
     assert main(["pic-ko", "--ring", "no-such-ring"]) == 3

@@ -1,9 +1,13 @@
 import pytest
 
+import ssengine_oracle
 from brauerkit.abelian import FgAbGroup
+from brauerkit.cyccoh import group_cohomology, sign, trivial
 from brauerkit.kofam import (
     SHIPPED_RINGS,
     EtaleRingDescriptor,
+    _bott_power,
+    _class_label,
     ku_additive_d3_rules,
     ku_additive_pages,
     lbr_ko,
@@ -11,7 +15,7 @@ from brauerkit.kofam import (
     omni_assemble,
     pic_ko,
 )
-from brauerkit.ssengine import column_filtration
+from brauerkit.ssengine import Entry, SSPage, column_filtration, page_to_json
 
 Z2 = FgAbGroup.cyclic(2)
 ZERO = FgAbGroup.zero()
@@ -70,6 +74,25 @@ def test_additive_d3_rules_pass_d_squared():
     for rule in rules:
         s, t = rule.source
         assert (s + 3, t + 2) not in sources
+
+
+def test_additive_pages_match_per_position_cohomology():
+    # E_2 built the way it was before the 2-periodic rows: one H^s(C_2; pi_t KU)
+    # per position, turned by the linear-scan oracle
+    entries = {}
+    for t in range(0, 81, 2):
+        module = trivial(FgAbGroup.free(1)) if t % 4 == 0 else sign(FgAbGroup.free(1))
+        for s in range(41):
+            h = group_cohomology(module, s)
+            if not h.is_zero():
+                entries[(s, t)] = Entry(h, label=_class_label(s, _bott_power(s, t)))
+    e2 = SSPage(2, entries)
+    e3 = ssengine_oracle.turn_page(e2, [])
+    want = [e2, e3, ssengine_oracle.turn_page(e3, ku_additive_d3_rules(e3))]
+    for ring in SHIPPED_RINGS.values():
+        got = ku_additive_pages(ring, 40, (0, 80))
+        assert [page_to_json(p) for p in got] == [page_to_json(p) for p in want]
+    assert ku_additive_pages(SHIPPED_RINGS["Z"], -1, (0, 8))[0].entries == {}
 
 
 def test_additive_page_turn_shrinks():

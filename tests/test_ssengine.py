@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import ssengine_oracle
 from brauerkit.abelian import ExtensionWitness, FgAbGroup, GroupHom
 from brauerkit.charp import TruncatedCharPModule, parse_operator
 from brauerkit.errors import (
@@ -264,3 +267,103 @@ def test_chart_svg_deterministic_and_has_legend():
 def test_vanishing_line_rejects_entries_inside():
     with pytest.raises(ValueError):
         SSPage(2, {(9, 9): group_entry(Z2)}, vanishing_line=lambda s, t: s > 7)
+
+
+# ---------------------------------------------------------------------------
+# indexed rule lookup against the linear-scan oracle
+# ---------------------------------------------------------------------------
+
+
+_GROUPS = [Z, Z2, FgAbGroup.cyclic(4), FgAbGroup.cyclic(3), FgAbGroup(1, (2,))]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the oracle must raise the same type and message
+        return (type(exc).__name__, str(exc))
+
+
+def _random_hom(rng, source, target):
+    for _ in range(4):
+        matrix = tuple(tuple(rng.randint(-2, 2) for _ in range(source.num_generators))
+                       for _ in range(target.num_generators))
+        try:
+            return GroupHom(source, target, matrix)
+        except ValueError:
+            pass
+    return GroupHom.zero_map(source, target)
+
+
+def _random_page(rng, r):
+    cells = [(s, t) for s in range(7) for t in range(9)]
+    entries = {pos: Entry(rng.choice(_GROUPS), label=rng.choice(["", "a", "b"]))
+               for pos in rng.sample(cells, rng.randint(1, 16))}
+    return SSPage(r, entries)
+
+
+def _random_rules(rng, page):
+    r = page.r
+    positions = list(page.entries)
+    rules = []
+    for pos in rng.sample(positions, rng.randint(0, len(positions))):
+        kind = rng.choice(["zero", "iso", "unresolved", "matrix", "matrix"])
+        if kind == "matrix":
+            target = page.entry(*page.target_of(*pos))
+            target_group = target.value if target else rng.choice(_GROUPS)
+            hom = _random_hom(rng, page.entries[pos].value, target_group)
+            rules.append(DifferentialRule(r, pos, "matrix", hom=hom, provenance="random",
+                                          relabel=rng.choice(["", "2a"])))
+        else:
+            rules.append(DifferentialRule(r, pos, kind, name=f"d{r}_{pos[0]}_{pos[1]}",
+                                          provenance="random"))
+    if rules and rng.random() < 0.15:  # two position rules on one source
+        rules.append(zero_rule(r, *rng.choice(rules).source))
+    for _ in range(rng.randint(0, 2)):
+        if rules and rng.random() < 0.3:  # a predicate overlapping a position rule
+            hit = {rng.choice(rules).source}
+        else:
+            free = [(s, t) for s in range(-3, 9) for t in range(-3, 11)
+                    if all(rule.source != (s, t) for rule in rules if not callable(rule.source))]
+            hit = set(rng.sample(free, rng.randint(1, 4)))
+        kind = rng.choice(["zero", "iso", "unresolved"])
+        rules.append(DifferentialRule(r, lambda s, t, hit=frozenset(hit): (s, t) in hit, kind,
+                                      name=f"pred{len(rules)}", provenance="random predicate"))
+    if rng.random() < 0.03:
+        rules.append(zero_rule(r + 1, *positions[0]))  # wrong page
+    if rng.random() < 0.03:
+        rules.append(zero_rule(r, 40, 40))  # zero source
+    rng.shuffle(rules)
+    return rules
+
+
+def test_turn_page_matches_linear_scan_oracle():
+    rng = random.Random(20260418)
+    outcomes = set()
+    for _ in range(600):
+        page = _random_page(rng, rng.randint(2, 4))
+        rules = _random_rules(rng, page)
+        got = _outcome(lambda: page_to_json(turn_page(page, rules)))
+        want = _outcome(lambda: page_to_json(ssengine_oracle.turn_page(page, rules)))
+        assert got == want
+        outcomes.add(got[0] if isinstance(got, tuple) else "page")
+    # the seeded pages reach the page result and the rule errors alike
+    assert {"page", "ValueError", "UnmatchedRule"} <= outcomes
+
+
+def test_turn_page_looks_position_rules_up_without_scanning(monkeypatch):
+    calls = []
+    original = DifferentialRule.matches
+
+    def counted(rule, s, t):
+        calls.append((s, t))
+        return original(rule, s, t)
+
+    monkeypatch.setattr(DifferentialRule, "matches", counted)
+    entries = {(s, 2 * s + t): group_entry(Z2) for s in range(10) for t in range(10)}
+    rules = [zero_rule(2, *pos) for pos in entries]
+    turn_page(SSPage(2, entries), rules)
+    assert calls == []
+    predicate = DifferentialRule(2, lambda s, t: False, "zero", provenance="nowhere")
+    turn_page(SSPage(2, entries), rules + [predicate])
+    assert 0 < len(calls) <= 2 * len(entries)
