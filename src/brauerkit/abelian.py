@@ -58,16 +58,17 @@ def _from_columns(cols: Sequence[Sequence[int]], nrows: int) -> List[List[int]]:
 
 
 def _snf_ext(M: Sequence[Sequence[int]]):
-    """Smith normal form with tracked transforms and their inverses.
+    """Smith normal form with tracked transforms and the inverse of U.
 
-    Returns (U, D, V, Uinv, Vinv) with U*M*V = D, U and V unimodular,
-    and the diagonal of D a nonnegative dividing chain.
+    Returns (U, D, V, Uinv, None) with U*M*V = D, U and V unimodular,
+    and the diagonal of D a nonnegative dividing chain.  The fifth slot is
+    always None and stays so that callers can unpack five values.
     """
     m = len(M)
     n = len(M[0]) if m else 0
     A = [list(row) for row in M]
     U, Uinv = _identity(m), _identity(m)
-    V, Vinv = _identity(n), _identity(n)
+    V = _identity(n)
 
     def row_swap(i, k):
         A[i], A[k] = A[k], A[i]
@@ -95,7 +96,6 @@ def _snf_ext(M: Sequence[Sequence[int]]):
             r[j], r[k] = r[k], r[j]
         for r in V:
             r[j], r[k] = r[k], r[j]
-        Vinv[j], Vinv[k] = Vinv[k], Vinv[j]
 
     def col_add(j, k, q):
         # col j += q * col k
@@ -103,8 +103,6 @@ def _snf_ext(M: Sequence[Sequence[int]]):
             r[j] += q * r[k]
         for r in V:
             r[j] += q * r[k]
-        for i in range(n):
-            Vinv[k][i] -= q * Vinv[j][i]
 
     t = 0
     limit = min(m, n)
@@ -159,7 +157,7 @@ def _snf_ext(M: Sequence[Sequence[int]]):
         t += 1
 
     D = [[A[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
-    return U, D, V, Uinv, Vinv
+    return U, D, V, Uinv, None
 
 
 def smith_normal_form(M: Sequence[Sequence[int]]):
@@ -255,7 +253,6 @@ class FgAbGroup:
 
     free_rank: int = 0
     invariant_factors: Tuple[int, ...] = ()
-    generator_labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         if self.free_rank < 0:
@@ -268,11 +265,6 @@ class FgAbGroup:
             if b % a:
                 raise ValueError("invariant factors must form a dividing chain")
         object.__setattr__(self, "invariant_factors", facs)
-        if self.generator_labels is not None:
-            labels = tuple(self.generator_labels)
-            if len(labels) != self.num_generators:
-                raise ValueError("one label per cyclic summand required")
-            object.__setattr__(self, "generator_labels", labels)
 
     # -- constructors ------------------------------------------------------
 
@@ -295,7 +287,7 @@ class FgAbGroup:
         return FgAbGroup(0, (n,))
 
     @staticmethod
-    def from_orders(orders: Iterable[int], labels: Optional[Sequence[str]] = None) -> "FgAbGroup":
+    def from_orders(orders: Iterable[int]) -> "FgAbGroup":
         """Normalize a list of cyclic orders (0 meaning Z) to invariant factors."""
         free = 0
         by_prime: dict = {}
@@ -318,7 +310,7 @@ class FgAbGroup:
             factors.append(f)
         factors = [f for f in factors if f > 1]
         factors.reverse()  # ascending dividing chain
-        return FgAbGroup(free, tuple(factors), tuple(labels) if labels else None)
+        return FgAbGroup(free, tuple(factors))
 
     # -- structure ---------------------------------------------------------
 

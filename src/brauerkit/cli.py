@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .abelian import FgAbGroup, smith_normal_form
@@ -44,8 +45,7 @@ EXIT_NOFACT = 3
 EXIT_AMBIGUOUS = 4
 
 _NOFACT_ERRORS = (NoFact, DensityUnknown, NotStabilized, OutOfRange,
-                  UnmatchedRule, WindowTooSmall, NoExtension, KeyError,
-                  FileNotFoundError)
+                  UnmatchedRule, WindowTooSmall, NoExtension, FileNotFoundError)
 
 
 def data_file_versions() -> dict:
@@ -82,6 +82,47 @@ def _int_matrix(value) -> list:
     return value
 
 
+# the first 13 primes: as Miller-Rabin bases they decide primality exactly
+# below 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Strong probable-prime test to the bases `_MR_BASES`; no trial division."""
+    if n < 2 or n in _MR_BASES:
+        return n in _MR_BASES
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
+    d = (n - 1) >> r
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _int_list(text: str, flag: str, accept, what: str) -> list:
+    """A JSON list of integers (not bools) that `accept` admits."""
+    value = json.loads(text)
+    if not (isinstance(value, list) and all(type(x) is int and accept(x) for x in value)):
+        raise ValueError(f"{flag} must be a JSON list of {what}")
+    return value
+
+
+@contextmanager
+def _user_json(what: str):
+    """A key missing from user-supplied JSON is bad input, not a missing fact."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{what} lacks the key {exc.args[0]!r}") from None
+
+
 def _cmd_snf(args) -> dict:
     matrix = _int_matrix(json.loads(args.matrix))
     u, d, v = smith_normal_form(matrix)
@@ -92,7 +133,8 @@ def _cmd_snf(args) -> dict:
 
 
 def _cmd_cohomology(args) -> dict:
-    group = FgAbGroup.from_orders(json.loads(args.orders))
+    orders = _int_list(args.orders, "--orders", lambda d: d >= 0, "non-negative integers")
+    group = FgAbGroup.from_orders(orders)
     module = (sign if args.action == "sign" else trivial)(group, args.n)
     value = group_cohomology(module, args.s)
     return {"group": str(value), "structure": value.to_json(),
@@ -129,14 +171,15 @@ def _cmd_cech(args) -> dict:
 
 
 def _cmd_br_number_ring(args) -> dict:
-    places = places_from_json(args.places)
+    with _user_json("--places"):
+        places = places_from_json(args.places)
     desc = brauer_localized_integers(places)
     return {"group": str(desc), "descriptor": desc.to_json(),
             "places": [{"kind": p.kind, "label": p.label} for p in places]}
 
 
 def _cmd_h1_qz(args) -> dict:
-    primes = json.loads(args.primes)
+    primes = _int_list(args.primes, "--primes", _is_prime, "primes")
     rep = h1_qz_report(primes)
     out = {"primes": sorted(primes), "computed": str(rep.computed),
            "discrepancy": rep.discrepancy, "note": rep.note}
@@ -146,8 +189,9 @@ def _cmd_h1_qz(args) -> dict:
 
 
 def _cmd_br_laurent(args) -> dict:
-    places = places_from_json(args.places)
-    primes = json.loads(args.primes)
+    with _user_json("--places"):
+        places = places_from_json(args.places)
+    primes = _int_list(args.primes, "--primes", _is_prime, "primes")
     desc = brauer_laurent(places, primes)
     return {"group": str(desc), "descriptor": desc.to_json(),
             "inverted_primes": sorted(primes)}
@@ -159,7 +203,7 @@ def _load_ring(spec: str) -> EtaleRingDescriptor:
     path = Path(spec)
     if not path.exists():
         raise NoFact(f"no shipped ring or descriptor file named {spec!r}")
-    with open(path) as fh:
+    with open(path) as fh, _user_json(f"ring descriptor {spec}"):
         return EtaleRingDescriptor.from_json(json.load(fh))
 
 
@@ -262,7 +306,7 @@ def _cmd_lbr_mo(args) -> dict:
 
 def _cmd_ss_run(args) -> dict:
     from .ssengine import page_from_json, page_to_json, turn_page
-    with open(args.page) as fh:
+    with open(args.page) as fh, _user_json(f"page file {args.page}"):
         page, rules = page_from_json(fh.read())
     nxt = turn_page(page, rules)
     return json.loads(page_to_json(nxt))
@@ -270,7 +314,7 @@ def _cmd_ss_run(args) -> dict:
 
 def _cmd_ss_chart(args) -> str:
     from .ssengine import chart_svg, page_from_json
-    with open(args.page) as fh:
+    with open(args.page) as fh, _user_json(f"page file {args.page}"):
         page, _ = page_from_json(fh.read())
     return chart_svg(page)
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .abelian import ExtensionWitness, FgAbGroup, GroupHom
-from .charp import TruncatedCharPModule, operator_kernel, parse_operator
 from .cyccoh import cohomology_row, group_cohomology, sign, trivial
 from .errors import NoFact
 from .numbrauer import DivisibleGroupDescriptor
@@ -196,14 +195,6 @@ class PicKOResult:
     notes: Tuple[str, ...] = ()
 
 
-def _artin_schreier_kernel_rank_per_factor() -> int:
-    """Solutions of x^2 = x in any F_{2^m} are exactly F_2 (one F_2-line),
-    certified by the Artin-Schreier kernel computation in degree window 0."""
-    op = parse_operator("x + x^2", 2)
-    basis, _ = operator_kernel(op, TruncatedCharPModule(2, (0, 0)))
-    return len(basis)
-
-
 def pic_ko(r: EtaleRingDescriptor, d3_21: str = "zero") -> PicKOResult:
     """Pic(KO_r) from the Picard fixed-point sequence.
 
@@ -219,9 +210,8 @@ def pic_ko(r: EtaleRingDescriptor, d3_21: str = "zero") -> PicKOResult:
         raise ValueError("pic_ko handles connected rings; sum components")
     gr0 = FgAbGroup.cyclic(2)
     gr1 = group_cohomology(trivial(r.units), 1)
-    rank = sum(_artin_schreier_kernel_rank_per_factor()
-               for _ in r.residue_field_degrees_at_2)
-    gr3 = FgAbGroup.from_orders([2] * rank)
+    # x^2 = x has exactly the solutions F_2 in every residue field F_{2^m}
+    gr3 = FgAbGroup.from_orders([2] * r.d)
     graded = [(0, gr0), (1, gr1), (3, gr3)]
     witness_order = 8 if r.d >= 1 else 4
     witness = ExtensionWitness(witness_order, maps_to_generator_of_quotient=True)

@@ -330,11 +330,8 @@ def _check_stable(page: SSPage, s: int, t: int, bound: Optional[int]) -> None:
             if r >= page.r and tgt[1] - src[1] == r - 1:
                 if bound is not None and r > bound:
                     continue
-                if page.vanishing_line and (page.vanishing_line(*src) or page.vanishing_line(*tgt)):
-                    continue
                 raise NotStabilized(
-                    f"a d_{r} could still connect {src} to {tgt}; "
-                    "supply a bound or a vanishing certificate")
+                    f"a d_{r} could still connect {src} to {tgt}; supply a bound")
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ The sheafy descent spectral sequence over the affine j-line ships as a data
 file (data/tmf_pages.json): column-0 entries, the out-of-range differential
 rules (Artin-Schreier operators evaluated through `charp` and the sheaf
 fact table), the fixed-zero d11 on row 7, and the four open differentials.
-Open differentials default to zero and every affected output line carries
-an explicit `assumed` marker; no report silently depends on a guess.
+The column is read from the rule positions and the `unresolved` map: an
+operator rule out of an entry's (s, t, local) turns it into the kernel
+sheaf, and open differentials keep their `unresolved` default (zero) unless
+a config overrides it.  Every affected output line carries an explicit
+`assumed` marker; no report silently depends on a guess.
 """
 
 from __future__ import annotations
@@ -39,10 +42,16 @@ from .ssengine import assemble_abutment_by_orders
 
 UNRESOLVED_NAMES = ("d13_row5", "d25_row5", "d23_row7", "d9_lbr_row6")
 
+# the open differentials that could still shrink the column-0 stage (s, local)
+OPEN_AT_STAGE = {(5, 2): ("d13_row5", "d25_row5"), (7, 2): ("d23_row7",)}
+
+
+def _source(item: Dict) -> Tuple[int, int, int]:
+    return item["s"], item["t"], item.get("local", 0)
+
 
 @dataclass(frozen=True)
 class TmfPageData:
-    window: Tuple[int, int]
     column0: Tuple[Dict, ...]
     special_rules: Tuple[Dict, ...]
     unresolved: Dict[str, str]
@@ -54,34 +63,30 @@ class TmfPageData:
         for item in self.column0:
             if not item.get("citation"):
                 raise ValueError(f"column-0 entry at ({item['s']},{item['t']}) lacks a citation")
-        names = set()
         for rule in self.special_rules:
             if not rule.get("citation"):
                 raise ValueError(f"rule {rule.get('name')} lacks a citation")
-            names.add(rule["name"])
-        if "d11_77" not in names:
+        d11 = next((r for r in self.special_rules if r["name"] == "d11_77"), None)
+        if d11 is None:
             raise ValueError("the fixed-zero d11 on row 7 must be present")
-        d11 = next(r for r in self.special_rules if r["name"] == "d11_77")
         if d11["kind"] != "zero":
             raise ValueError("d11 on row 7 is fixed to zero")
         if set(self.unresolved) != set(UNRESOLVED_NAMES):
             raise ValueError(f"unresolved set must be exactly {UNRESOLVED_NAMES}")
-        # operator rules must parse, and no two chain into each other
-        # (distinct page numbers with distinct sources keeps d∘d = 0 vacuous)
-        positions = {}
+        # operator rules must parse, at most one leaves each column-0 source,
+        # and no two chain into each other (distinct page numbers with
+        # distinct sources keeps d∘d = 0 vacuous)
+        positions, operator_sources = set(), set()
         for rule in self.special_rules:
-            if rule["kind"] == "operator":
-                parse_operator(rule["operator"], rule["p"])
-            key = (rule["r"], rule["s"], rule["t"], rule.get("local", 0))
+            key = (rule["r"],) + _source(rule)
             if key in positions:
                 raise ValueError(f"duplicate rule at {key}")
-            positions[key] = rule["name"]
-
-    def rule(self, name: str) -> Dict:
-        for rule in self.special_rules:
-            if rule["name"] == name:
-                return rule
-        raise KeyError(name)
+            positions.add(key)
+            if rule["kind"] == "operator":
+                parse_operator(rule["operator"], rule["p"])
+                if _source(rule) in operator_sources:
+                    raise ValueError(f"two operator rules out of {_source(rule)}")
+                operator_sources.add(_source(rule))
 
     @classmethod
     def load(cls, path: Optional[Path] = None) -> "TmfPageData":
@@ -89,7 +94,6 @@ class TmfPageData:
         with open(path) as fh:
             raw = json.load(fh)
         return cls(
-            (raw["window"]["s_max"], raw["window"]["t_max"]),
             tuple(raw["column0"]),
             tuple(raw["special_rules"]),
             dict(raw["unresolved"]),
@@ -97,10 +101,6 @@ class TmfPageData:
             raw["c4inv"],
             raw["lbr_mo"],
         )
-
-
-def default_config() -> Dict[str, str]:
-    return {name: "zero" for name in UNRESOLVED_NAMES}
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +131,6 @@ class GrStage:
 class Column0Report:
     stages: Tuple[GrStage, ...]
 
-    def stage(self, s: int, local: int = 0) -> List[GrStage]:
-        return [g for g in self.stages if g.s == s and (local == 0 or g.local in (0, local))]
-
 
 def run_pic_tmf(data: Optional[TmfPageData] = None,
                 config: Optional[Dict[str, str]] = None,
@@ -142,52 +139,27 @@ def run_pic_tmf(data: Optional[TmfPageData] = None,
 
     gr^0 = Z/2, gr^1 = R^1j_*G_m, gr^3 = k_*v_!Z/2, gr^5 = b_*Z/3 plus (a
     subgroup of) the extension A of a_*Z/2 by O/(2,j), gr^7 ⊆ O/(2,j), and
-    gr^s = 0 for s > 7.  Open differentials shrink the row-5 and row-7
-    pieces only; each affected stage is marked.
+    gr^s = 0 for s > 7.  The open differentials of `OPEN_AT_STAGE` shrink
+    the row-5 and row-7 pieces only; each affected stage is marked, and one
+    set to "iso" kills its stage.
     """
     data = data or TmfPageData.load()
-    config = {**default_config(), **(config or {})}
+    config = {**data.unresolved, **(config or {})}
     table = table or default_fact_table()
+    operators = {_source(rule): rule for rule in data.special_rules
+                 if rule["kind"] == "operator"}
     stages: List[GrStage] = []
     for item in data.column0:
         s, local = item["s"], item.get("local", 0)
         symbol = sheaf_from_json(item["entry"])
-        if s in (0, 1):
-            stages.append(GrStage(s, symbol, local, exact=True))
-            continue
-        if s == 3:
-            op = data.rule("d3_33")
-            kernel = table.kernel_sheaf(
+        op = operators.get(_source(item))
+        if op is not None:
+            symbol = table.kernel_sheaf(
                 str(parse_operator(op["operator"], op["p"])), sheaf_display(symbol))
-            stages.append(GrStage(s, kernel, local, exact=True))
-            continue
-        if s == 5 and local == 2:
-            op = data.rule("d5_55")
-            kernel = table.kernel_sheaf(
-                str(parse_operator(op["operator"], op["p"])), sheaf_display(symbol))
-            open_here = ("d13_row5", "d25_row5")
-            if any(config[n] == "iso" for n in open_here):
-                stages.append(GrStage(s, None, local, exact=True,
-                                      assumed=tuple(n for n in open_here
-                                                    if config[n] != "iso")))
-            else:
-                stages.append(GrStage(s, kernel, local, exact=False, assumed=open_here))
-            continue
-        if s == 5 and local == 3:
-            op = data.rule("d9_55")
-            kernel = table.kernel_sheaf(
-                str(parse_operator(op["operator"], op["p"])), sheaf_display(symbol))
-            stages.append(GrStage(s, kernel, local, exact=True))
-            continue
-        if s == 7:
-            # d11 is fixed to zero by the data invariant; d23 stays open
-            if config["d23_row7"] == "iso":
-                stages.append(GrStage(s, None, local, exact=True))
-            else:
-                stages.append(GrStage(s, symbol, local, exact=False,
-                                      assumed=("d23_row7",)))
-            continue
-        raise ValueError(f"unexpected column-0 row {s}")
+        open_here = OPEN_AT_STAGE.get((s, local), ())
+        killed = any(config[n] == "iso" for n in open_here)
+        stages.append(GrStage(s, None if killed else symbol, local, exact=killed or not open_here,
+                              assumed=tuple(n for n in open_here if config[n] != "iso")))
     return Column0Report(tuple(sorted(stages, key=lambda g: (g.s, g.local))))
 
 
@@ -285,22 +257,15 @@ def pic_tmf_r(r: EtaleRingDescriptor,
                                  ExtensionWitness(24, True))
     notes: List[str] = []
     report = run_pic_tmf(data, None, table)
-    two_part = 1
-    three_part = 1
-    if 2 not in r.inverted_primes:
-        two_part = 1
+    h0_ideal = 1
+    for p, support in ((2, "the (2,j)-supported pieces vanish"),
+                       (3, "the (3,j)-supported piece vanishes")):
+        if p in r.inverted_primes:
+            notes.append(f"{p} is invertible in R: {support}")
+            continue
         for g in report.stages:
             if g.s >= 3:
-                two_part *= _stage_section_order(g, 2, table)
-    else:
-        notes.append("2 is invertible in R: the (2,j)-supported pieces vanish")
-    if 3 not in r.inverted_primes:
-        for g in report.stages:
-            if g.s >= 3:
-                three_part *= _stage_section_order(g, 3, table)
-    else:
-        notes.append("3 is invertible in R: the (3,j)-supported piece vanishes")
-    h0_ideal = two_part * three_part
+                h0_ideal *= _stage_section_order(g, p, table)
     sections_order = h0_ideal * quotient.order()
     total = max(r.pic.order(), 1) * sections_order
     return PicTmfRReport(r.name, r.pic, quotient, h0_ideal,
@@ -345,7 +310,8 @@ def lbr_tmf(window: int = 32, config: Optional[Dict[str, str]] = None,
     """
     if window < 8:
         raise ValueError("window must be at least 8")
-    config = {**default_config(), **(config or {})}
+    data = data or TmfPageData.load()
+    config = {**data.unresolved, **(config or {})}
     table = default_fact_table()
     three = cohomology(ClosedPush("(3,j)", FgAbGroup.cyclic(3), "SpecF3"),
                        1, "A1", table).group()
@@ -363,7 +329,7 @@ def lbr_tmf(window: int = 32, config: Optional[Dict[str, str]] = None,
     br_base = brauer_affine_line(
         AffineBaseDescriptor("Z", DivisibleGroupDescriptor.zero(),
                              all_primes_dense=True))
-    assumed = tuple(n for n in ("d13_row5", "d25_row5", "d23_row7")
+    assumed = tuple(n for names in OPEN_AT_STAGE.values() for n in names
                     if config[n] == "zero")
     return LbrTmfReport(
         window=window,
@@ -403,8 +369,8 @@ def lbr_m_o(window: int = 32, config: Optional[Dict[str, str]] = None,
     """
     if window < 8:
         raise ValueError("window must be at least 8")
-    config = {**default_config(), **(config or {})}
     data = data or TmfPageData.load()
+    config = {**data.unresolved, **(config or {})}
     table = default_fact_table()
     basis_degrees = kstar_vshriek_h1_basis(window)
     basis = tuple(f"j^{d}" for d in basis_degrees)

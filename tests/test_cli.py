@@ -185,6 +185,70 @@ def test_exit_2_on_non_integer_snf_entries(capsys):
     assert run_json(capsys, "snf", "--matrix", "[]")["diagonal"] == []
 
 
+def test_exit_2_on_non_integer_orders(capsys):
+    for orders in ("[4.5]", "[2.0]", "[true, 4]", "[-1]", "4", '["2"]'):
+        assert main(["cohomology", "--orders", orders, "--s", "1"]) == 2, orders
+    assert capsys.readouterr().out == ""
+
+
+def test_exit_2_on_non_prime_primes(capsys):
+    for primes in ("[4]", "[1]", "[0]", "[-3]", "[true]", "[2.0]", "[3215031751]", "3"):
+        assert main(["h1-qz", "--primes", primes]) == 2, primes
+    assert main(["br-laurent", "--places", '[{"kind":"finite","label":"4"}]',
+                 "--primes", "[4]"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_twenty_digit_prime_is_accepted_at_once(capsys):
+    p = 27 * 2 ** 59 + 1  # 15564440312192434177, a prime with smooth p - 1
+    rep = run_json(capsys, "h1-qz", "--primes", f"[{p}]")
+    assert rep["primes"] == [p] and f"Q_{p}/Z_{p}" in rep["computed"]
+
+
+def test_is_prime_matches_trial_division():
+    from brauerkit.cli import _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert all(_is_prime(n) == trial(n) for n in range(-2, 20000))
+    # strong pseudoprimes to the bases 2..7 and to every prime base up to 37
+    assert not _is_prime(3215031751) and not _is_prime(3825123056546413051)
+    assert _is_prime(2 ** 127 - 1) and not _is_prime((2 ** 61 - 1) * (2 ** 89 - 1))
+
+
+def test_exit_2_on_missing_key_in_user_json(capsys, tmp_path):
+    assert main(["br-number-ring", "--places", '[{"label":"2"}]']) == 2
+    assert "'kind'" in capsys.readouterr().err
+    assert main(["br-laurent", "--places", '{"sites": []}']) == 2
+    assert "'places'" in capsys.readouterr().err
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"name": "toy"}))
+    assert main(["pic-ko", "--ring", str(ring)]) == 2
+    assert main(["pic-tmf", "--ring", str(ring)]) == 2
+    assert "'units'" in capsys.readouterr().err
+    page = tmp_path / "page.json"
+    page.write_text(json.dumps({"r": 2}))
+    for verb in ("ss-run", "ss-chart"):
+        assert main([verb, "--page", str(page)]) == 2
+        assert "'entries'" in capsys.readouterr().err
+
+
+def test_other_key_errors_surface_as_tracebacks():
+    from brauerkit import cli
+    import unittest.mock as mock
+
+    def bug(args):
+        raise KeyError("internal")
+
+    args = cli.build_parser().parse_args(["lbr-ko"])
+    args.handler = bug
+    with mock.patch.object(cli, "build_parser") as fake:
+        fake.return_value = mock.Mock(parse_args=lambda argv: args)
+        with pytest.raises(KeyError):
+            cli.main(["lbr-ko"])
+
+
 def test_exit_3_on_missing_fact(capsys):
     # no shipped ring by that name and no such file
     assert main(["pic-ko", "--ring", "no-such-ring"]) == 3

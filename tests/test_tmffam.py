@@ -69,6 +69,25 @@ def test_data_rejects_nonzero_d11(data, tmp_path):
         TmfPageData.load(bad)
 
 
+def _edited_data(tmp_path, edit):
+    from brauerkit.sheaftab import data_dir
+    with open(data_dir() / "tmf_pages.json") as fh:
+        raw = json.load(fh)
+    edit(raw)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(raw))
+    return TmfPageData.load(path)
+
+
+def test_data_rejects_two_operator_rules_from_one_source(tmp_path):
+    def edit(raw):
+        rule = next(r for r in raw["special_rules"] if r["name"] == "d5_55")
+        raw["special_rules"].append({**rule, "name": "d7_55", "r": 7})
+
+    with pytest.raises(ValueError, match=r"two operator rules out of \(5, 5, 2\)"):
+        _edited_data(tmp_path, edit)
+
+
 # ---------------------------------------------------------------------------
 # column-0 filtration
 # ---------------------------------------------------------------------------
@@ -113,6 +132,28 @@ def test_run_pic_tmf_assumed_markers(data):
     assert set(five.assumed) == {"d13_row5", "d25_row5"}
     assert not five.exact
     assert "assuming" in five.display()
+
+
+def test_run_pic_tmf_reads_defaults_from_the_data(tmp_path):
+    edited = _edited_data(tmp_path, lambda raw: raw["unresolved"].update(d23_row7="iso"))
+    seven = [g for g in run_pic_tmf(edited).stages if g.s == 7][0]
+    assert seven.symbol is None and seven.exact
+    assert lbr_tmf(16, data=edited).assumed == ("d13_row5", "d25_row5")
+    # an explicit config still overrides the data default
+    seven = [g for g in run_pic_tmf(edited, {"d23_row7": "zero"}).stages if g.s == 7][0]
+    assert seven.assumed == ("d23_row7",)
+
+
+def test_run_pic_tmf_row_without_an_operator_rule_stays_unkerneled(tmp_path):
+    def edit(raw):
+        raw["special_rules"] = [r for r in raw["special_rules"] if r["name"] != "d3_33"]
+        raw["column0"].append({**raw["column0"][-1], "s": 9, "t": 9})
+
+    report = run_pic_tmf(_edited_data(tmp_path, edit))
+    three = [g for g in report.stages if g.s == 3][0]
+    assert three.symbol == QuasiCoherent("O/2") and three.exact
+    nine = [g for g in report.stages if g.s == 9][0]
+    assert nine.symbol == QuasiCoherent("O/(2,j)") and nine.exact and not nine.assumed
 
 
 # ---------------------------------------------------------------------------
