@@ -27,7 +27,6 @@ def _identity(n: int) -> List[List[int]]:
 def _mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> List[List[int]]:
     if not A:
         return []
-    inner = len(B)
     cols = len(B[0]) if B else 0
     out = [[0] * cols for _ in range(len(A))]
     for i, row in enumerate(A):
@@ -57,68 +56,71 @@ def _from_columns(cols: Sequence[Sequence[int]], nrows: int) -> List[List[int]]:
     return [[col[i] for col in cols] for i in range(nrows)]
 
 
-def _snf_ext(M: Sequence[Sequence[int]]):
-    """Smith normal form with tracked transforms and the inverse of U.
+def _snf_ext(M: Sequence[Sequence[int]], u: bool = False, v: bool = False, uinv: bool = False):
+    """Smith normal form, tracking only the transforms asked for.
 
-    Returns (U, D, V, Uinv, None) with U*M*V = D, U and V unimodular,
-    and the diagonal of D a nonnegative dividing chain.  The fifth slot is
+    Returns (U, D, V, Uinv, None) with U*M*V = D, U and V unimodular, Uinv
+    the inverse of U, and the diagonal of D a nonnegative dividing chain.
+    A transform that is not tracked comes back as [].  The steps do not
+    depend on what is tracked, so a tracked transform is the same whatever
+    else is.  Callers track U and V (`smith_normal_form`, `_solve_columns`),
+    V (`_kernel_columns`), Uinv (`_lattice_basis`, `_subquotient`), U
+    (`hom_cokernel`) or nothing (`_generator_types`).  The fifth slot is
     always None and stays so that callers can unpack five values.
     """
     m = len(M)
     n = len(M[0]) if m else 0
     A = [list(row) for row in M]
-    U, Uinv = _identity(m), _identity(m)
-    V = _identity(n)
+    U = _identity(m) if u else []
+    # V and Uinv only ever see column operations: keep them transposed
+    Vt = _identity(n) if v else []
+    Uinvt = _identity(m) if uinv else []
+    # rows and columns before the pivot t hold only their diagonal entry of A,
+    # so operations on A skip them
+    t = 0
 
     def row_swap(i, k):
         A[i], A[k] = A[k], A[i]
-        U[i], U[k] = U[k], U[i]
-        for r in Uinv:
-            r[i], r[k] = r[k], r[i]
+        if U:
+            U[i], U[k] = U[k], U[i]
+        if Uinvt:
+            Uinvt[i], Uinvt[k] = Uinvt[k], Uinvt[i]
 
     def row_add(i, k, q):
         # row i += q * row k
-        for j in range(n):
-            A[i][j] += q * A[k][j]
-        for j in range(m):
-            U[i][j] += q * U[k][j]
-        for r in Uinv:
-            r[k] -= q * r[i]
+        A[i][t:] = [a + q * b for a, b in zip(A[i][t:], A[k][t:])]
+        if U:
+            U[i] = [a + q * b for a, b in zip(U[i], U[k])]
+        if Uinvt:
+            Uinvt[k] = [a - q * b for a, b in zip(Uinvt[k], Uinvt[i])]
 
     def row_neg(i):
         A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
+        if U:
+            U[i] = [-x for x in U[i]]
+        if Uinvt:
+            Uinvt[i] = [-x for x in Uinvt[i]]
 
     def col_swap(j, k):
-        for r in A:
+        for r in A[t:]:
             r[j], r[k] = r[k], r[j]
-        for r in V:
-            r[j], r[k] = r[k], r[j]
+        if Vt:
+            Vt[j], Vt[k] = Vt[k], Vt[j]
 
     def col_add(j, k, q):
         # col j += q * col k
-        for r in A:
+        for r in A[t:]:
             r[j] += q * r[k]
-        for r in V:
-            r[j] += q * r[k]
+        if Vt:
+            Vt[j] = [a + q * b for a, b in zip(Vt[j], Vt[k])]
 
-    t = 0
     limit = min(m, n)
     while t < limit:
-        # locate a pivot of minimal absolute value in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                a = A[i][j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    pivot = (i, j)
-        if pivot is None:
+        # a pivot of minimal absolute value in the trailing block, first in row order
+        nonzero = [(abs(a), i, j) for i in range(t, m) for j, a in enumerate(A[i][t:], t) if a]
+        if not nonzero:
             break
-        i0, j0 = pivot
+        _, i0, j0 = min(nonzero)
         if i0 != t:
             row_swap(t, i0)
         if j0 != t:
@@ -141,14 +143,7 @@ def _snf_ext(M: Sequence[Sequence[int]]):
             continue
         # enforce divisibility of the remaining block by the pivot
         d = A[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % d:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, m) if any(x % d for x in A[i][t + 1:])), None)
         if offender is not None:
             row_add(t, offender, 1)
             continue
@@ -157,12 +152,12 @@ def _snf_ext(M: Sequence[Sequence[int]]):
         t += 1
 
     D = [[A[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
-    return U, D, V, Uinv, None
+    return U, D, _transpose(Vt), _transpose(Uinvt), None
 
 
 def smith_normal_form(M: Sequence[Sequence[int]]):
     """Return (U, D, V) with U*M*V = D in Smith normal form."""
-    U, D, V, _, _ = _snf_ext(M)
+    U, D, V, _, _ = _snf_ext(M, u=True, v=True)
     return U, D, V
 
 
@@ -174,7 +169,7 @@ def _kernel_columns(M: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
     """Basis of the integer kernel lattice of M, as columns of length ncols."""
     if not M or not M[0]:
         return [list(col) for col in _identity(ncols)]
-    _, D, V, _, _ = _snf_ext(M)
+    _, D, V, _, _ = _snf_ext(M, v=True)
     diag = _diag(D)
     rank = sum(1 for d in diag if d)
     return [[V[i][j] for i in range(ncols)] for j in range(rank, ncols)]
@@ -186,7 +181,7 @@ def _lattice_basis(cols: Sequence[Sequence[int]], n: int) -> List[List[int]]:
     if not cols:
         return []
     A = _from_columns(cols, n)
-    _, D, _, Uinv, _ = _snf_ext(A)
+    _, D, _, Uinv, _ = _snf_ext(A, uinv=True)
     diag = _diag(D)
     basis = []
     for j, d in enumerate(diag):
@@ -206,7 +201,7 @@ def _solve_columns(B_cols: Sequence[Sequence[int]], C_cols: Sequence[Sequence[in
             raise ArithmeticError("inconsistent lattice containment")
         return [[] for _ in C_cols]
     B = _from_columns(B_cols, n)
-    U, D, V, _, _ = _snf_ext(B)
+    U, D, V, _, _ = _snf_ext(B, u=True, v=True)
     diag = _diag(D)
     xs = []
     for c in C_cols:
@@ -288,29 +283,27 @@ class FgAbGroup:
 
     @staticmethod
     def from_orders(orders: Iterable[int]) -> "FgAbGroup":
-        """Normalize a list of cyclic orders (0 meaning Z) to invariant factors."""
+        """Normalize a list of cyclic orders (0 meaning Z) to invariant factors.
+
+        Z/a ⊕ Z/b ≅ Z/gcd(a, b) ⊕ Z/lcm(a, b), so after pass i entry i
+        divides every later entry and nothing is factored: the pairwise case
+        of Bernstein's coprime base (J. Algorithms 2005).
+        """
         free = 0
-        by_prime: dict = {}
+        factors = []
         for d in orders:
             if d < 0:
                 raise ValueError("orders must be nonnegative")
             if d == 0:
                 free += 1
-                continue
-            for p, e in _factorize(d).items():
-                by_prime.setdefault(p, []).append(e)
-        width = max((len(v) for v in by_prime.values()), default=0)
-        factors = []
-        for slot in range(width):
-            f = 1
-            for p, exps in by_prime.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if slot < len(exps_sorted):
-                    f *= p ** exps_sorted[slot]
-            factors.append(f)
-        factors = [f for f in factors if f > 1]
-        factors.reverse()  # ascending dividing chain
-        return FgAbGroup(free, tuple(factors))
+            else:
+                factors.append(d)
+        for i, a in enumerate(factors):
+            for j in range(i + 1, len(factors)):
+                g = gcd(a, factors[j])
+                a, factors[j] = g, a // g * factors[j]
+            factors[i] = a
+        return FgAbGroup(free, tuple(d for d in factors if d > 1))
 
     # -- structure ---------------------------------------------------------
 
@@ -502,7 +495,7 @@ def _subquotient(l_cols: Sequence[Sequence[int]], r_cols: Sequence[Sequence[int]
     if rel:
         xcols = _solve_columns(basis, rel, n)
         X = _from_columns(xcols, r)
-        _, D, _, U1inv, _ = _snf_ext(X)
+        _, D, _, U1inv, _ = _snf_ext(X, uinv=True)
         diag = _diag(D)
     else:
         U1inv = _identity(r)
@@ -521,20 +514,20 @@ def _subquotient(l_cols: Sequence[Sequence[int]], r_cols: Sequence[Sequence[int]
     return FgAbGroup.from_orders(orders), gens
 
 
+def _kernel_lift(f: GroupHom) -> List[List[int]]:
+    """Columns spanning the vectors of Z^ns that f sends into the target relations."""
+    ns = f.source.num_generators
+    if f.target.num_generators == 0:
+        return [list(c) for c in _identity(ns)]
+    rt = _relation_columns(f.target)
+    A = [list(row) + [c[i] for c in rt] for i, row in enumerate(f.matrix)]
+    return [c[:ns] for c in _kernel_columns(A, ns + len(rt))]
+
+
 def hom_kernel(f: GroupHom):
     """Kernel of f with its inclusion into f.source."""
-    ns = f.source.num_generators
-    nt = f.target.num_generators
-    rt = _relation_columns(f.target)
-    if nt == 0:
-        k_cols = [list(c) for c in _identity(ns)]
-    else:
-        A = [list(row) + [c[i] for c in rt] for i, row in enumerate(f.matrix)]
-        full = _kernel_columns(A, ns + len(rt))
-        k_cols = [c[:ns] for c in full]
-    group, gens = _subquotient(k_cols, _relation_columns(f.source), ns)
-    incl = GroupHom.from_columns(group, f.source, gens)
-    return group, incl
+    group, gens = _subquotient(_kernel_lift(f), _relation_columns(f.source), f.source.num_generators)
+    return group, GroupHom.from_columns(group, f.source, gens)
 
 
 def hom_cokernel(f: GroupHom):
@@ -548,7 +541,7 @@ def hom_cokernel(f: GroupHom):
         group = FgAbGroup.from_orders(f.target.generator_orders())
         return group, GroupHom.identity(f.target)
     X = _from_columns(cols, nt)
-    U1, D, _, _, _ = _snf_ext(X)
+    U1, D, _, _, _ = _snf_ext(X, u=True)
     diag = _diag(D)
     rows = []
     for j in range(nt):
@@ -567,18 +560,8 @@ def homology(f: GroupHom, g: GroupHom) -> FgAbGroup:
     """ker(f)/im(g) for composable maps with f∘g = 0."""
     if not f.compose(g).is_zero_hom():
         raise ValueError("homology requires f∘g = 0")
-    mid = f.source
-    n = mid.num_generators
-    rt = _relation_columns(f.target)
-    nt = f.target.num_generators
-    if nt == 0:
-        k_cols = [list(c) for c in _identity(n)]
-    else:
-        A = [list(row) + [c[i] for c in rt] for i, row in enumerate(f.matrix)]
-        full = _kernel_columns(A, n + len(rt))
-        k_cols = [c[:n] for c in full]
-    denom = _transpose(g.matrix) + _relation_columns(mid)
-    group, _ = _subquotient(k_cols, denom, n)
+    denom = _transpose(g.matrix) + _relation_columns(f.source)
+    group, _ = _subquotient(_kernel_lift(f), denom, f.source.num_generators)
     return group
 
 

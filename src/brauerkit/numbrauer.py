@@ -43,6 +43,11 @@ class PlaceSpec:
 def places_from_json(text: str) -> List[PlaceSpec]:
     data = json.loads(text)
     items = data["places"] if isinstance(data, dict) else data
+    if not isinstance(items, list):
+        raise ValueError("places must be a JSON list of place objects")
+    for item in items:
+        if not (isinstance(item, dict) and isinstance(item.get("kind"), str)):
+            raise ValueError(f"place {item!r} is not an object with a string 'kind'")
     return [PlaceSpec(item["kind"], item.get("label", "")) for item in items]
 
 

@@ -204,6 +204,14 @@ def test_cokernel_from_zero():
     assert cok.same_structure(FgAbGroup.cyclic(8))
 
 
+def test_cokernel_of_a_20_digit_prime():
+    p = 15564440312192434177
+    f = GroupHom(FgAbGroup.free(1), FgAbGroup.free(1), ((p,),))
+    cok, proj = hom_cokernel(f)
+    assert cok.same_structure(FgAbGroup.cyclic(p)) and str(cok) == f"Z/{p}"
+    assert proj.matrix == ((1,),)
+
+
 def test_cokernel_diag_2_3():
     z2 = FgAbGroup.free(2)
     f = GroupHom(z2, z2, ((2, 0), (0, 3)))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -205,6 +206,14 @@ def test_twenty_digit_prime_is_accepted_at_once(capsys):
     assert rep["primes"] == [p] and f"Q_{p}/Z_{p}" in rep["computed"]
 
 
+def test_h1_qz_of_a_24_digit_prime_needs_no_factoring(capsys):
+    p = 100000000000000000001027  # (p - 1) / 2 is prime too
+    start = time.perf_counter()
+    rep = run_json(capsys, "h1-qz", "--primes", f"[{p}]")
+    assert time.perf_counter() - start < 2
+    assert f"Z/{p - 1}" in rep["computed"]
+
+
 def test_is_prime_matches_trial_division():
     from brauerkit.cli import _is_prime
 
@@ -232,6 +241,19 @@ def test_exit_2_on_missing_key_in_user_json(capsys, tmp_path):
     for verb in ("ss-run", "ss-chart"):
         assert main([verb, "--page", str(page)]) == 2
         assert "'entries'" in capsys.readouterr().err
+
+
+def test_exit_2_on_malformed_places(capsys):
+    for places in ('{"places": "real"}', '"real"', '["real"]', '[["finite", "2"]]',
+                   '[{"label": "2"}]', '[{"kind": 2}]', '[{"kind": null}]'):
+        assert main(["br-number-ring", "--places", places]) == 2, places
+        assert "place" in capsys.readouterr().err
+
+
+def test_br_laurent_exit_2_on_malformed_places(capsys):
+    for places in ('3', '["real"]', '[{"kind": ["finite"], "label": "2"}]'):
+        assert main(["br-laurent", "--places", places, "--primes", "[2]"]) == 2, places
+        assert "place" in capsys.readouterr().err
 
 
 def test_other_key_errors_surface_as_tracebacks():
