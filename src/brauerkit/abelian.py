@@ -342,17 +342,6 @@ class FgAbGroup:
         """The n-torsion subgroup (free part contributes nothing)."""
         return FgAbGroup.from_orders([gcd(d, n) for d in self.invariant_factors])
 
-    def primary_part(self, p: int) -> "FgAbGroup":
-        orders = []
-        for d in self.invariant_factors:
-            q = 1
-            while d % p == 0:
-                d //= p
-                q *= p
-            if q > 1:
-                orders.append(q)
-        return FgAbGroup(self.free_rank, ()).direct_sum(FgAbGroup.from_orders(orders))
-
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
         orders = self.generator_orders()
         for g in others:

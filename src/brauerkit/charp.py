@@ -38,10 +38,6 @@ class TruncatedCharPModule:
     def degrees(self) -> range:
         return range(self.window[0], self.window[1] + 1)
 
-    def enlarged(self, by: int = 1) -> "TruncatedCharPModule":
-        lo, hi = self.window
-        return TruncatedCharPModule(self.p, (lo - by if self.laurent else 0, hi + by), self.laurent)
-
 
 @dataclass(frozen=True)
 class SemilinearOperator:

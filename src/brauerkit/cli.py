@@ -22,11 +22,9 @@ from .charp import TruncatedCharPModule, operator_cokernel_basis, operator_kerne
 from .cyccoh import group_cohomology, sign, trivial
 from .errors import (
     AmbiguousExtension,
-    DensityUnknown,
     NoExtension,
     NoFact,
     NotStabilized,
-    OutOfRange,
     UnmatchedRule,
     WindowTooSmall,
 )
@@ -44,8 +42,8 @@ EXIT_PARSE = 2
 EXIT_NOFACT = 3
 EXIT_AMBIGUOUS = 4
 
-_NOFACT_ERRORS = (NoFact, DensityUnknown, NotStabilized, OutOfRange,
-                  UnmatchedRule, WindowTooSmall, NoExtension, FileNotFoundError)
+_NOFACT_ERRORS = (NoFact, NotStabilized, UnmatchedRule, WindowTooSmall, NoExtension,
+                  FileNotFoundError)
 
 
 def data_file_versions() -> dict:

@@ -26,24 +26,12 @@ class WindowTooSmall(BrauerkitError):
     """The degree window cannot certify the requested kernel/cokernel."""
 
 
-class DensityUnknown(BrauerkitError):
-    """A required per-prime density fact is missing from the descriptor."""
-
-
-class InconsistentPoint(BrauerkitError):
-    """The requested residue characteristic and j-value are incompatible."""
-
-
 class UnmatchedRule(BrauerkitError):
     """A differential rule points at a zero entry."""
 
 
 class NoFact(BrauerkitError):
     """No stored fact decides the requested sheaf-level computation."""
-
-
-class OutOfRange(BrauerkitError):
-    """A comparison import was requested outside its range of validity."""
 
 
 class NotStabilized(BrauerkitError):

@@ -14,13 +14,11 @@ class of order 8 (order 4 when d = 0) resolves all extensions.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 from .abelian import ExtensionWitness, FgAbGroup, GroupHom
 from .cyccoh import cohomology_row, group_cohomology, sign, trivial
-from .errors import NoFact
 from .numbrauer import DivisibleGroupDescriptor
 from .sheaftab import ClosedPush, cohomology
 from .ssengine import (
@@ -249,39 +247,20 @@ class OmniReport:
     notes: Tuple[str, ...] = ()
 
 
-def omni_assemble(h1_gm, h0_pi1, h2_gm, h1_pi1, h3_gm,
-                  pic_r_surjects: bool = True, d2: str = "zero",
-                  d2_hom: Optional[GroupHom] = None) -> OmniReport:
+def omni_assemble(h1_gm, h0_pi1, h2_gm, h1_pi1, h3_gm) -> OmniReport:
     """Assemble 0 -> H^2(Gm) -> LBr -> ker(d2: H^1(pi_1) -> H^3(Gm)) -> 0.
 
-    The short exact sequence is only available when the Picard sheaf map is
-    surjective; LBr is returned exactly when one outer term vanishes (or the
-    coefficients are coprime), otherwise symbolically as the two outer terms.
+    The Picard sheaf map is surjective and d2 vanishes, so the kernel term
+    is all of H^1(pi_1).  LBr is returned exactly when one outer term
+    vanishes, otherwise symbolically as the two outer terms.
     """
     terms = (("H1(Gm)", h1_gm), ("H0(pi1)", h0_pi1), ("H2(Gm)", h2_gm),
              ("H1(pi1)", h1_pi1), ("H3(Gm)", h3_gm))
-    notes: List[str] = []
-    if not pic_r_surjects:
-        return OmniReport(terms, None, False,
-                          ("Picard sheaf map not surjective; no short exact sequence",))
-    if d2 == "zero":
-        ker_d2 = h1_pi1
-    elif d2 == "matrix":
-        if d2_hom is None:
-            raise ValueError("d2 = 'matrix' needs d2_hom")
-        from .abelian import hom_kernel
-        ker_d2, _ = hom_kernel(d2_hom)
-    elif d2 == "unknown":
-        ker_d2 = h1_pi1
-        notes.append("d2 unresolved: kernel bounded above by H1(pi1) (assumed full)")
-    else:
-        raise ValueError("d2 must be 'zero', 'matrix', or 'unknown'")
     if h2_gm.is_zero():
-        return OmniReport(terms, ker_d2, True, tuple(notes))
-    if ker_d2.is_zero():
-        return OmniReport(terms, h2_gm, True, tuple(notes))
-    return OmniReport(terms, None, False,
-                      tuple(notes) + ("both outer terms nonzero; extension undecided",))
+        return OmniReport(terms, h1_pi1, True)
+    if h1_pi1.is_zero():
+        return OmniReport(terms, h2_gm, True)
+    return OmniReport(terms, None, False, ("both outer terms nonzero; extension undecided",))
 
 
 def lbr_ko() -> OmniReport:
@@ -291,47 +270,4 @@ def lbr_ko() -> OmniReport:
     h1_pi1 = cohomology(ClosedPush("(2)", FgAbGroup.cyclic(2), "SpecF2"),
                         1, "SpecZ").group()
     return omni_assemble(h1_gm=zero, h0_pi1=FgAbGroup.cyclic(2), h2_gm=zero,
-                         h1_pi1=h1_pi1, h3_gm=zero, pic_r_surjects=True, d2="zero")
-
-
-@dataclass(frozen=True)
-class SplittingReport:
-    splits: bool
-    faithful: bool
-    kills_per_cover: Tuple[Tuple[str, bool], ...]
-    partial: bool
-    note: str = ""
-
-
-def lbr_ko_splitting_check(covers: Sequence[EtaleRingDescriptor]) -> SplittingReport:
-    """Does the étale cover family kill the nontrivial class of LBr(KO)?
-
-    A cover kills the class when 2 is inverted (the class lives at the prime
-    2) or when every residue field of R/2 has even degree over F_2 (the
-    class restricts to H^1(F_{2^m}; Z/2) along the degree-m extension, where
-    an even-degree field absorbs the nontrivial F_2-torsor).  The family
-    must also be faithful: no prime may be inverted by every cover.
-    """
-    if not covers:
-        raise NoFact("splitting check needs at least one cover")
-    kills = []
-    for r in covers:
-        if 2 in r.inverted_primes:
-            kills.append((r.name, True))
-        elif r.residue_field_degrees_at_2 and \
-                all(m % 2 == 0 for m in r.residue_field_degrees_at_2):
-            kills.append((r.name, True))
-        else:
-            kills.append((r.name, False))
-    all_kill = all(k for _, k in kills)
-    inverted = set(covers[0].inverted_primes)
-    for r in covers[1:]:
-        inverted &= set(r.inverted_primes)
-    faithful = not inverted
-    partial = all_kill and not faithful
-    note = ""
-    if partial:
-        note = ("every cover kills the class, but the primes "
-                f"{sorted(inverted)} are inverted throughout, so the family "
-                "is only faithful away from them")
-    return SplittingReport(all_kill and faithful, faithful, tuple(kills), partial, note)
+                         h1_pi1=h1_pi1, h3_gm=zero)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .abelian import FgAbGroup
-from .errors import DensityUnknown
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,8 @@ def places_from_json(text: str) -> List[PlaceSpec]:
     for item in items:
         if not (isinstance(item, dict) and isinstance(item.get("kind"), str)):
             raise ValueError(f"place {item!r} is not an object with a string 'kind'")
+        if not isinstance(item.get("label", ""), str):
+            raise ValueError(f"place {item!r} has a 'label' that is not a string")
     return [PlaceSpec(item["kind"], item.get("label", "")) for item in items]
 
 
@@ -102,24 +103,6 @@ class DivisibleGroupDescriptor:
         torsion = FgAbGroup.from_orders(orders)
         return torsion.direct_sum(self.finite_part.torsion(n))
 
-    def contains_summand(self, other: "DivisibleGroupDescriptor") -> bool:
-        """Componentwise comparison: does this descriptor contain the other
-        as a direct summand?  (Finite parts compare by invariant factors.)"""
-        if other.qz_copies > self.qz_copies or (other.infinite_f2 and not self.infinite_f2):
-            return False
-        mine = list(self.qpzp_primes)
-        for p in other.qpzp_primes:
-            if p not in mine:
-                return False
-            mine.remove(p)
-        theirs = list(other.finite_part.invariant_factors)
-        pool = list(self.finite_part.invariant_factors)
-        for d in theirs:
-            if d not in pool:
-                return False
-            pool.remove(d)
-        return other.finite_part.free_rank <= self.finite_part.free_rank
-
     def __str__(self) -> str:
         parts = []
         if self.qz_copies == 1:
@@ -160,10 +143,6 @@ class DivisibleGroupDescriptor:
     def zero(cls) -> "DivisibleGroupDescriptor":
         return cls()
 
-    @classmethod
-    def finite(cls, group: FgAbGroup) -> "DivisibleGroupDescriptor":
-        return cls(finite_part=group)
-
 
 def brauer_localized_integers(places: Sequence[PlaceSpec]) -> DivisibleGroupDescriptor:
     """Kernel of the sum-of-invariants map over the given places.
@@ -181,24 +160,6 @@ def brauer_localized_integers(places: Sequence[PlaceSpec]) -> DivisibleGroupDesc
     if r >= 1:
         return DivisibleGroupDescriptor(finite_part=FgAbGroup.from_orders([2] * (r - 1)))
     return DivisibleGroupDescriptor.zero()
-
-
-def brute_force_invariant_kernel_order(n: int, m: int, r: int) -> int:
-    """Order of the n-torsion of ker(⊕ invariants → Q/Z) by direct count.
-
-    Full places contribute Z/n (elements a/n), half places contribute their
-    n-torsion in Z/2 (trivial unless n is even); count the tuples whose
-    invariants sum to zero in Q/Z.
-    """
-    import itertools
-
-    half_vals = [0, n // 2] if n % 2 == 0 else [0]
-    count = 0
-    for full in itertools.product(range(n), repeat=m):
-        for half in itertools.product(half_vals, repeat=r):
-            if (sum(full) + sum(half)) % n == 0:
-                count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +212,7 @@ def h1_qz_report(inverted_primes: Iterable[int]) -> H1QzReport:
 
 
 # ---------------------------------------------------------------------------
-# Laurent ring, affine line, localization sequence
+# Laurent ring
 # ---------------------------------------------------------------------------
 
 
@@ -262,70 +223,10 @@ def brauer_laurent(s_places: Sequence[PlaceSpec],
     s_primes are the inverted finite primes (they must match the finite
     entries in s_places).
     """
-    finite_labels = sorted(int(p.label) for p in s_places if p.kind == "finite")
-    if finite_labels != sorted(set(s_primes)):
+    labels = [p.label for p in s_places if p.kind == "finite"]
+    for label in labels:
+        if not (label.isascii() and label.isdigit()):
+            raise ValueError(f"finite place label {label!r} is not a decimal integer")
+    if sorted(map(int, labels)) != sorted(set(s_primes)):
         raise ValueError("inverted primes disagree with the finite places")
     return brauer_localized_integers(s_places).direct_sum(h1_qz(s_primes))
-
-
-@dataclass(frozen=True)
-class AffineBaseDescriptor:
-    """A regular base for the affine-line comparison Br(S) → Br(S[x]).
-
-    The p-local comparison needs Spec S[1/p] dense in Spec S; density facts
-    are recorded per prime, or wholesale for localizations of Z (removing
-    finitely many closed points keeps a dense open).
-    """
-
-    name: str
-    brauer: Optional[DivisibleGroupDescriptor]  # None: purely symbolic (a field)
-    dense_after_inverting: Mapping[int, bool] = field(default_factory=dict)
-    all_primes_dense: bool = False
-
-
-@dataclass(frozen=True)
-class AffineLineBrauer:
-    base_name: str
-    brauer: Optional[DivisibleGroupDescriptor]
-    prime_validity: Tuple[Tuple[int, str], ...]
-    symbolic: bool = False
-
-
-def brauer_affine_line(base: AffineBaseDescriptor,
-                       primes: Iterable[int] = (2, 3, 5, 7)) -> AffineLineBrauer:
-    """Br(S[x]) = Br(S), prime by prime, with density annotations.
-
-    Raises DensityUnknown when the p-local validity cannot be certified for
-    one of the requested primes.
-    """
-    annotations = []
-    for p in sorted(set(primes)):
-        if base.all_primes_dense or base.dense_after_inverting.get(p):
-            annotations.append((p, "valid: Spec S[1/p] dense"))
-        elif p in base.dense_after_inverting:  # recorded as not dense
-            annotations.append((p, "not applicable: Spec S[1/p] not dense"))
-        else:
-            raise DensityUnknown(
-                f"no density fact for p = {p} on base {base.name}")
-    if base.brauer is None:
-        return AffineLineBrauer(base.name, None, tuple(annotations), symbolic=True)
-    return AffineLineBrauer(base.name, base.brauer, tuple(annotations))
-
-
-@dataclass(frozen=True)
-class SymbolicBrauerExtension:
-    sub: DivisibleGroupDescriptor
-    quot: DivisibleGroupDescriptor
-
-
-def localization_sequence(br_r_p: DivisibleGroupDescriptor,
-                          h1_rmodf: DivisibleGroupDescriptor,
-                          split: bool):
-    """0 → Br(R)_(p) → Br(R[1/f])_(p) → H^1(R/f; Q/Z)_(p) → 0.
-
-    Returns the direct sum when the sequence is split (the cyclic-algebra
-    section), otherwise the extension data symbolically.
-    """
-    if split:
-        return br_r_p.direct_sum(h1_rmodf)
-    return SymbolicBrauerExtension(br_r_p, h1_rmodf)

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .abelian import ExtensionWitness, FgAbGroup, resolve_extension
 from .charp import TruncatedCharPModule, operator_cokernel_basis, operator_kernel, parse_operator
-from .errors import AmbiguousExtension, InconsistentPoint, NoFact
+from .errors import AmbiguousExtension, NoFact
 from .numbrauer import DivisibleGroupDescriptor
 
 
@@ -223,10 +223,6 @@ class FactTable:
             raise NoFact(f"no kernel fact for {operator_text} on {sheaf_name}")
         return sheaf_from_json(e["value"]["symbol"])
 
-    def citation(self, sheaf: str, site: str, degree: int) -> str:
-        e = self._facts.get((sheaf, site, degree))
-        return e["citation"] if e else ""
-
 
 _DEFAULT_TABLE: Optional[FactTable] = None
 
@@ -256,12 +252,6 @@ Value = Union[FgAbGroup, DivisibleGroupDescriptor, Unknown]
 class CohomologyAnswer:
     value: Value
 
-    def is_known(self) -> bool:
-        return not isinstance(self.value, Unknown)
-
-    def is_zero(self) -> bool:
-        return self.is_known() and self.value.is_zero()
-
     def group(self) -> FgAbGroup:
         if not isinstance(self.value, FgAbGroup):
             raise NoFact(f"answer is not a finite group: {self.value}")
@@ -283,7 +273,7 @@ def _sum_values(values: List[Value]) -> Value:
             infinite = True
     if not infinite:
         return group
-    return descriptor.direct_sum(DivisibleGroupDescriptor.finite(group))
+    return descriptor.direct_sum(DivisibleGroupDescriptor(finite_part=group))
 
 
 def cohomology(f: SheafSymbol, s: int, base: str,
@@ -432,47 +422,3 @@ def cohomology_order(f: SheafSymbol, s: int, base: str,
                 and isinstance(b_s, FgAbGroup) and a_s.is_finite() and b_s.is_finite():
             return a_s.order() * b_s.order()
     raise NoFact(f"order of H^{s}({base}; {sheaf_display(f)}) is not decided")
-
-
-# ---------------------------------------------------------------------------
-# R^1 j_* G_m
-# ---------------------------------------------------------------------------
-
-
-def r1jgm_stalk(char: int, j_class: str) -> FgAbGroup:
-    """Stalk of R^1j_*G_m at a point of the j-line.
-
-    The automorphism group of the fibre is C_2 generically, C_4 at j = 1728,
-    C_6 at j = 0 (away from 2 and 3), and gives Z/12 at j = 0 in
-    characteristics 2 and 3, where j = 0 and j = 1728 coincide.
-    """
-    if char < 0 or char == 1:
-        raise ValueError("char must be 0 or a prime")
-    if j_class not in ("0", "1728", "other"):
-        raise ValueError("j_class must be one of '0', '1728', 'other'")
-    if j_class == "other":
-        return FgAbGroup.cyclic(2)
-    if char in (2, 3):
-        if j_class == "1728":
-            raise InconsistentPoint(
-                f"in characteristic {char} the points j = 0 and j = 1728 coincide; "
-                "request j_class '0'")
-        return FgAbGroup.cyclic(12)
-    return FgAbGroup.cyclic(4) if j_class == "1728" else FgAbGroup.cyclic(6)
-
-
-def r1jgm_global(s: int, site: str = "A1",
-                 table: Optional[FactTable] = None) -> FgAbGroup:
-    """H^s of R^1j_*G_m on the j-line, or on the site with j and j - 1728
-    inverted (which kills both skyscraper subsheaves)."""
-    if s not in (0, 1):
-        raise ValueError("only degrees 0 and 1 are catalogued")
-    if site == "A1":
-        ans = cohomology(R1jGm(), s, "A1", table)
-        return ans.group()
-    if site == "A1-minus-0-1728":
-        # the extension restricts to its constant quotient Z/2
-        if s != 0:
-            raise NoFact("only global sections are catalogued on the punctured line")
-        return FgAbGroup.cyclic(2)
-    raise ValueError(f"unknown site {site!r}")

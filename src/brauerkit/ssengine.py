@@ -4,12 +4,11 @@ Pages use Adams indexing: an entry sits at (s, t), charts are drawn in the
 (t - s, s)-plane, and the page-r differential goes (s, t) -> (s+r, t+r-1).
 Entries are finitely generated abelian groups, symbolic sheaves, or
 truncated characteristic-p modules; differentials are declared as rules
-(zero, isomorphism, explicit matrix, semilinear operator, imported from a
-parallel additive sequence, or unresolved) and `turn_page` replaces each
-entry by kernel-mod-image.  Everything absent from the sparse entry map is
-zero, and page-turning only ever shrinks entries, so stabilization of a
-column is decidable by inspecting which later differentials could still
-connect two nonzero positions.
+(zero, isomorphism, explicit matrix, semilinear operator, or unresolved)
+and `turn_page` replaces each entry by kernel-mod-image.  Everything absent
+from the sparse entry map is zero, and page-turning only ever shrinks
+entries, so stabilization of a column is decidable by inspecting which
+later differentials could still connect two nonzero positions.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .abelian import (
     resolve_extension_by_order,
 )
 from .charp import SemilinearOperator, TruncatedCharPModule, operator_kernel, parse_operator
-from .errors import AmbiguousExtension, NoFact, NotStabilized, OutOfRange, UnmatchedRule
+from .errors import AmbiguousExtension, NoFact, NotStabilized, UnmatchedRule
 from .sheaftab import (
     FactTable,
     SheafSymbol,
@@ -271,29 +270,6 @@ def _operator_kernel_entry(entry: Entry, rule: DifferentialRule, table: FactTabl
         kernel = table.kernel_sheaf(str(op), sheaf_display(entry.value))
         return Entry(kernel, label=entry.label, index=entry.index)
     raise NoFact("operator rule on a plain group entry")
-
-
-# ---------------------------------------------------------------------------
-# comparison imports
-# ---------------------------------------------------------------------------
-
-
-def comparison_import(additive_rules: Sequence[DifferentialRule],
-                      r: int, s: int, t: int) -> DifferentialRule:
-    """Copy the additive d_r^{s, t-1} into the multiplicative sequence at
-    (s, t); only valid in the range 2 <= r <= t - 1."""
-    if not 2 <= r <= t - 1:
-        raise OutOfRange(
-            f"d_{r} at ({s},{t}) is outside the comparison range 2 <= r <= t-1; "
-            "supply a universal-formula rule instead")
-    match = [rule for rule in additive_rules if rule.r == r and rule.matches(s, t - 1)]
-    if len(match) > 1:
-        raise ValueError("ambiguous additive rule")
-    if not match:
-        return DifferentialRule(r, (s, t), "zero",
-                                provenance="comparison tool: additive differential absent")
-    src = match[0]
-    return replace(src, source=(s, t), provenance=f"comparison tool: {src.provenance}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,12 @@ from .abelian import ExtensionWitness, FgAbGroup, resolve_extension
 from .charp import parse_operator
 from .errors import NoFact
 from .kofam import EtaleRingDescriptor
-from .numbrauer import AffineBaseDescriptor, brauer_affine_line
+from .numbrauer import PlaceSpec, brauer_laurent, brauer_localized_integers
 from .sheaftab import (
     ClosedPush,
     FactTable,
     QuasiCoherent,
+    R1jGm,
     SheafExtension,
     SheafSymbol,
     cohomology,
@@ -208,18 +209,15 @@ def pic_tmf_global(config: Optional[Dict[str, str]] = None,
     return out
 
 
-def pic_tmf_c4inv(include_kstar: bool = True,
-                  data: Optional[TmfPageData] = None) -> FgAbGroup:
+def pic_tmf_c4inv(data: Optional[TmfPageData] = None) -> FgAbGroup:
     """Pic of TMF with the modular form c4 inverted: Z/2 ⊕ Z/8.
 
     Over the punctured j-line the Brauer and Picard obstructions of the base
     vanish (Br(Z[j^{±1}]) = 0 from the Laurent formula and Pic(Z[j^{±1}]) =
     0), the quotient sheaf contributes global sections Z/8, the k_* piece a
-    Z/2, and the suspension class splits the extension.  The degenerate
-    control run drops the k_* contribution and returns Z/8.
+    Z/2, and the suspension class splits the extension.
     """
     data = data or TmfPageData.load()
-    from .numbrauer import PlaceSpec, brauer_laurent
     if not brauer_laurent([PlaceSpec("real")], set()).is_zero():
         raise NoFact("Br of the Laurent base ring unexpectedly nonzero")
     h0_q = FgAbGroup.from_json(data.c4inv["h0_u_q"])
@@ -227,7 +225,7 @@ def pic_tmf_c4inv(include_kstar: bool = True,
     if not data.c4inv.get("split", False):
         return resolve_extension(kstar, h0_q,
                                  ExtensionWitness(h0_q.order(), True))
-    return kstar.direct_sum(h0_q) if include_kstar else h0_q
+    return kstar.direct_sum(h0_q)
 
 
 @dataclass(frozen=True)
@@ -252,7 +250,7 @@ def pic_tmf_r(r: EtaleRingDescriptor,
     table = default_fact_table()
     # the quotient: gr^1 sections Z/12 extended by gr^0 = Z/2 with the
     # order-24 witness (the 24-periodicity of the suspension over R)
-    gr1_sections = cohomology_order_group_12(table)
+    gr1_sections = cohomology(R1jGm(), 0, "A1", table).group()
     quotient = resolve_extension(gr1_sections, FgAbGroup.cyclic(2),
                                  ExtensionWitness(24, True))
     notes: List[str] = []
@@ -270,12 +268,6 @@ def pic_tmf_r(r: EtaleRingDescriptor,
     total = max(r.pic.order(), 1) * sections_order
     return PicTmfRReport(r.name, r.pic, quotient, h0_ideal,
                          sections_order, total, tuple(notes))
-
-
-def cohomology_order_group_12(table: FactTable) -> FgAbGroup:
-    """H^0 of R^1j_*G_m on the j-line (= Z/12), via the extension rules."""
-    from .sheaftab import R1jGm
-    return cohomology(R1jGm(), 0, "A1", table).group()
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +317,6 @@ def lbr_tmf(window: int = 32, config: Optional[Dict[str, str]] = None,
                            nontrivial=True)
     quot_h1 = cohomology(a_ext.quot, 1, "A1", table).group()
     bound = quot_h1.order()
-    from .numbrauer import DivisibleGroupDescriptor
-    br_base = brauer_affine_line(
-        AffineBaseDescriptor("Z", DivisibleGroupDescriptor.zero(),
-                             all_primes_dense=True))
     assumed = tuple(n for names in OPEN_AT_STAGE.values() for n in names
                     if config[n] == "zero")
     return LbrTmfReport(
@@ -340,7 +328,9 @@ def lbr_tmf(window: int = 32, config: Optional[Dict[str, str]] = None,
         split_surjection=True,
         kernel_finite=True,
         kernel_order_bound=bound,
-        br_pi0_zero=br_base.brauer.is_zero(),
+        # Br(Z[j]) = Br(Z): Spec Z[1/p] is dense in Spec Z for every p, so
+        # the affine-line comparison Br(S) = Br(S[x]) holds prime by prime
+        br_pi0_zero=brauer_localized_integers([PlaceSpec("real")]).is_zero(),
         assumed=assumed,
     )
 

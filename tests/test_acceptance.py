@@ -24,15 +24,9 @@ from brauerkit.kofam import (
     ku_additive_d3_rules,
     ku_additive_pages,
     lbr_ko,
-    lbr_ko_splitting_check,
     pic_ko,
 )
-from brauerkit.numbrauer import (
-    PlaceSpec,
-    brauer_laurent,
-    brauer_localized_integers,
-    brute_force_invariant_kernel_order,
-)
+from brauerkit.numbrauer import PlaceSpec, brauer_laurent, brauer_localized_integers
 from brauerkit.ssengine import Entry, assemble_abutment
 from brauerkit.tmffam import (
     TmfPageData,
@@ -42,6 +36,8 @@ from brauerkit.tmffam import (
     pic_tmf_global,
     run_pic_tmf,
 )
+from lbr_ko_covers import lbr_ko_splitting_check
+from numbrauer_oracle import brute_force_invariant_kernel_order
 
 Z2 = FgAbGroup.cyclic(2)
 

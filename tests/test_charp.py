@@ -178,7 +178,9 @@ def test_kernel_window_doubling_stable():
     for text, p, m in cases:
         op = parse_operator(text, p)
         b1, _ = operator_kernel(op, m)
-        b2, _ = operator_kernel(op, m.enlarged(m.window[1]))
+        lo, hi = m.window
+        doubled = TruncatedCharPModule(p, (lo - hi if m.laurent else 0, 2 * hi), m.laurent)
+        b2, _ = operator_kernel(op, doubled)
         assert b1 == b2
 
 

@@ -243,15 +243,20 @@ def test_exit_2_on_missing_key_in_user_json(capsys, tmp_path):
         assert "'entries'" in capsys.readouterr().err
 
 
+NON_STRING_LABELS = tuple(f'[{{"kind": "finite", "label": {label}}}]'
+                          for label in ("[2]", "2.5", "2"))
+
+
 def test_exit_2_on_malformed_places(capsys):
     for places in ('{"places": "real"}', '"real"', '["real"]', '[["finite", "2"]]',
-                   '[{"label": "2"}]', '[{"kind": 2}]', '[{"kind": null}]'):
+                   '[{"label": "2"}]', '[{"kind": 2}]', '[{"kind": null}]') + NON_STRING_LABELS:
         assert main(["br-number-ring", "--places", places]) == 2, places
         assert "place" in capsys.readouterr().err
 
 
 def test_br_laurent_exit_2_on_malformed_places(capsys):
-    for places in ('3', '["real"]', '[{"kind": ["finite"], "label": "2"}]'):
+    for places in ('3', '["real"]', '[{"kind": ["finite"], "label": "2"}]',
+                   '[{"kind": "finite", "label": "abc"}]') + NON_STRING_LABELS:
         assert main(["br-laurent", "--places", places, "--primes", "[2]"]) == 2, places
         assert "place" in capsys.readouterr().err
 

@@ -1,6 +1,7 @@
 import pytest
 
 import ssengine_oracle
+from lbr_ko_covers import lbr_ko_splitting_check
 from brauerkit.abelian import FgAbGroup
 from brauerkit.cyccoh import group_cohomology, sign, trivial
 from brauerkit.kofam import (
@@ -11,7 +12,6 @@ from brauerkit.kofam import (
     ku_additive_d3_rules,
     ku_additive_pages,
     lbr_ko,
-    lbr_ko_splitting_check,
     omni_assemble,
     pic_ko,
 )
@@ -177,9 +177,6 @@ def test_omni_assemble_cases():
     # both sides nonzero: undecided
     rep = omni_assemble(ZERO, ZERO, Z2, Z2, ZERO)
     assert rep.lbr is None and not rep.exact
-    # no surjectivity: no sequence at all
-    rep = omni_assemble(ZERO, ZERO, ZERO, Z2, ZERO, pic_r_surjects=False)
-    assert rep.lbr is None
 
 
 def test_splitting_check_pair_is_true():

@@ -1,23 +1,16 @@
-import itertools
-
 import pytest
 
 from brauerkit.abelian import FgAbGroup
-from brauerkit.errors import DensityUnknown
 from brauerkit.numbrauer import (
-    AffineBaseDescriptor,
     DivisibleGroupDescriptor,
     PlaceSpec,
-    SymbolicBrauerExtension,
-    brauer_affine_line,
     brauer_laurent,
     brauer_localized_integers,
-    brute_force_invariant_kernel_order,
     h1_qz,
     h1_qz_report,
-    localization_sequence,
     places_from_json,
 )
+from numbrauer_oracle import brute_force_invariant_kernel_order
 
 REAL = PlaceSpec("real")
 COMPLEX = PlaceSpec("complex")
@@ -29,6 +22,22 @@ def finite(p):
 
 def zero():
     return DivisibleGroupDescriptor.zero()
+
+
+def contains_summand(big: DivisibleGroupDescriptor, small: DivisibleGroupDescriptor) -> bool:
+    """Componentwise comparison: is `small` a direct summand of `big`?
+    (Finite parts compare by invariant factors.)"""
+    if small.qz_copies > big.qz_copies or (small.infinite_f2 and not big.infinite_f2):
+        return False
+    primes = list(big.qpzp_primes)
+    factors = list(big.finite_part.invariant_factors)
+    for pool, wanted in ((primes, small.qpzp_primes),
+                         (factors, small.finite_part.invariant_factors)):
+        for x in wanted:
+            if x not in pool:
+                return False
+            pool.remove(x)
+    return small.finite_part.free_rank <= big.finite_part.free_rank
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +113,7 @@ def test_brauer_monotone_in_places():
     for extra in [finite(2), finite(3), REAL]:
         base = base + [extra]
         cur = brauer_localized_integers(base)
-        assert cur.contains_summand(prev)
+        assert contains_summand(cur, prev)
         prev = cur
 
 
@@ -146,7 +155,7 @@ def test_h1_qz_two_three_discrepancy():
 
 
 # ---------------------------------------------------------------------------
-# Laurent ring and affine line
+# Laurent ring
 # ---------------------------------------------------------------------------
 
 
@@ -173,56 +182,9 @@ def test_brauer_laurent_contains_base_summand():
     # injectivity on descriptors: Br(S) is a summand of the output
     places = [finite(2), finite(3), REAL]
     base = brauer_localized_integers(places)
-    assert brauer_laurent(places, {2, 3}).contains_summand(base)
+    assert contains_summand(brauer_laurent(places, {2, 3}), base)
 
 
 def test_brauer_laurent_mismatched_primes():
     with pytest.raises(ValueError):
         brauer_laurent([finite(2), REAL], {3})
-
-
-def test_affine_line_z():
-    base = AffineBaseDescriptor("Z", zero(), all_primes_dense=True)
-    out = brauer_affine_line(base)
-    assert out.brauer.is_zero()
-    assert all("valid" in note for _, note in out.prime_validity)
-
-
-def test_affine_line_z_one_sixth():
-    d = brauer_localized_integers([finite(2), finite(3), REAL])
-    base = AffineBaseDescriptor("Z[1/6]", d, all_primes_dense=True)
-    out = brauer_affine_line(base)
-    assert out.brauer == d
-
-
-def test_affine_line_field_symbolic():
-    base = AffineBaseDescriptor("Q", None, all_primes_dense=True)
-    out = brauer_affine_line(base)
-    assert out.symbolic and out.brauer is None
-
-
-def test_affine_line_density_unknown():
-    base = AffineBaseDescriptor("S", zero(), dense_after_inverting={2: True})
-    with pytest.raises(DensityUnknown):
-        brauer_affine_line(base, primes=(2, 3))
-
-
-# ---------------------------------------------------------------------------
-# localization sequence
-# ---------------------------------------------------------------------------
-
-
-def test_localization_split_cases():
-    z2 = DivisibleGroupDescriptor.finite(FgAbGroup.cyclic(2))
-    qz = DivisibleGroupDescriptor(qz_copies=1)
-    assert localization_sequence(zero(), z2, split=True) == z2
-    got = localization_sequence(qz, z2, split=True)
-    assert got.qz_copies == 1 and got.finite_part.same_structure(FgAbGroup.cyclic(2))
-    assert localization_sequence(z2, zero(), split=True) == z2
-
-
-def test_localization_non_split_symbolic():
-    z2 = DivisibleGroupDescriptor.finite(FgAbGroup.cyclic(2))
-    got = localization_sequence(z2, z2, split=False)
-    assert isinstance(got, SymbolicBrauerExtension)
-    assert got.sub == z2 and got.quot == z2

@@ -1,0 +1,113 @@
+"""Every function and method in `src/brauerkit` is called by the golden
+corpus, or is on `ALLOWED` with the reason it exists.
+
+The corpus (`golden_corpus.CASES` and `column_dump`) runs in a fresh
+interpreter under `sys.setprofile`, so code that runs at import time, and
+the fact table that a process loads once, count exactly when a report
+needs them.  Run this file directly to print the names the corpus reaches.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+ALLOWED = {
+    "kofam.ku_additive_pages":
+        "benchmark entry point: the algebra workload turns the KU pages",
+    "kofam.ku_additive_d3_rules":
+        "benchmark entry point: the algebra workload turns the KU pages",
+    "kofam._bott_power": "benchmark entry point: labels and d3 rules of the KU pages",
+    "kofam._class_label": "benchmark entry point: labels of the KU pages",
+    "cyccoh.cohomology_row": "benchmark entry point: the algebra workload and the KU E2 page",
+    "abelian.FgAbGroup.free": "benchmark entry point: the Z coefficients of the KU pages",
+    "ssengine.DifferentialRule.matches":
+        "tracer hook: bench/tracing.py counts rule matches through it",
+    "numbrauer.DivisibleGroupDescriptor.n_torsion":
+        "paper check: test_acceptance.py compares it with the brute-force kernel count",
+    "abelian.FgAbGroup.torsion": "paper check: the finite part of n_torsion",
+    "ssengine.column_filtration":
+        "direction-2 infrastructure: column 0 read from turned pages (ROADMAP)",
+    "ssengine._check_stable": "direction-2 infrastructure: the stability check of column_filtration",
+    "numbrauer.DivisibleGroupDescriptor.from_json":
+        "other half of a reached (de)serializer: to_json writes every Brauer report",
+    "ssengine._rule_to_json":
+        "other half of a reached (de)serializer: ss-run reads rules with _rule_from_json",
+    "kofam.EtaleRingDescriptor.to_json":
+        "other half of a (de)serializer: from_json reads --ring descriptor files",
+    "kofam.EtaleRingDescriptor.from_json":
+        "reached only by user input: pic-ko and pic-tmf --ring <descriptor file>",
+    "abelian._lr_positive":
+        "reached only by user input: pic-ko --ring <file> when Pic(R) has even order",
+    "abelian._contains": "reached only by user input: the containment test of _lr_positive",
+    "errors.AmbiguousExtension.__init__":
+        "reached only by user input: an extension the witness cannot decide exits 4",
+}
+
+
+def defined() -> dict:
+    """{code object: "module.name" or "module.Class.name"} for every function
+    and method written in src/brauerkit."""
+    import brauerkit
+
+    out = {}
+    for info in pkgutil.iter_modules(brauerkit.__path__):
+        mod = importlib.import_module(f"brauerkit.{info.name}")
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                out[inspect.unwrap(obj).__code__] = f"{info.name}.{name}"
+            elif inspect.isclass(obj):
+                for attr, raw in vars(obj).items():
+                    if isinstance(raw, (staticmethod, classmethod)):
+                        raw = raw.__func__
+                    elif isinstance(raw, property):
+                        raw = raw.fget
+                    if inspect.isfunction(raw) and raw.__code__.co_filename == mod.__file__:
+                        out[raw.__code__] = f"{info.name}.{name}.{attr}"
+    return out
+
+
+def reached() -> list:
+    """Names of the functions and methods the golden corpus calls."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        from golden_corpus import CASES, cli_output, column_dump
+        for argv in CASES.values():
+            cli_output(argv)
+        column_dump()
+    finally:
+        sys.setprofile(None)
+    return sorted(name for code, name in defined().items() if code in seen)
+
+
+def test_every_function_is_reached_or_allowed():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    child = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
+                           env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    called = set(json.loads(child.stdout))
+    names = set(defined().values())
+    assert sorted(names - called - ALLOWED.keys()) == [], "neither reached nor allowed"
+    assert sorted(ALLOWED.keys() - (names - called)) == [], "stale entries in ALLOWED"
+    assert all(reason.strip() for reason in ALLOWED.values())
+
+
+if __name__ == "__main__":
+    print(json.dumps(reached()))

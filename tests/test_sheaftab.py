@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from brauerkit.abelian import ExtensionWitness, FgAbGroup, resolve_extension
-from brauerkit.errors import InconsistentPoint, NoFact
+from brauerkit.errors import NoFact
 from brauerkit.numbrauer import DivisibleGroupDescriptor
 from brauerkit.sheaftab import (
     ClosedPush,
@@ -15,10 +17,9 @@ from brauerkit.sheaftab import (
     canonical_r1jgm,
     cohomology,
     cohomology_order,
+    data_dir,
     default_fact_table,
     kstar_vshriek_h1_basis,
-    r1jgm_global,
-    r1jgm_stalk,
     sheaf_display,
     sheaf_from_json,
     sheaf_to_json,
@@ -46,8 +47,8 @@ def test_finite_field_cohomology_degrees():
     f = Constant(FgAbGroup.cyclic(5))
     assert cohomology(f, 0, "SpecF2").group().same_structure(FgAbGroup.cyclic(5))
     assert cohomology(f, 1, "SpecF2").group().same_structure(FgAbGroup.cyclic(5))
-    assert cohomology(f, 2, "SpecF2").is_zero()
-    assert cohomology(f, 7, "SpecF3").is_zero()
+    assert cohomology(f, 2, "SpecF2").group().is_zero()
+    assert cohomology(f, 7, "SpecF3").group().is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +59,8 @@ def test_finite_field_cohomology_degrees():
 def test_constant_on_spec_z():
     f = Constant(FgAbGroup.cyclic(4))
     assert cohomology(f, 0, "SpecZ").group().same_structure(FgAbGroup.cyclic(4))
-    assert cohomology(f, 1, "SpecZ").is_zero()
-    assert cohomology(f, 1, "A1").is_zero()
+    assert cohomology(f, 1, "SpecZ").group().is_zero()
+    assert cohomology(f, 1, "A1").group().is_zero()
 
 
 def test_constant_fact_table_bounded():
@@ -76,8 +77,8 @@ def test_constant_fact_table_bounded():
 
 def test_quasi_coherent_no_higher_cohomology():
     for name in ("O", "O/2", "O/(2,j)", "omega2"):
-        assert cohomology(QuasiCoherent(name), 2, "A1").is_zero()
-        assert cohomology(QuasiCoherent(name), 1, "A1").is_zero()
+        assert cohomology(QuasiCoherent(name), 2, "A1").group().is_zero()
+        assert cohomology(QuasiCoherent(name), 1, "A1").group().is_zero()
 
 
 def test_quasi_coherent_sections_facts():
@@ -93,7 +94,7 @@ def test_omega2_is_alias_for_o_mod_2():
 
 
 def test_kstar_vshriek():
-    assert cohomology(KStarVShriek(), 0, "A1").is_zero()
+    assert cohomology(KStarVShriek(), 0, "A1").group().is_zero()
     h1 = cohomology(KStarVShriek(), 1, "A1").value
     assert isinstance(h1, DivisibleGroupDescriptor) and h1.infinite_f2
     assert h1.infinite_f2_basis.startswith("j^2, j^4")
@@ -165,29 +166,15 @@ def test_direct_sum_additivity():
 # ---------------------------------------------------------------------------
 
 
-def test_r1jgm_stalks():
-    assert r1jgm_stalk(5, "other").same_structure(Z2)
-    assert r1jgm_stalk(7, "0").same_structure(FgAbGroup.cyclic(6))
-    assert r1jgm_stalk(5, "1728").same_structure(FgAbGroup.cyclic(4))
-    assert r1jgm_stalk(2, "0").same_structure(FgAbGroup.cyclic(12))
-    assert r1jgm_stalk(3, "0").same_structure(FgAbGroup.cyclic(12))
-    assert r1jgm_stalk(0, "other").same_structure(Z2)
-
-
-def test_r1jgm_inconsistent_point():
-    with pytest.raises(InconsistentPoint):
-        r1jgm_stalk(2, "1728")
-
-
 def test_r1jgm_global_sections():
-    assert r1jgm_global(0).same_structure(FgAbGroup.cyclic(12))
-    assert r1jgm_global(1).is_zero()
-    assert r1jgm_global(0, site="A1-minus-0-1728").same_structure(Z2)
+    # pic-tmf --ring reads H^0 = Z/12 as the gr^1 sections
+    assert cohomology(R1jGm(), 0, "A1").group().same_structure(FgAbGroup.cyclic(12))
+    assert cohomology(R1jGm(), 1, "A1").group().is_zero()
 
 
 def test_r1jgm_symbol_cohomology_matches():
     assert cohomology(R1jGm(), 0, "A1").group().same_structure(FgAbGroup.cyclic(12))
-    assert cohomology(canonical_r1jgm(), 1, "A1").is_zero()
+    assert cohomology(canonical_r1jgm(), 1, "A1").group().is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +183,10 @@ def test_r1jgm_symbol_cohomology_matches():
 
 
 def test_fact_table_has_citations():
-    table = default_fact_table()
-    assert table.citation("Z/12", "SpecZ", 1)
-    assert table.citation("O/(2,j)", "A1", 0)
+    facts = json.loads((data_dir() / "sheaf_facts.json").read_text())
+    keys = {(e["sheaf"], e["site"], e["degree"]) for e in facts}
+    assert {("Z/12", "SpecZ", 1), ("O/(2,j)", "A1", 0)} <= keys
+    assert all(e["citation"] for e in facts)
 
 
 def test_kernel_facts():

@@ -8,7 +8,6 @@ from brauerkit.charp import TruncatedCharPModule, parse_operator
 from brauerkit.errors import (
     AmbiguousExtension,
     NotStabilized,
-    OutOfRange,
     UnmatchedRule,
 )
 from brauerkit.sheaftab import ClosedPush, KStarVShriek, QuasiCoherent
@@ -22,7 +21,6 @@ from brauerkit.ssengine import (
     assemble_abutment_by_orders,
     chart_svg,
     column_filtration,
-    comparison_import,
     page_from_json,
     page_to_json,
     turn_page,
@@ -140,32 +138,6 @@ def test_rule_registration_order_irrelevant():
     a = turn_page(page, rules)
     b = turn_page(page, list(reversed(rules)))
     assert page_to_json(a) == page_to_json(b)
-
-
-# ---------------------------------------------------------------------------
-# comparison imports
-# ---------------------------------------------------------------------------
-
-
-def test_comparison_import_in_range():
-    additive = [DifferentialRule(3, (1, 3), "iso", provenance="additive pattern")]
-    rule = comparison_import(additive, 3, 1, 4)
-    assert rule.kind == "iso" and rule.source == (1, 4)
-    assert rule.provenance.startswith("comparison tool")
-
-
-def test_comparison_import_absent_is_zero():
-    rule = comparison_import([], 2, 0, 4)
-    assert rule.kind == "zero"
-
-
-def test_comparison_import_out_of_range():
-    with pytest.raises(OutOfRange):
-        comparison_import([], 3, 3, 3)
-    with pytest.raises(OutOfRange):
-        comparison_import([], 9, 5, 5)
-    # boundary: r = t - 1 is still allowed
-    assert comparison_import([], 3, 0, 4).kind == "zero"
 
 
 # ---------------------------------------------------------------------------

@@ -184,8 +184,6 @@ def test_pic_tmf_global_locality_knobs():
 def test_pic_tmf_c4inv():
     got = pic_tmf_c4inv()
     assert got.same_structure(FgAbGroup.from_orders([2, 8]))
-    # degenerate control: without the k_* contribution only Z/8 remains
-    assert pic_tmf_c4inv(include_kstar=False).same_structure(FgAbGroup.cyclic(8))
 
 
 def test_pic_tmf_r_integers():
