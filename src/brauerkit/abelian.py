@@ -445,9 +445,14 @@ class GroupHom:
         return GroupHom(self.source, self.target, tuple(tuple(r) for r in mat))
 
     def power(self, k: int) -> "GroupHom":
-        out = GroupHom.identity(self.source)
-        for _ in range(k):
-            out = self.compose(out)
+        """self^k by repeated squaring: O(log k) compositions."""
+        out, square = GroupHom.identity(self.source), self
+        while k > 0:
+            if k & 1:
+                out = square.compose(out)
+            k >>= 1
+            if k:
+                square = square.compose(square)
         return out
 
     def is_zero_hom(self) -> bool:

@@ -188,24 +188,27 @@ def _dominance_region(op: SemilinearOperator) -> Optional[Tuple[Optional[int], O
     return (min(los), max(his))
 
 
+def _check_window(op: SemilinearOperator, m: TruncatedCharPModule) -> None:
+    """Refuse a module of another characteristic, and raise WindowTooSmall
+    unless the window holds the whole (nonempty) kernel support region."""
+    if op.p != m.p:
+        raise ValueError("operator and module characteristics differ")
+    lo, hi = m.window
+    rlo, rhi = _dominance_region(op)
+    if not m.laurent:
+        rlo = max(rlo, 0)
+    if rlo <= rhi and (rlo < lo or rhi > hi):
+        raise WindowTooSmall(f"kernel support region [{rlo},{rhi}] exceeds window [{lo},{hi}]")
+
+
 def operator_kernel(op: SemilinearOperator, m: TruncatedCharPModule):
     """(basis, stabilized): F_p-basis of the certified kernel on the window.
 
     Basis elements are lists of (degree, coefficient) pairs, increasing degree.
     Raises WindowTooSmall if the degree-growth analysis cannot confine all
-    kernel elements to the window.
+    kernel elements to the window, so `stabilized` is always True.
     """
-    if op.p != m.p:
-        raise ValueError("operator and module characteristics differ")
-    lo, hi = m.window
-    region = _dominance_region(op)
-    rlo, rhi = region
-    if not m.laurent:
-        rlo = max(rlo, 0)
-    if rlo <= rhi:  # nonempty support region must fit in the window
-        if rlo < lo or rhi > hi:
-            raise WindowTooSmall(
-                f"kernel support region [{rlo},{rhi}] exceeds window [{lo},{hi}]")
+    _check_window(op, m)
     degrees = list(m.degrees())
     cols, _ = _operator_matrix(op, degrees)
     basis_vecs = _kernel_basis_fp(cols, op.p)
@@ -223,16 +226,8 @@ def operator_cokernel_basis(op: SemilinearOperator, m: TruncatedCharPModule):
     The returned degrees represent a basis of the cokernel in degrees up to
     the stable prefix, certified unchanged under window enlargement.
     """
-    if op.p != m.p:
-        raise ValueError("operator and module characteristics differ")
+    _check_window(op, m)
     lo, hi = m.window
-    region = _dominance_region(op)
-    rlo, rhi = region
-    if not m.laurent:
-        rlo = max(rlo, 0)
-    if rlo <= rhi and (rlo < lo or rhi > hi):
-        raise WindowTooSmall(
-            f"support region [{rlo},{rhi}] exceeds window [{lo},{hi}]")
     p = op.p
     # a window-(hi+1) input can reach down to this output degree; below it the
     # image, hence the cokernel, can no longer change

@@ -24,6 +24,7 @@ from .errors import (
     AmbiguousExtension,
     NoExtension,
     NoFact,
+    NotAnAction,
     NotStabilized,
     UnmatchedRule,
     WindowTooSmall,
@@ -112,6 +113,14 @@ def _int_list(text: str, flag: str, accept, what: str) -> list:
     return value
 
 
+def _primes(text: str) -> list:
+    """--primes: a JSON list of distinct primes."""
+    primes = _int_list(text, "--primes", _is_prime, "primes")
+    if len(set(primes)) != len(primes):
+        raise ValueError("--primes must not list a prime twice")
+    return primes
+
+
 @contextmanager
 def _user_json(what: str):
     """A key missing from user-supplied JSON is bad input, not a missing fact."""
@@ -177,7 +186,7 @@ def _cmd_br_number_ring(args) -> dict:
 
 
 def _cmd_h1_qz(args) -> dict:
-    primes = _int_list(args.primes, "--primes", _is_prime, "primes")
+    primes = _primes(args.primes)
     rep = h1_qz_report(primes)
     out = {"primes": sorted(primes), "computed": str(rep.computed),
            "discrepancy": rep.discrepancy, "note": rep.note}
@@ -189,7 +198,7 @@ def _cmd_h1_qz(args) -> dict:
 def _cmd_br_laurent(args) -> dict:
     with _user_json("--places"):
         places = places_from_json(args.places)
-    primes = _int_list(args.primes, "--primes", _is_prime, "primes")
+    primes = _primes(args.primes)
     desc = brauer_laurent(places, primes)
     return {"group": str(desc), "descriptor": desc.to_json(),
             "inverted_primes": sorted(primes)}
@@ -414,7 +423,7 @@ def main(argv=None) -> int:
     except _NOFACT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOFACT
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, json.JSONDecodeError, NotAnAction) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if isinstance(report, str):  # SVG artifact

@@ -42,11 +42,16 @@ def sign(group: FgAbGroup, n: int = 2) -> CyclicModule:
 
 
 def _norm(m: CyclicModule) -> GroupHom:
-    total = GroupHom.zero_map(m.group, m.group)
-    power = GroupHom.identity(m.group)
-    for _ in range(m.n):
-        total = total.add(power)
-        power = m.sigma.compose(power)
+    """N_n = 1 + sigma + ... + sigma^{n-1} from the binary digits of n, by
+    N_2k = N_k + sigma^k N_k and N_k+1 = 1 + sigma N_k: O(log n) compositions."""
+    one = GroupHom.identity(m.group)
+    total, power = one, m.sigma  # N_k and sigma^k, starting at k = 1
+    for bit in bin(m.n)[3:]:
+        total = total.add(power.compose(total))
+        power = power.compose(power)
+        if bit == "1":
+            total = one.add(m.sigma.compose(total))
+            power = m.sigma.compose(power)
     return total
 
 

@@ -44,11 +44,16 @@ def places_from_json(text: str) -> List[PlaceSpec]:
     items = data["places"] if isinstance(data, dict) else data
     if not isinstance(items, list):
         raise ValueError("places must be a JSON list of place objects")
+    named = set()  # unlabelled real and complex places may repeat; named ones may not
     for item in items:
         if not (isinstance(item, dict) and isinstance(item.get("kind"), str)):
             raise ValueError(f"place {item!r} is not an object with a string 'kind'")
         if not isinstance(item.get("label", ""), str):
             raise ValueError(f"place {item!r} has a 'label' that is not a string")
+        key = (item["kind"], item.get("label", ""))
+        if key[1] and key in named:
+            raise ValueError(f"place {item!r} is listed twice")
+        named.add(key)
     return [PlaceSpec(item["kind"], item.get("label", "")) for item in items]
 
 

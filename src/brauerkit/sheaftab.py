@@ -199,9 +199,8 @@ class FactTable:
             self._facts[(e["sheaf"], e["site"], e["degree"])] = e
 
     @classmethod
-    def load(cls, path: Optional[Path] = None) -> "FactTable":
-        path = path or (data_dir() / "sheaf_facts.json")
-        with open(path) as fh:
+    def load(cls) -> "FactTable":
+        with open(data_dir() / "sheaf_facts.json") as fh:
             return cls(json.load(fh))
 
     def lookup(self, sheaf: str, site: str, degree: int):
@@ -276,39 +275,38 @@ def _sum_values(values: List[Value]) -> Value:
     return descriptor.direct_sum(DivisibleGroupDescriptor(finite_part=group))
 
 
-def cohomology(f: SheafSymbol, s: int, base: str,
-               table: Optional[FactTable] = None) -> CohomologyAnswer:
+def cohomology(f: SheafSymbol, s: int, base: str) -> CohomologyAnswer:
     """H^s(base; F) by the rules R1-R6; Unknown carries the failing rule."""
     if s < 0:
         raise ValueError("degree must be nonnegative")
-    table = table or default_fact_table()
-    return CohomologyAnswer(_coh(f, s, base, table))
+    default_fact_table()  # loaded even when no rule reads it: no data, no answer
+    return CohomologyAnswer(_coh(f, s, base))
 
 
-def _coh(f: SheafSymbol, s: int, base: str, table: FactTable) -> Value:
+def _coh(f: SheafSymbol, s: int, base: str) -> Value:
     if isinstance(f, DirectSum):
-        return _sum_values([_coh(g, s, base, table) for g in f.summands])
+        return _sum_values([_coh(g, s, base) for g in f.summands])
     if isinstance(f, ClosedPush):  # R1
-        return _coh(Constant(f.group), s, f.residue_site, table)
+        return _coh(Constant(f.group), s, f.residue_site)
     if isinstance(f, Constant):
-        return _constant_cohomology(f.group, s, base, table)
+        return _constant_cohomology(f.group, s, base)
     if isinstance(f, QuasiCoherent):  # R4
         if s > 0:
             return FgAbGroup.zero()
-        fact = table.lookup(f.canonical_name, base, 0)
+        fact = default_fact_table().lookup(f.canonical_name, base, 0)
         if fact is None:
             return Unknown(f"no global-sections fact for {f.name} on {base}", rule="R4")
         return fact
     if isinstance(f, KStarVShriek):  # R5
         return _kstar_vshriek_cohomology(s)
     if isinstance(f, R1jGm):
-        return _coh(canonical_r1jgm(), s, base, table)
+        return _coh(canonical_r1jgm(), s, base)
     if isinstance(f, SheafExtension):  # R6
-        return _extension_cohomology(f, s, base, table)
+        return _extension_cohomology(f, s, base)
     raise TypeError(f"not a sheaf symbol: {f!r}")
 
 
-def _constant_cohomology(group: FgAbGroup, s: int, base: str, table: FactTable) -> Value:
+def _constant_cohomology(group: FgAbGroup, s: int, base: str) -> Value:
     if base in ("SpecF2", "SpecF3"):  # R2: Galois group Z-hat, trivial action
         if not group.is_finite():
             return Unknown("infinite coefficients over a finite field", rule="R2")
@@ -316,7 +314,7 @@ def _constant_cohomology(group: FgAbGroup, s: int, base: str, table: FactTable) 
     if s == 0:  # all shipped sites are connected
         return group
     if base in ("SpecZ", "A1") and s == 1 and group.is_finite():  # R3
-        if all(table.lookup(f"Z/{m}", base, 1) is not None
+        if all(default_fact_table().lookup(f"Z/{m}", base, 1) is not None
                for m in group.invariant_factors):
             return FgAbGroup.zero()
         return Unknown(f"H^1({base}; {group}) not in the fact table", rule="R3")
@@ -357,7 +355,7 @@ def _value_zero(v: Value) -> Optional[bool]:
     return None if isinstance(v, Unknown) else v.is_zero()
 
 
-def _extension_cohomology(f: SheafExtension, s: int, base: str, table: FactTable) -> Value:
+def _extension_cohomology(f: SheafExtension, s: int, base: str) -> Value:
     # an extension concentrated at one closed point is the pushforward of the
     # resolved extension of stalks (pushforward along a closed immersion is
     # exact), so compute it on the residue site
@@ -370,13 +368,13 @@ def _extension_cohomology(f: SheafExtension, s: int, base: str, table: FactTable
             resolved = resolve_extension(f.sub.group, f.quot.group, f.witness)
         except AmbiguousExtension:
             return Unknown("witness does not pin down the stalk extension", rule="R6")
-        return _coh(ClosedPush(f.sub.point, resolved, f.sub.residue_site), s, base, table)
-    a_s = _coh(f.sub, s, base, table)
-    b_s = _coh(f.quot, s, base, table)
+        return _coh(ClosedPush(f.sub.point, resolved, f.sub.residue_site), s, base)
+    a_s = _coh(f.sub, s, base)
+    b_s = _coh(f.quot, s, base)
     if _value_zero(a_s) and _value_zero(b_s):
         return FgAbGroup.zero()
-    b_prev_zero = True if s == 0 else _value_zero(_coh(f.quot, s - 1, base, table))
-    a_next_zero = _value_zero(_coh(f.sub, s + 1, base, table))
+    b_prev_zero = True if s == 0 else _value_zero(_coh(f.quot, s - 1, base))
+    a_next_zero = _value_zero(_coh(f.sub, s + 1, base))
     if _value_zero(b_s):
         # ... -> H^{s-1}(quot) -> H^s(sub) -> H^s(F) -> 0
         if b_prev_zero:
@@ -401,23 +399,22 @@ def _extension_cohomology(f: SheafExtension, s: int, base: str, table: FactTable
     return Unknown("long exact sequence does not collapse", rule="R6")
 
 
-def cohomology_order(f: SheafSymbol, s: int, base: str,
-                     table: Optional[FactTable] = None) -> int:
+def cohomology_order(f: SheafSymbol, s: int, base: str) -> int:
     """Order of H^s even when the group structure stays ambiguous.
 
     For an extension whose long exact sequence collapses to a short exact
     sequence of finite groups, the order is the product of the outer orders
     regardless of the unresolved extension class.
     """
-    table = table or default_fact_table()
-    ans = _coh(f, s, base, table)
+    default_fact_table()  # loaded even when no rule reads it: no data, no answer
+    ans = _coh(f, s, base)
     if isinstance(ans, FgAbGroup) and ans.is_finite():
         return ans.order()
     if isinstance(f, SheafExtension):
-        a_s = _coh(f.sub, s, base, table)
-        b_s = _coh(f.quot, s, base, table)
-        b_prev_zero = True if s == 0 else _value_zero(_coh(f.quot, s - 1, base, table))
-        a_next_zero = _value_zero(_coh(f.sub, s + 1, base, table))
+        a_s = _coh(f.sub, s, base)
+        b_s = _coh(f.quot, s, base)
+        b_prev_zero = True if s == 0 else _value_zero(_coh(f.quot, s - 1, base))
+        a_next_zero = _value_zero(_coh(f.sub, s + 1, base))
         if b_prev_zero and a_next_zero and isinstance(a_s, FgAbGroup) \
                 and isinstance(b_s, FgAbGroup) and a_s.is_finite() and b_s.is_finite():
             return a_s.order() * b_s.order()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .abelian import (
     ExtensionWitness,
@@ -31,7 +31,6 @@ from .abelian import (
 from .charp import SemilinearOperator, TruncatedCharPModule, operator_kernel, parse_operator
 from .errors import AmbiguousExtension, NoFact, NotStabilized, UnmatchedRule
 from .sheaftab import (
-    FactTable,
     SheafSymbol,
     default_fact_table,
     sheaf_display,
@@ -84,16 +83,11 @@ class Entry:
 class SSPage:
     r: int
     entries: Dict[Tuple[int, int], Entry]
-    vanishing_line: Optional[Callable[[int, int], bool]] = None  # True => certified zero
 
     def __post_init__(self):
         if self.r < 2:
             raise ValueError("pages start at r = 2")
         cleaned = {pos: e for pos, e in self.entries.items() if not e.is_zero()}
-        if self.vanishing_line:
-            for (s, t) in cleaned:
-                if self.vanishing_line(s, t):
-                    raise ValueError(f"nonzero entry at ({s},{t}) inside the vanishing region")
         object.__setattr__(self, "entries", cleaned)
 
     def entry(self, s: int, t: int) -> Optional[Entry]:
@@ -108,7 +102,7 @@ class SSPage:
 
 @dataclass(frozen=True)
 class DifferentialRule:
-    """A declared d_r out of one source position (or a region of them).
+    """A declared d_r out of one source position (s, t).
 
     kind: zero | iso | matrix | operator | unresolved.  Matrix rules carry a
     GroupHom; operator rules a SemilinearOperator plus a surjectivity flag
@@ -117,7 +111,7 @@ class DifferentialRule:
     """
 
     r: int
-    source: Union[Tuple[int, int], Callable[[int, int], bool]]
+    source: Tuple[int, int]
     kind: str
     hom: Optional[GroupHom] = None
     operator: Optional[SemilinearOperator] = None
@@ -139,8 +133,6 @@ class DifferentialRule:
             raise ValueError("every rule carries provenance")
 
     def matches(self, s: int, t: int) -> bool:
-        if callable(self.source):
-            return self.source(s, t)
         return self.source == (s, t)
 
 
@@ -148,37 +140,23 @@ def _validate_rules(page: SSPage, rules: Sequence[DifferentialRule]) -> None:
     for rule in rules:
         if rule.r != page.r:
             raise ValueError(f"rule for page {rule.r} applied to page {page.r}")
-        if isinstance(rule.source, tuple) and page.entry(*rule.source) is None:
+        if page.entry(*rule.source) is None:
             raise UnmatchedRule(f"rule source {rule.source} is a zero entry")
     # d∘d = 0: a matrix rule chained after another matrix rule must compose
     # to the zero map (same-page composites vanish positionally, so only
     # check explicitly provided homs that happen to chain)
-    explicit = {rule.source: rule for rule in rules
-                if isinstance(rule.source, tuple) and rule.kind == "matrix"}
+    explicit = {rule.source: rule for rule in rules if rule.kind == "matrix"}
     for (s, t), rule in explicit.items():
         nxt = explicit.get((s + rule.r, t + rule.r - 1))
         if nxt is not None and not nxt.hom.compose(rule.hom).is_zero_hom():
             raise ValueError(f"d∘d ≠ 0 at ({s},{t}) on page {rule.r}")
 
 
-_RuleIndex = Tuple[Dict[Tuple[int, int], List[DifferentialRule]], List[DifferentialRule]]
-
-
-def _index_rules(rules: Sequence[DifferentialRule]) -> _RuleIndex:
-    """Position-sourced rules by source, and the predicate-sourced ones."""
-    by_source: Dict[Tuple[int, int], List[DifferentialRule]] = {}
-    predicates = []
-    for rule in rules:
-        if callable(rule.source):
-            predicates.append(rule)
-        elif isinstance(rule.source, tuple):
-            by_source.setdefault(rule.source, []).append(rule)
-    return by_source, predicates
+_RuleIndex = Dict[Tuple[int, int], List[DifferentialRule]]  # rules by source
 
 
 def _rule_for(index: _RuleIndex, s: int, t: int) -> Optional[DifferentialRule]:
-    by_source, predicates = index
-    found = by_source.get((s, t), []) + [rule for rule in predicates if rule.matches(s, t)]
+    found = index.get((s, t), ())
     if len(found) > 1:
         raise ValueError(f"multiple rules match ({s},{t})")
     return found[0] if found else None
@@ -192,27 +170,28 @@ def _index_multiplier(hom: GroupHom) -> int:
     return hom.target.order() // cok.order()
 
 
-def turn_page(page: SSPage, rules: Sequence[DifferentialRule],
-              table: Optional[FactTable] = None) -> SSPage:
+def turn_page(page: SSPage, rules: Sequence[DifferentialRule]) -> SSPage:
     """Replace every entry by ker(outgoing d_r)/im(incoming d_r)."""
     _validate_rules(page, rules)
-    table = table or default_fact_table()
-    index = _index_rules(rules)
+    default_fact_table()  # loaded even when no rule reads it: no data, no page
+    index: _RuleIndex = {}
+    for rule in rules:
+        index.setdefault(rule.source, []).append(rule)
     killed: set = set()
     new_entries: Dict[Tuple[int, int], Entry] = {}
     for (s, t), entry in sorted(page.entries.items()):
         out_rule = _rule_for(index, s, t)
         in_pos = page.source_of(s, t)
         in_rule = _rule_for(index, *in_pos) if page.entry(*in_pos) else None
-        new = _evolve_entry(page, entry, (s, t), out_rule, in_rule, table, killed)
+        new = _evolve_entry(page, entry, (s, t), out_rule, in_rule, killed)
         if new is not None and not new.is_zero():
             new_entries[(s, t)] = new
     for pos in killed:
         new_entries.pop(pos, None)
-    return SSPage(page.r + 1, new_entries, page.vanishing_line)
+    return SSPage(page.r + 1, new_entries)
 
 
-def _evolve_entry(page, entry, pos, out_rule, in_rule, table, killed):
+def _evolve_entry(page, entry, pos, out_rule, in_rule, killed):
     s, t = pos
     assumed = entry.assumed
     # incoming differential
@@ -228,9 +207,9 @@ def _evolve_entry(page, entry, pos, out_rule, in_rule, table, killed):
         killed.add(page.target_of(s, t))
         return None
     if out_rule.kind == "unresolved":
-        return _mod_image(replace(entry, assumed=assumed + (out_rule.name,)), in_hom, None)
+        return _mod_image(entry, in_hom, assumed + (out_rule.name,))
     if out_rule.kind == "operator":
-        new = _operator_kernel_entry(entry, out_rule, table)
+        new = _operator_kernel_entry(entry, out_rule)
         if out_rule.surjective:
             killed.add(page.target_of(s, t))
         return replace(new, assumed=assumed)
@@ -249,9 +228,7 @@ def _evolve_entry(page, entry, pos, out_rule, in_rule, table, killed):
     return Entry(value, label=label, index=index, assumed=assumed)
 
 
-def _mod_image(entry: Entry, in_hom: Optional[GroupHom], assumed) -> Entry:
-    if assumed is None:
-        assumed = entry.assumed
+def _mod_image(entry: Entry, in_hom: Optional[GroupHom], assumed: Tuple[str, ...]) -> Entry:
     if in_hom is None:
         return replace(entry, assumed=assumed)
     if not isinstance(entry.value, FgAbGroup):
@@ -260,14 +237,14 @@ def _mod_image(entry: Entry, in_hom: Optional[GroupHom], assumed) -> Entry:
     return Entry(cok, label=entry.label, index=entry.index, assumed=assumed)
 
 
-def _operator_kernel_entry(entry: Entry, rule: DifferentialRule, table: FactTable) -> Entry:
+def _operator_kernel_entry(entry: Entry, rule: DifferentialRule) -> Entry:
     op = rule.operator
     if isinstance(entry.value, CharPRef):
         basis, _ = operator_kernel(op, entry.value.module)
         group = FgAbGroup.from_orders([op.p] * len(basis))
         return Entry(group, label=entry.label, index=entry.index)
     if isinstance(entry.value, SheafSymbol):
-        kernel = table.kernel_sheaf(str(op), sheaf_display(entry.value))
+        kernel = default_fact_table().kernel_sheaf(str(op), sheaf_display(entry.value))
         return Entry(kernel, label=entry.label, index=entry.index)
     raise NoFact("operator rule on a plain group entry")
 
@@ -310,28 +287,19 @@ def _check_stable(page: SSPage, s: int, t: int, bound: Optional[int]) -> None:
                     f"a d_{r} could still connect {src} to {tgt}; supply a bound")
 
 
-@dataclass(frozen=True)
-class AbutmentReport:
-    """Symbolic answer when some graded piece is sheaf-valued."""
-
-    stages: Tuple[Tuple[int, str], ...]
-
-
 def assemble_abutment(gr: Sequence[Tuple[int, Entry]],
-                      witnesses: Sequence[ExtensionWitness]):
+                      witnesses: Sequence[ExtensionWitness]) -> FgAbGroup:
     """Iterated extension resolution of a finite column, deepest stage first.
 
     The filtration is decreasing: gr^0 is the top quotient of the abutment
     and the running total G/fil^s grows downward, so resolution starts at
     the lowest s and each deeper stage enters as the subgroup of the next
     extension.  Witness orders are clamped to the running group order (the
-    witness element's image in a quotient cannot have larger order).
-    Returns an AbutmentReport when any stage is sheaf- or operator-valued.
+    witness element's image in a quotient cannot have larger order).  Every
+    stage must be group-valued.
     """
     if not gr:
         return FgAbGroup.zero()
-    if any(not isinstance(e.value, FgAbGroup) for _, e in gr):
-        return AbutmentReport(tuple((s, e.display()) for s, e in gr))
     stages = sorted(gr, key=lambda se: se[0])
     total = stages[0][1].value
     for i, (s, entry) in enumerate(stages[1:]):
@@ -391,8 +359,6 @@ def _entry_value_from_json(d: Dict) -> EntryValue:
 
 
 def _rule_to_json(rule: DifferentialRule) -> Dict:
-    if callable(rule.source):
-        raise ValueError("predicate-sourced rules do not serialize")
     out: Dict = {"r": rule.r, "s": rule.source[0], "t": rule.source[1],
                  "kind": rule.kind, "provenance": rule.provenance}
     if rule.kind == "operator":

@@ -26,7 +26,6 @@ from .kofam import EtaleRingDescriptor
 from .numbrauer import PlaceSpec, brauer_laurent, brauer_localized_integers
 from .sheaftab import (
     ClosedPush,
-    FactTable,
     QuasiCoherent,
     R1jGm,
     SheafExtension,
@@ -134,8 +133,7 @@ class Column0Report:
 
 
 def run_pic_tmf(data: Optional[TmfPageData] = None,
-                config: Optional[Dict[str, str]] = None,
-                table: Optional[FactTable] = None) -> Column0Report:
+                config: Optional[Dict[str, str]] = None) -> Column0Report:
     """The column-0 filtration of the Picard sheaf of TMF over the j-line.
 
     gr^0 = Z/2, gr^1 = R^1j_*G_m, gr^3 = k_*v_!Z/2, gr^5 = b_*Z/3 plus (a
@@ -146,7 +144,7 @@ def run_pic_tmf(data: Optional[TmfPageData] = None,
     """
     data = data or TmfPageData.load()
     config = {**data.unresolved, **(config or {})}
-    table = table or default_fact_table()
+    table = default_fact_table()
     operators = {_source(rule): rule for rule in data.special_rules
                  if rule["kind"] == "operator"}
     stages: List[GrStage] = []
@@ -177,14 +175,13 @@ def _p_part(n: int, p: int) -> int:
     return q
 
 
-def _stage_section_order(stage: GrStage, p: int,
-                         table: FactTable) -> int:
+def _stage_section_order(stage: GrStage, p: int) -> int:
     """p-part of the order of H^0(A1; gr^s)."""
     if stage.symbol is None:
         return 1
     if stage.local and stage.local != p:
         return 1
-    order = cohomology_order(stage.symbol, 0, "A1", table)
+    order = cohomology_order(stage.symbol, 0, "A1")
     return _p_part(order, p)
 
 
@@ -198,11 +195,10 @@ def pic_tmf_global(config: Optional[Dict[str, str]] = None,
     3, 3 give Z/9; there is no 5-torsion anywhere in the column.
     """
     data = data or TmfPageData.load()
-    table = default_fact_table()
-    report = run_pic_tmf(data, config, table)
+    report = run_pic_tmf(data, config)
     out: Dict[int, FgAbGroup] = {}
     for p in (2, 3, 5):
-        orders = [_stage_section_order(g, p, table) for g in report.stages]
+        orders = [_stage_section_order(g, p) for g in report.stages]
         witness = ExtensionWitness(_p_part(data.pic_witness_order, p),
                                    maps_to_generator_of_quotient=True)
         out[p] = assemble_abutment_by_orders(orders, witness)
@@ -247,14 +243,13 @@ def pic_tmf_r(r: EtaleRingDescriptor,
     where I is the filtration-positive part supported at (2,j) and (3,j).
     """
     data = data or TmfPageData.load()
-    table = default_fact_table()
     # the quotient: gr^1 sections Z/12 extended by gr^0 = Z/2 with the
     # order-24 witness (the 24-periodicity of the suspension over R)
-    gr1_sections = cohomology(R1jGm(), 0, "A1", table).group()
+    gr1_sections = cohomology(R1jGm(), 0, "A1").group()
     quotient = resolve_extension(gr1_sections, FgAbGroup.cyclic(2),
                                  ExtensionWitness(24, True))
     notes: List[str] = []
-    report = run_pic_tmf(data, None, table)
+    report = run_pic_tmf(data)
     h0_ideal = 1
     for p, support in ((2, "the (2,j)-supported pieces vanish"),
                        (3, "the (3,j)-supported piece vanishes")):
@@ -263,7 +258,7 @@ def pic_tmf_r(r: EtaleRingDescriptor,
             continue
         for g in report.stages:
             if g.s >= 3:
-                h0_ideal *= _stage_section_order(g, p, table)
+                h0_ideal *= _stage_section_order(g, p)
     sections_order = h0_ideal * quotient.order()
     total = max(r.pic.order(), 1) * sections_order
     return PicTmfRReport(r.name, r.pic, quotient, h0_ideal,
@@ -304,9 +299,7 @@ def lbr_tmf(window: int = 32, config: Optional[Dict[str, str]] = None,
         raise ValueError("window must be at least 8")
     data = data or TmfPageData.load()
     config = {**data.unresolved, **(config or {})}
-    table = default_fact_table()
-    three = cohomology(ClosedPush("(3,j)", FgAbGroup.cyclic(3), "SpecF3"),
-                       1, "A1", table).group()
+    three = cohomology(ClosedPush("(3,j)", FgAbGroup.cyclic(3), "SpecF3"), 1, "A1").group()
     basis_degrees = kstar_vshriek_h1_basis(window)
     basis = tuple(f"j^{d}" for d in basis_degrees)
     # kernel bound: H^1 of the exact row-5/7 pieces; the quasi-coherent parts
@@ -315,7 +308,7 @@ def lbr_tmf(window: int = 32, config: Optional[Dict[str, str]] = None,
     a_ext = SheafExtension(QuasiCoherent("O/(2,j)"),
                            ClosedPush("(2,j)", FgAbGroup.cyclic(2), "SpecF2"),
                            nontrivial=True)
-    quot_h1 = cohomology(a_ext.quot, 1, "A1", table).group()
+    quot_h1 = cohomology(a_ext.quot, 1, "A1").group()
     bound = quot_h1.order()
     assumed = tuple(n for names in OPEN_AT_STAGE.values() for n in names
                     if config[n] == "zero")
@@ -361,14 +354,12 @@ def lbr_m_o(window: int = 32, config: Optional[Dict[str, str]] = None,
         raise ValueError("window must be at least 8")
     data = data or TmfPageData.load()
     config = {**data.unresolved, **(config or {})}
-    table = default_fact_table()
     basis_degrees = kstar_vshriek_h1_basis(window)
     basis = tuple(f"j^{d}" for d in basis_degrees)
-    three = cohomology(ClosedPush("(3,j)", FgAbGroup.cyclic(3), "SpecF3"),
-                       1, "A1", table).group()
+    three = cohomology(ClosedPush("(3,j)", FgAbGroup.cyclic(3), "SpecF3"), 1, "A1").group()
     # cokernel bound: each O/(2,j) row contributes sections of order 2
     rows = data.lbr_mo["rows_o2j"]
-    per_row = cohomology_order(QuasiCoherent("O/(2,j)"), 0, "A1", table)
+    per_row = cohomology_order(QuasiCoherent("O/(2,j)"), 0, "A1")
     cokernel_bound = per_row ** len(rows)
     generator_map = tuple((g, g) for g in basis)
     distinct = len({img for _, img in generator_map}) == len(generator_map)

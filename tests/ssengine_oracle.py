@@ -16,7 +16,6 @@ from brauerkit.ssengine import (
     _evolve_entry,
     _validate_rules,
 )
-from brauerkit.sheaftab import default_fact_table
 
 
 def rule_for(rules: Sequence[DifferentialRule], s: int, t: int) -> Optional[DifferentialRule]:
@@ -26,18 +25,17 @@ def rule_for(rules: Sequence[DifferentialRule], s: int, t: int) -> Optional[Diff
     return found[0] if found else None
 
 
-def turn_page(page: SSPage, rules: Sequence[DifferentialRule], table=None) -> SSPage:
+def turn_page(page: SSPage, rules: Sequence[DifferentialRule]) -> SSPage:
     _validate_rules(page, rules)
-    table = table or default_fact_table()
     killed: set = set()
     new_entries: Dict[Tuple[int, int], Entry] = {}
     for (s, t), entry in sorted(page.entries.items()):
         out_rule = rule_for(rules, s, t)
         in_pos = page.source_of(s, t)
         in_rule = rule_for(rules, *in_pos) if page.entry(*in_pos) else None
-        new = _evolve_entry(page, entry, (s, t), out_rule, in_rule, table, killed)
+        new = _evolve_entry(page, entry, (s, t), out_rule, in_rule, killed)
         if new is not None and not new.is_zero():
             new_entries[(s, t)] = new
     for pos in killed:
         new_entries.pop(pos, None)
-    return SSPage(page.r + 1, new_entries, page.vanishing_line)
+    return SSPage(page.r + 1, new_entries)

@@ -148,10 +148,17 @@ def test_artin_schreier_prime_field_count():
         assert p ** len(basis) == p
 
 
-def test_window_too_small_raises():
+def test_window_too_small_raises(capsys):
+    from brauerkit.cli import main
     op = parse_operator("x + j*x^2", 2)
-    with pytest.raises(WindowTooSmall):
-        operator_kernel(op, TruncatedCharPModule(2, (0, 0), laurent=True))
+    for fn in (operator_kernel, operator_cokernel_basis):
+        with pytest.raises(WindowTooSmall, match=r"region \[-1,-1\] exceeds window \[0,0\]"):
+            fn(op, TruncatedCharPModule(2, (0, 0), laurent=True))
+        with pytest.raises(ValueError, match="characteristics differ"):
+            fn(op, TruncatedCharPModule(3, (0, 8)))
+    assert main(["artin-schreier", "--p", "2", "--op", "x + j*x^2", "--laurent",
+                 "--window", "0", "--cokernel"]) == 3
+    assert "exceeds window" in capsys.readouterr().err
 
 
 def test_rank_nullity():

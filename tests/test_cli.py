@@ -5,7 +5,7 @@ import pytest
 
 from brauerkit.cli import main
 from brauerkit.ssengine import DifferentialRule, Entry, SSPage, page_to_json
-from brauerkit.abelian import FgAbGroup
+from brauerkit.abelian import FgAbGroup, GroupHom
 
 
 def run(capsys, *argv):
@@ -197,6 +197,48 @@ def test_exit_2_on_non_prime_primes(capsys):
         assert main(["h1-qz", "--primes", primes]) == 2, primes
     assert main(["br-laurent", "--places", '[{"kind":"finite","label":"4"}]',
                  "--primes", "[4]"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_exit_2_when_sigma_is_not_an_action(capsys):
+    # -1 on Z has order 2, so it is no action of C_3; C_0 is no group
+    for n in ("3", "0"):
+        argv = ["cohomology", "--orders", "[0]", "--action", "sign", "--n", n, "--s", "1"]
+        assert main(argv) == 2, n
+    assert capsys.readouterr().out == ""
+
+
+def test_large_n_costs_logarithmically_many_compositions(capsys, monkeypatch):
+    calls = []
+    compose = GroupHom.compose
+    monkeypatch.setattr(GroupHom, "compose",
+                        lambda self, other: calls.append(1) or compose(self, other))
+    n = 10 ** 6  # even, so each module below has the cohomology it has for n = 2
+    for orders, action in (("[2]", "trivial"), ("[0]", "sign"), ("[0,2]", "sign")):
+        for s in ("0", "1", "2"):
+            argv = ("cohomology", "--orders", orders, "--action", action, "--s", s)
+            small = run_json(capsys, *argv, "--n", "2")
+            calls.clear()
+            big = run_json(capsys, *argv, "--n", str(n))
+            assert len(calls) <= 4 * n.bit_length(), (orders, action, s)
+            assert big["structure"] == small["structure"], (orders, action, s)
+
+
+def test_exit_2_on_a_place_listed_twice(capsys):
+    twice = '[{"kind":"finite","label":"2"},{"kind":"finite","label":"2"},{"kind":"real"}]'
+    assert main(["br-number-ring", "--places", twice]) == 2
+    assert "listed twice" in capsys.readouterr().err
+    assert main(["br-laurent", "--places", twice, "--primes", "[2]"]) == 2
+    assert "listed twice" in capsys.readouterr().err
+    # a number field can have several real and several complex places
+    places = '[{"kind":"real"},{"kind":"real"},{"kind":"complex"},{"kind":"complex"}]'
+    assert run_json(capsys, "br-number-ring", "--places", places)["group"] == "Z/2"
+
+
+def test_exit_2_on_a_prime_listed_twice(capsys):
+    assert main(["h1-qz", "--primes", "[2,2]"]) == 2
+    assert main(["br-laurent", "--places", '[{"kind":"finite","label":"3"}]',
+                 "--primes", "[3,3]"]) == 2
     assert capsys.readouterr().out == ""
 
 

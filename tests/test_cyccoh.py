@@ -3,7 +3,7 @@ import random
 import pytest
 
 from brauerkit.abelian import FgAbGroup, GroupHom
-from brauerkit.cyccoh import CyclicModule, cohomology_row, group_cohomology, sign, trivial
+from brauerkit.cyccoh import CyclicModule, _norm, cohomology_row, group_cohomology, sign, trivial
 from brauerkit.errors import NotAnAction
 
 
@@ -64,6 +64,32 @@ def test_c3_permutation_action():
     assert group_cohomology(m, 2).is_zero()
     # the augmentation quotient Z with trivial action has H^2 = Z/3
     assert group_cohomology(trivial(Z, 3), 2).same_structure(FgAbGroup.cyclic(3))
+
+
+def test_power_and_norm_match_products_one_factor_at_a_time():
+    # the step-by-step products are the oracle for squaring and doubling
+    rng = random.Random(17)
+    checked = 0
+    while checked < 20:
+        g = FgAbGroup.from_orders([rng.choice([0, 2, 3, 4, 6]) for _ in range(rng.randint(1, 2))])
+        k = g.num_generators
+        try:
+            h = GroupHom(g, g, tuple(tuple(rng.randint(-3, 5) for _ in range(k)) for _ in range(k)))
+        except ValueError:  # the matrix does not respect the relations
+            continue
+        powers = [GroupHom.identity(g)]
+        for _ in range(36):
+            powers.append(h.compose(powers[-1]))
+        assert all(h.power(e).matrix == q.matrix for e, q in enumerate(powers))
+        order = next((e for e in range(1, 13) if powers[e].equals(powers[0])), None)
+        if order is None:
+            continue
+        for n in range(order, 37, order):
+            norm = GroupHom.zero_map(g, g)
+            for q in powers[:n]:
+                norm = norm.add(q)
+            assert _norm(CyclicModule(g, h, n)).matrix == norm.matrix, (g, h.matrix, n)
+        checked += 1
 
 
 def random_c2_module(rng):

@@ -30,7 +30,8 @@ ALLOWED = {
     "cyccoh.cohomology_row": "benchmark entry point: the algebra workload and the KU E2 page",
     "abelian.FgAbGroup.free": "benchmark entry point: the Z coefficients of the KU pages",
     "ssengine.DifferentialRule.matches":
-        "tracer hook: bench/tracing.py counts rule matches through it",
+        "tracer hook: bench/tracing.py patches it to count rule matches, and "
+        "tests/ssengine_oracle.py scans rules through it; turn_page looks rules up by source",
     "numbrauer.DivisibleGroupDescriptor.n_torsion":
         "paper check: test_acceptance.py compares it with the brute-force kernel count",
     "abelian.FgAbGroup.torsion": "paper check: the finite part of n_torsion",
@@ -48,6 +49,8 @@ ALLOWED = {
     "abelian._lr_positive":
         "reached only by user input: pic-ko --ring <file> when Pic(R) has even order",
     "abelian._contains": "reached only by user input: the containment test of _lr_positive",
+    "abelian.GroupHom.zero_map":
+        "reached only by user input: an ss-run matrix rule into the zero group (hom_cokernel)",
     "errors.AmbiguousExtension.__init__":
         "reached only by user input: an extension the witness cannot decide exits 4",
 }

@@ -12,7 +12,6 @@ from brauerkit.errors import (
 )
 from brauerkit.sheaftab import ClosedPush, KStarVShriek, QuasiCoherent
 from brauerkit.ssengine import (
-    AbutmentReport,
     CharPRef,
     DifferentialRule,
     Entry,
@@ -181,13 +180,6 @@ def test_assemble_single_stage_and_empty():
     assert assemble_abutment([], []).is_zero()
 
 
-def test_assemble_sheaf_valued_symbolic():
-    gr = [(0, group_entry(Z2)), (3, Entry(KStarVShriek()))]
-    report = assemble_abutment(gr, [])
-    assert isinstance(report, AbutmentReport)
-    assert report.stages[1] == (3, "k_*v_!Z/2")
-
-
 def test_assemble_by_orders_chain():
     got = assemble_abutment_by_orders([2, 4, 1, 4, 2], ExtensionWitness(64, True))
     assert got.same_structure(FgAbGroup.cyclic(64))
@@ -234,11 +226,6 @@ def test_chart_svg_deterministic_and_has_legend():
     assert svg == chart_svg(page)
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert "legend:" in svg and "k_*v_!Z/2" in svg
-
-
-def test_vanishing_line_rejects_entries_inside():
-    with pytest.raises(ValueError):
-        SSPage(2, {(9, 9): group_entry(Z2)}, vanishing_line=lambda s, t: s > 7)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +278,6 @@ def _random_rules(rng, page):
                                           provenance="random"))
     if rules and rng.random() < 0.15:  # two position rules on one source
         rules.append(zero_rule(r, *rng.choice(rules).source))
-    for _ in range(rng.randint(0, 2)):
-        if rules and rng.random() < 0.3:  # a predicate overlapping a position rule
-            hit = {rng.choice(rules).source}
-        else:
-            free = [(s, t) for s in range(-3, 9) for t in range(-3, 11)
-                    if all(rule.source != (s, t) for rule in rules if not callable(rule.source))]
-            hit = set(rng.sample(free, rng.randint(1, 4)))
-        kind = rng.choice(["zero", "iso", "unresolved"])
-        rules.append(DifferentialRule(r, lambda s, t, hit=frozenset(hit): (s, t) in hit, kind,
-                                      name=f"pred{len(rules)}", provenance="random predicate"))
     if rng.random() < 0.03:
         rules.append(zero_rule(r + 1, *positions[0]))  # wrong page
     if rng.random() < 0.03:
@@ -311,6 +288,7 @@ def _random_rules(rng, page):
 
 def test_turn_page_matches_linear_scan_oracle():
     rng = random.Random(20260418)
+    errors = ("multiple rules match", "rule for page", "rule source")
     outcomes = set()
     for _ in range(600):
         page = _random_page(rng, rng.randint(2, 4))
@@ -318,9 +296,13 @@ def test_turn_page_matches_linear_scan_oracle():
         got = _outcome(lambda: page_to_json(turn_page(page, rules)))
         want = _outcome(lambda: page_to_json(ssengine_oracle.turn_page(page, rules)))
         assert got == want
-        outcomes.add(got[0] if isinstance(got, tuple) else "page")
-    # the seeded pages reach the page result and the rule errors alike
-    assert {"page", "ValueError", "UnmatchedRule"} <= outcomes
+        if isinstance(got, tuple):
+            outcomes.update(e for e in errors if got[1].startswith(e))
+        else:
+            outcomes.add("page")
+    # the seeded pages reach the page result and each rule error: two rules on
+    # one source, a rule for another page and a rule out of a zero entry
+    assert outcomes == {"page", *errors}
 
 
 def test_turn_page_looks_position_rules_up_without_scanning(monkeypatch):
@@ -336,6 +318,3 @@ def test_turn_page_looks_position_rules_up_without_scanning(monkeypatch):
     rules = [zero_rule(2, *pos) for pos in entries]
     turn_page(SSPage(2, entries), rules)
     assert calls == []
-    predicate = DifferentialRule(2, lambda s, t: False, "zero", provenance="nowhere")
-    turn_page(SSPage(2, entries), rules + [predicate])
-    assert 0 < len(calls) <= 2 * len(entries)
