@@ -9,11 +9,11 @@ to Smith normal form over arbitrary-precision integers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import AmbiguousExtension, NoExtension
+from .record import record
 
 # ---------------------------------------------------------------------------
 # integer matrix helpers
@@ -242,7 +242,7 @@ def _factorize(n: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class FgAbGroup:
     """A finitely generated abelian group in invariant-factor normal form."""
 
@@ -379,7 +379,7 @@ def _reduce_matrix(matrix, target: FgAbGroup):
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class GroupHom:
     """Homomorphism of FgAbGroups as an integer matrix on generators.
 
@@ -418,10 +418,6 @@ class GroupHom:
     @staticmethod
     def identity(g: FgAbGroup) -> "GroupHom":
         return GroupHom(g, g, tuple(tuple(r) for r in _identity(g.num_generators)))
-
-    @staticmethod
-    def zero_map(source: FgAbGroup, target: FgAbGroup) -> "GroupHom":
-        return GroupHom(source, target, tuple(tuple(0 for _ in range(source.num_generators)) for _ in range(target.num_generators)))
 
     @staticmethod
     def scalar(g: FgAbGroup, c: int) -> "GroupHom":
@@ -529,8 +525,6 @@ def hom_cokernel(f: GroupHom):
     nt = f.target.num_generators
     cols = _transpose(f.matrix) + _relation_columns(f.target)
     cols = [c for c in cols if any(c)]
-    if nt == 0:
-        return FgAbGroup.zero(), GroupHom.zero_map(f.target, FgAbGroup.zero())
     if not cols:
         group = FgAbGroup.from_orders(f.target.generator_orders())
         return group, GroupHom.identity(f.target)
@@ -564,7 +558,7 @@ def homology(f: GroupHom, g: GroupHom) -> FgAbGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionWitness:
     witness_order: int
     maps_to_generator_of_quotient: bool = False
@@ -574,7 +568,7 @@ class ExtensionWitness:
             raise ValueError("witness order must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionTrace:
     """Exhaustive search record certifying uniqueness."""
 

@@ -12,14 +12,15 @@ the standard chart cover.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import WindowTooSmall
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedCharPModule:
     p: int
     window: Tuple[int, int]
@@ -39,7 +40,7 @@ class TruncatedCharPModule:
         return range(self.window[0], self.window[1] + 1)
 
 
-@dataclass(frozen=True)
+@record
 class SemilinearOperator:
     """x |-> sum of c * j^k * x^(p^e) terms."""
 
@@ -274,7 +275,7 @@ def operator_cokernel_basis(op: SemilinearOperator, m: TruncatedCharPModule):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PuncturedAffineCohomology:
     n_vars: int
     window: int
@@ -284,11 +285,18 @@ class PuncturedAffineCohomology:
     note: str = ""
 
 
+# basis monomials a `cech` report may list: at n = 4 near the bound the CLI
+# takes about 1 s and writes 3.5 MB of JSON
+CECH_BASIS_BOUND = 100_000
+
+
 def punctured_affine_cohomology(n_vars: int, window: int) -> PuncturedAffineCohomology:
     """Monomial basis of H^{n-1}(A^n \\ 0; O) down to total degree -window.
 
     For n >= 2 these are exactly the monomials with every exponent <= -1;
-    A^1 \\ 0 is affine and has no higher cohomology.
+    A^1 \\ 0 is affine and has no higher cohomology.  The basis has
+    sum_{t=n..window} C(t-1, n-1) = C(window, n) elements; more than
+    CECH_BASIS_BOUND = 100000 raises ValueError before any is generated.
     """
     if n_vars < 1:
         raise ValueError("need at least one variable")
@@ -298,6 +306,13 @@ def punctured_affine_cohomology(n_vars: int, window: int) -> PuncturedAffineCoho
         return PuncturedAffineCohomology(
             1, window, 0, (), affine=True,
             note="A^1 minus 0 is affine with coordinate ring F[x^{±1}]; only H^0 is nonzero")
+    k = min(n_vars, window - n_vars)
+    # C(window, k) >= 2^k, so a large k is over the bound without computing C
+    size = math.comb(window, k) if k < 64 else None
+    if size is None or size > CECH_BASIS_BOUND:
+        count = f">= 2^{k}" if size is None else f"= {size}"
+        raise ValueError(f"the basis has C({window}, {n_vars}) {count} monomials, "
+                         f"over the bound of {CECH_BASIS_BOUND}")
     basis = []
     for total in range(n_vars, window + 1):
         # exponent vectors a with a_i <= -1 and sum = -total

@@ -7,14 +7,14 @@ with N = 1 + sigma + ... + sigma^{n-1} computes H^s(C_n; M).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from .abelian import FgAbGroup, GroupHom, hom_kernel, homology
 from .errors import NotAnAction
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class CyclicModule:
     group: FgAbGroup
     sigma: GroupHom

@@ -14,12 +14,12 @@ class of order 8 (order 4 when d = 0) resolves all extensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .abelian import ExtensionWitness, FgAbGroup, GroupHom
 from .cyccoh import cohomology_row, group_cohomology, sign, trivial
 from .numbrauer import DivisibleGroupDescriptor
+from .record import record
 from .sheaftab import ClosedPush, cohomology
 from .ssengine import (
     DifferentialRule,
@@ -30,7 +30,7 @@ from .ssengine import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class EtaleRingDescriptor:
     """Arithmetic data of an étale Z-algebra R used by the KO drivers."""
 
@@ -137,7 +137,7 @@ def ku_additive_pages(r: EtaleRingDescriptor, s_max: int = 10,
                 continue
             k = _bott_power(s, t)
             label = _class_label(s, k)
-            entries[(s, t)] = Entry(h, label=label)
+            entries[(s, t)] = Entry(h, label)
     e2 = SSPage(2, entries)
     e3 = turn_page(e2, [])  # d_2 vanishes: no odd rows
     rules = ku_additive_d3_rules(e3)
@@ -183,7 +183,7 @@ def ku_additive_d3_rules(e3: SSPage) -> List[DifferentialRule]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PicKOResult:
     group: FgAbGroup
     graded: Tuple[Tuple[int, FgAbGroup], ...]
@@ -236,7 +236,7 @@ def pic_ko(r: EtaleRingDescriptor, d3_21: str = "zero") -> PicKOResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class OmniReport:
     """The six-term exact-sequence data H^1(Gm) -> ... -> H^3(Gm) with the
     local Brauer group extracted when the connecting data is decided."""

@@ -11,13 +11,13 @@ ring splits as Br of the base plus that H^1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .abelian import FgAbGroup
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class PlaceSpec:
     """A place of Q (or a user-supplied place of a number field).
 
@@ -57,7 +57,7 @@ def places_from_json(text: str) -> List[PlaceSpec]:
     return [PlaceSpec(item["kind"], item.get("label", "")) for item in items]
 
 
-@dataclass(frozen=True)
+@record
 class DivisibleGroupDescriptor:
     """(Q/Z)^a ⊕ (⊕_p Q_p/Z_p) ⊕ finite ⊕ possibly an infinite F_2-space.
 
@@ -67,7 +67,7 @@ class DivisibleGroupDescriptor:
 
     qz_copies: int = 0
     qpzp_primes: Tuple[int, ...] = ()
-    finite_part: FgAbGroup = field(default_factory=FgAbGroup.zero)
+    finite_part: FgAbGroup = FgAbGroup.zero()
     infinite_f2: bool = False
     infinite_f2_basis: str = ""
 
@@ -189,7 +189,7 @@ def h1_qz(inverted_primes: Iterable[int]) -> DivisibleGroupDescriptor:
         finite_part=FgAbGroup.from_orders(orders))
 
 
-@dataclass(frozen=True)
+@record
 class H1QzReport:
     computed: DivisibleGroupDescriptor
     stated: Optional[DivisibleGroupDescriptor]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -28,6 +27,7 @@ from .abelian import ExtensionWitness, FgAbGroup, resolve_extension
 from .charp import TruncatedCharPModule, operator_cokernel_basis, operator_kernel, parse_operator
 from .errors import AmbiguousExtension, NoFact
 from .numbrauer import DivisibleGroupDescriptor
+from .record import record
 
 
 # ---------------------------------------------------------------------------
@@ -36,15 +36,16 @@ from .numbrauer import DivisibleGroupDescriptor
 
 
 class SheafSymbol:
-    """Base class of the tagged union; concrete symbols are dataclasses."""
+    """Base class of the tagged union; each concrete symbol is a frozen
+    `record` whose fields are its data."""
 
 
-@dataclass(frozen=True)
+@record
 class Constant(SheafSymbol):
     group: FgAbGroup
 
 
-@dataclass(frozen=True)
+@record
 class ClosedPush(SheafSymbol):
     """Pushforward of a constant sheaf from a closed point or closed copy
     of Spec Z; `residue_site` says where the fibre cohomology happens."""
@@ -57,7 +58,7 @@ class ClosedPush(SheafSymbol):
 _QC_NAMES = ("O", "O/2", "O/(2,j)", "O/(3,j)", "omega2")
 
 
-@dataclass(frozen=True)
+@record
 class QuasiCoherent(SheafSymbol):
     name: str
 
@@ -71,22 +72,22 @@ class QuasiCoherent(SheafSymbol):
         return "O/2" if self.name == "omega2" else self.name
 
 
-@dataclass(frozen=True)
+@record
 class KStarVShriek(SheafSymbol):
     """k_*v_!Z/2 on the affine j-line in characteristic 2."""
 
 
-@dataclass(frozen=True)
+@record
 class R1jGm(SheafSymbol):
     """First derived pushforward of G_m along the coarse map to the j-line."""
 
 
-@dataclass(frozen=True)
+@record
 class DirectSum(SheafSymbol):
     summands: Tuple[SheafSymbol, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SheafExtension(SheafSymbol):
     sub: SheafSymbol
     quot: SheafSymbol
@@ -238,7 +239,7 @@ def default_fact_table() -> FactTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Unknown:
     reason: str
     rule: str = ""
@@ -247,7 +248,7 @@ class Unknown:
 Value = Union[FgAbGroup, DivisibleGroupDescriptor, Unknown]
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyAnswer:
     value: Value
 

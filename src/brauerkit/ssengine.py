@@ -14,7 +14,6 @@ later differentials could still connect two nonzero positions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .abelian import (
@@ -30,6 +29,7 @@ from .abelian import (
 )
 from .charp import SemilinearOperator, TruncatedCharPModule, operator_kernel, parse_operator
 from .errors import AmbiguousExtension, NoFact, NotStabilized, UnmatchedRule
+from .record import record, replace
 from .sheaftab import (
     SheafSymbol,
     default_fact_table,
@@ -39,7 +39,7 @@ from .sheaftab import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class CharPRef:
     """An operator-module pair standing in for a characteristic-p entry."""
 
@@ -50,7 +50,7 @@ class CharPRef:
 EntryValue = Union[FgAbGroup, SheafSymbol, CharPRef]
 
 
-@dataclass(frozen=True)
+@record
 class Entry:
     """A page entry with bookkeeping for index-two classes ("2□") and for
     unresolved differentials assumed to vanish."""
@@ -79,7 +79,7 @@ class Entry:
         return body
 
 
-@dataclass(frozen=True)
+@record
 class SSPage:
     r: int
     entries: Dict[Tuple[int, int], Entry]
@@ -100,7 +100,7 @@ class SSPage:
         return (s - self.r, t - self.r + 1)
 
 
-@dataclass(frozen=True)
+@record
 class DifferentialRule:
     """A declared d_r out of one source position (s, t).
 
@@ -225,7 +225,7 @@ def _evolve_entry(page, entry, pos, out_rule, in_rule, killed):
         value, _ = hom_kernel(hom)
     index = entry.index * _index_multiplier(hom)
     label = out_rule.relabel or entry.label
-    return Entry(value, label=label, index=index, assumed=assumed)
+    return Entry(value, label, index, assumed)
 
 
 def _mod_image(entry: Entry, in_hom: Optional[GroupHom], assumed: Tuple[str, ...]) -> Entry:
@@ -234,7 +234,7 @@ def _mod_image(entry: Entry, in_hom: Optional[GroupHom], assumed: Tuple[str, ...
     if not isinstance(entry.value, FgAbGroup):
         raise NoFact("matrix image hitting a non-group entry")
     cok, _ = hom_cokernel(in_hom)
-    return Entry(cok, label=entry.label, index=entry.index, assumed=assumed)
+    return Entry(cok, entry.label, entry.index, assumed)
 
 
 def _operator_kernel_entry(entry: Entry, rule: DifferentialRule) -> Entry:
@@ -406,8 +406,8 @@ def page_from_json(text: str) -> Tuple[SSPage, List[DifferentialRule]]:
     entries = {}
     for item in data["entries"]:
         entries[(item["s"], item["t"])] = Entry(
-            _entry_value_from_json(item["entry"]), label=item.get("label", ""),
-            index=item.get("index", 1), assumed=tuple(item.get("assumed", ())))
+            _entry_value_from_json(item["entry"]), item.get("label", ""),
+            item.get("index", 1), tuple(item.get("assumed", ())))
     rules = [_rule_from_json(d) for d in data.get("rules", [])]
     return SSPage(data["r"], entries), rules
 

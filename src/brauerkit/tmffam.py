@@ -15,7 +15,6 @@ a config overrides it.  Every affected output line carries an explicit
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -24,6 +23,7 @@ from .charp import parse_operator
 from .errors import NoFact
 from .kofam import EtaleRingDescriptor
 from .numbrauer import PlaceSpec, brauer_laurent, brauer_localized_integers
+from .record import record
 from .sheaftab import (
     ClosedPush,
     QuasiCoherent,
@@ -50,7 +50,7 @@ def _source(item: Dict) -> Tuple[int, int, int]:
     return item["s"], item["t"], item.get("local", 0)
 
 
-@dataclass(frozen=True)
+@record
 class TmfPageData:
     column0: Tuple[Dict, ...]
     special_rules: Tuple[Dict, ...]
@@ -108,7 +108,7 @@ class TmfPageData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GrStage:
     s: int
     symbol: Optional[SheafSymbol]  # upper bound; None means zero
@@ -127,7 +127,7 @@ class GrStage:
         return body
 
 
-@dataclass(frozen=True)
+@record
 class Column0Report:
     stages: Tuple[GrStage, ...]
 
@@ -224,7 +224,7 @@ def pic_tmf_c4inv(data: Optional[TmfPageData] = None) -> FgAbGroup:
     return kstar.direct_sum(h0_q)
 
 
-@dataclass(frozen=True)
+@record
 class PicTmfRReport:
     ring: str
     pic_r: FgAbGroup
@@ -270,7 +270,7 @@ def pic_tmf_r(r: EtaleRingDescriptor,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LbrTmfReport:
     window: int
     three_torsion: FgAbGroup
@@ -328,7 +328,7 @@ def lbr_tmf(window: int = 32, config: Optional[Dict[str, str]] = None,
     )
 
 
-@dataclass(frozen=True)
+@record
 class LbrMOReport:
     window: int
     two_local_kernel_order: int

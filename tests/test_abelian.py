@@ -205,6 +205,13 @@ def test_cokernel_from_zero():
     assert cok.same_structure(FgAbGroup.cyclic(8))
 
 
+def test_cokernel_into_zero():
+    f = GroupHom(FgAbGroup.cyclic(2), FgAbGroup.zero(), ())
+    cok, proj = hom_cokernel(f)
+    assert cok.is_zero()
+    assert proj == GroupHom(FgAbGroup.zero(), FgAbGroup.zero(), ())
+
+
 def test_cokernel_of_a_20_digit_prime():
     p = 15564440312192434177
     f = GroupHom(FgAbGroup.free(1), FgAbGroup.free(1), ((p,),))

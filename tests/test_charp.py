@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -169,11 +170,14 @@ def test_rank_nullity():
         degrees = list(m.degrees())
         cols, _ = _operator_matrix(op, degrees)
         kernel = _kernel_basis_fp(cols, p)
-        images = set()
-        # rank via brute-force span dimension would be slow; use rank-nullity
-        # against the pivot count from the kernel computation instead:
-        rank = len(degrees) - len(kernel)
-        assert len(kernel) + rank == len(degrees)
+        # the F_p span of the columns, enumerated: it has p^rank elements
+        span = {(0,) * len(cols[0])}
+        for col in cols:
+            span = {tuple((v + a * c) % p for v, c in zip(vec, col))
+                    for vec in span for a in range(p)}
+        rank = round(math.log(len(span), p))
+        assert len(span) == p ** rank
+        assert len(kernel) == len(degrees) - rank
 
 
 def test_kernel_window_doubling_stable():

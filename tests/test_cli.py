@@ -192,6 +192,16 @@ def test_exit_2_on_non_integer_orders(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_exit_2_on_a_cech_basis_over_the_bound(capsys):
+    # C(41, 4) = 101270 is the first n = 4 basis over the bound of 100000
+    assert main(["cech", "--n-vars", "4", "--window", "41"]) == 2
+    err = capsys.readouterr().err
+    assert "C(41, 4) = 101270" in err and "100000" in err
+    assert main(["cech", "--n-vars", "400", "--window", "10000"]) == 2
+    assert "C(10000, 400) >= 2^400" in capsys.readouterr().err
+    assert len(run_json(capsys, "cech", "--n-vars", "4", "--window", "40")["basis"]) == 91390
+
+
 def test_exit_2_on_non_prime_primes(capsys):
     for primes in ("[4]", "[1]", "[0]", "[-3]", "[true]", "[2.0]", "[3215031751]", "3"):
         assert main(["h1-qz", "--primes", primes]) == 2, primes

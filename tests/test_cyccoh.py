@@ -85,7 +85,7 @@ def test_power_and_norm_match_products_one_factor_at_a_time():
         if order is None:
             continue
         for n in range(order, 37, order):
-            norm = GroupHom.zero_map(g, g)
+            norm = GroupHom(g, g, ((0,) * g.num_generators,) * g.num_generators)
             for q in powers[:n]:
                 norm = norm.add(q)
             assert _norm(CyclicModule(g, h, n)).matrix == norm.matrix, (g, h.matrix, n)

@@ -251,7 +251,7 @@ def _random_hom(rng, source, target):
             return GroupHom(source, target, matrix)
         except ValueError:
             pass
-    return GroupHom.zero_map(source, target)
+    return GroupHom(source, target, ((0,) * source.num_generators,) * target.num_generators)
 
 
 def _random_page(rng, r):
