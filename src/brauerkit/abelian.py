@@ -40,10 +40,6 @@ def _mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> List[Lis
     return out
 
 
-def _mat_vec(A: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
 def _transpose(A: Sequence[Sequence[int]]) -> List[List[int]]:
     if not A:
         return []
@@ -63,9 +59,9 @@ def _snf_ext(M: Sequence[Sequence[int]], u: bool = False, v: bool = False, uinv:
     the inverse of U, and the diagonal of D a nonnegative dividing chain.
     A transform that is not tracked comes back as [].  The steps do not
     depend on what is tracked, so a tracked transform is the same whatever
-    else is.  Callers track U and V (`smith_normal_form`, `_solve_columns`),
-    V (`_kernel_columns`), Uinv (`_lattice_basis`, `_subquotient`), U
-    (`hom_cokernel`) or nothing (`_generator_types`).  The fifth slot is
+    else is.  Callers track U and V (`smith_normal_form`), V
+    (`_kernel_columns`), Uinv (`_subquotient`), U (`hom_cokernel`) or
+    nothing (`_generator_types`).  The fifth slot is
     always None and stays so that callers can unpack five values.
     """
     m = len(M)
@@ -173,55 +169,6 @@ def _kernel_columns(M: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
     diag = _diag(D)
     rank = sum(1 for d in diag if d)
     return [[V[i][j] for i in range(ncols)] for j in range(rank, ncols)]
-
-
-def _lattice_basis(cols: Sequence[Sequence[int]], n: int) -> List[List[int]]:
-    """Reduce a generating set of columns to a lattice basis in Z^n."""
-    cols = [c for c in cols if any(c)]
-    if not cols:
-        return []
-    A = _from_columns(cols, n)
-    _, D, _, Uinv, _ = _snf_ext(A, uinv=True)
-    diag = _diag(D)
-    basis = []
-    for j, d in enumerate(diag):
-        if d:
-            basis.append([Uinv[i][j] * d for i in range(n)])
-    return basis
-
-
-def _solve_columns(B_cols: Sequence[Sequence[int]], C_cols: Sequence[Sequence[int]], n: int) -> List[List[int]]:
-    """Solve B*X = C column-wise where the columns of B are independent.
-
-    Raises ArithmeticError if some column of C is not in the column lattice.
-    """
-    r = len(B_cols)
-    if r == 0:
-        if any(any(c) for c in C_cols):
-            raise ArithmeticError("inconsistent lattice containment")
-        return [[] for _ in C_cols]
-    B = _from_columns(B_cols, n)
-    U, D, V, _, _ = _snf_ext(B, u=True, v=True)
-    diag = _diag(D)
-    xs = []
-    for c in C_cols:
-        uc = _mat_vec(U, c)
-        y = []
-        for j in range(r):
-            d = diag[j] if j < len(diag) else 0
-            if d == 0:
-                if uc[j]:
-                    raise ArithmeticError("inconsistent lattice containment")
-                y.append(0)
-            else:
-                if uc[j] % d:
-                    raise ArithmeticError("inconsistent lattice containment")
-                y.append(uc[j] // d)
-        for j in range(r, n):
-            if uc[j]:
-                raise ArithmeticError("inconsistent lattice containment")
-        xs.append(_mat_vec(V, y))
-    return xs  # list of columns of X (length r each)
 
 
 # ---------------------------------------------------------------------------
@@ -475,27 +422,26 @@ def _subquotient(l_cols: Sequence[Sequence[int]], r_cols: Sequence[Sequence[int]
     """Structure of (lattice spanned by l_cols+r_cols) / (lattice of r_cols).
 
     Returns (group, generator_vectors) with one ambient column vector in Z^n
-    per cyclic summand of the quotient, ordered free-then-torsion.
+    per cyclic summand of the quotient, ordered free-then-torsion.  The k
+    nonzero columns of L generate the quotient, and x in Z^k is a relation
+    iff Lx lies in the lattice of R, i.e. iff x is the head of a kernel
+    vector of [L | R]; one Smith form U*X*V = D of those relations X gives
+    the summands Z/d_j, generated by L times the columns of U⁻¹.
     """
-    basis = _lattice_basis(list(l_cols) + list(r_cols), n)
-    r = len(basis)
-    if r == 0:
+    l_cols = [c for c in l_cols if any(c)]
+    k = len(l_cols)
+    if k == 0:
         return FgAbGroup.zero(), []
-    rel = [c for c in r_cols if any(c)]
-    if rel:
-        xcols = _solve_columns(basis, rel, n)
-        X = _from_columns(xcols, r)
-        _, D, _, U1inv, _ = _snf_ext(X, uinv=True)
-        diag = _diag(D)
-    else:
-        U1inv = _identity(r)
-        diag = []
+    r_cols = [c for c in r_cols if any(c)]
+    rel = [c[:k] for c in _kernel_columns(_from_columns(l_cols + r_cols, n), k + len(r_cols))]
+    _, D, _, Uinv, _ = _snf_ext(_from_columns(rel, k), uinv=True)
+    diag = _diag(D)
     entries = []
-    for j in range(r):
+    for j in range(k):
         d = diag[j] if j < len(diag) else 0
         if d == 1:
             continue
-        gen = [sum(basis[k][i] * U1inv[k][j] for k in range(r)) for i in range(n)]
+        gen = [sum(l_cols[c][i] * Uinv[c][j] for c in range(k)) for i in range(n)]
         entries.append((d, gen))
     # free summands first, then torsion ascending (SNF already ascending)
     entries.sort(key=lambda e: (e[0] != 0, e[0]))

@@ -12,9 +12,10 @@ the standard chart cover.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import WindowTooSmall
 from .record import record
@@ -167,12 +168,11 @@ def _kernel_basis_fp(cols: List[List[int]], p: int) -> List[List[int]]:
     return basis
 
 
-def _dominance_region(op: SemilinearOperator) -> Optional[Tuple[Optional[int], Optional[int]]]:
-    """Degree interval that can support kernel elements.
+def _dominance_region(op: SemilinearOperator) -> Tuple[int, int]:
+    """Degree interval (lo, hi) that can support kernel elements.
 
-    Returns (lo, hi) where lo may be None (unbounded below, impossible here)
-    and hi likewise; returns an empty marker (1, 0) style via hi < lo when the
-    operator is plainly injective (a single Frobenius level).
+    An operator that is plainly injective (a single Frobenius level) gets
+    the empty interval (1, 0).
     """
     p = op.p
     e_star = max(e for _, _, e in op.terms)
@@ -288,6 +288,9 @@ class PuncturedAffineCohomology:
 # basis monomials a `cech` report may list: at n = 4 near the bound the CLI
 # takes about 1 s and writes 3.5 MB of JSON
 CECH_BASIS_BOUND = 100_000
+# exponents it may write, n per monomial: at n = 4 the two bounds agree,
+# and for large n this one keeps the JSON to a few MB
+CECH_EXPONENT_BOUND = 400_000
 
 
 def punctured_affine_cohomology(n_vars: int, window: int) -> PuncturedAffineCohomology:
@@ -295,8 +298,10 @@ def punctured_affine_cohomology(n_vars: int, window: int) -> PuncturedAffineCoho
 
     For n >= 2 these are exactly the monomials with every exponent <= -1;
     A^1 \\ 0 is affine and has no higher cohomology.  The basis has
-    sum_{t=n..window} C(t-1, n-1) = C(window, n) elements; more than
-    CECH_BASIS_BOUND = 100000 raises ValueError before any is generated.
+    sum_{t=n..window} C(t-1, n-1) = C(window, n) elements of n exponents
+    each.  More than CECH_BASIS_BOUND = 100000 monomials, or more than
+    CECH_EXPONENT_BOUND = 400000 exponents in all, raises ValueError before
+    any is generated.
     """
     if n_vars < 1:
         raise ValueError("need at least one variable")
@@ -313,6 +318,10 @@ def punctured_affine_cohomology(n_vars: int, window: int) -> PuncturedAffineCoho
         count = f">= 2^{k}" if size is None else f"= {size}"
         raise ValueError(f"the basis has C({window}, {n_vars}) {count} monomials, "
                          f"over the bound of {CECH_BASIS_BOUND}")
+    if size * n_vars > CECH_EXPONENT_BOUND:
+        raise ValueError(f"the basis has C({window}, {n_vars}) = {size} monomials of "
+                         f"{n_vars} exponents, {size * n_vars} in all, "
+                         f"over the bound of {CECH_EXPONENT_BOUND}")
     basis = []
     for total in range(n_vars, window + 1):
         # exponent vectors a with a_i <= -1 and sum = -total
@@ -323,9 +332,8 @@ def punctured_affine_cohomology(n_vars: int, window: int) -> PuncturedAffineCoho
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """The `parts`-tuples of nonnegative integers summing to `total`, by stars
+    and bars: `parts - 1` bars among `total + parts - 1` places."""
+    places = total + parts - 1
+    for bars in itertools.combinations(range(places), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (places,)))

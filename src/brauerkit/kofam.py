@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Union
 
-from .abelian import ExtensionWitness, FgAbGroup, GroupHom
+from .abelian import ExtensionWitness, FgAbGroup, GroupHom, resolve_extension
 from .cyccoh import cohomology_row, group_cohomology, sign, trivial
 from .numbrauer import DivisibleGroupDescriptor
 from .record import record
@@ -225,7 +225,6 @@ def pic_ko(r: EtaleRingDescriptor, d3_21: str = "zero") -> PicKOResult:
         total = r.pic.direct_sum(sections)  # odd-order kernel splits off
         notes.append("Pic(R) has odd order and splits off the 2-power part")
     else:
-        from .abelian import resolve_extension
         total = resolve_extension(r.pic, sections, ExtensionWitness(witness_order))
     return PicKOResult(total, tuple((s, g) for s, g in graded), sections,
                        witness_order, d3_21, tuple(notes))

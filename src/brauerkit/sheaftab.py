@@ -374,30 +374,38 @@ def _extension_cohomology(f: SheafExtension, s: int, base: str) -> Value:
     b_s = _coh(f.quot, s, base)
     if _value_zero(a_s) and _value_zero(b_s):
         return FgAbGroup.zero()
-    b_prev_zero = True if s == 0 else _value_zero(_coh(f.quot, s - 1, base))
-    a_next_zero = _value_zero(_coh(f.sub, s + 1, base))
     if _value_zero(b_s):
         # ... -> H^{s-1}(quot) -> H^s(sub) -> H^s(F) -> 0
-        if b_prev_zero:
+        if s == 0 or _value_zero(_coh(f.quot, s - 1, base)):
             return a_s
         return Unknown("connecting map into the sub-term undecided", rule="R6")
     if _value_zero(a_s):
         # 0 -> H^s(F) -> H^s(quot) -> H^{s+1}(sub)
-        if a_next_zero:
+        if _value_zero(_coh(f.sub, s + 1, base)):
             return b_s
         return Unknown("connecting map out of the quotient-term undecided", rule="R6")
-    if b_prev_zero and a_next_zero:
-        if isinstance(a_s, FgAbGroup) and isinstance(b_s, FgAbGroup) \
-                and a_s.is_finite() and b_s.is_finite():
-            if f.witness is None:
-                return Unknown("short exact but no witness to resolve the extension",
-                               rule="R6")
-            try:
-                return resolve_extension(a_s, b_s, f.witness)
-            except AmbiguousExtension:
-                return Unknown("witness does not pin down the extension", rule="R6")
-        return Unknown("short exact with an infinite term", rule="R6")
-    return Unknown("long exact sequence does not collapse", rule="R6")
+    why = _not_short_exact(f, s, base, a_s, b_s)
+    if why is not None:
+        return Unknown(why, rule="R6")
+    if f.witness is None:
+        return Unknown("short exact but no witness to resolve the extension", rule="R6")
+    try:
+        return resolve_extension(a_s, b_s, f.witness)
+    except AmbiguousExtension:
+        return Unknown("witness does not pin down the extension", rule="R6")
+
+
+def _not_short_exact(f: SheafExtension, s: int, base: str, a_s: Value, b_s: Value) -> Optional[str]:
+    """None if the long exact sequence of 0 -> sub -> F -> quot -> 0 collapses
+    to 0 -> H^s(sub) -> H^s(F) -> H^s(quot) -> 0, that is if H^{s-1}(quot)
+    and H^{s+1}(sub) vanish, with finite groups a_s = H^s(sub) and
+    b_s = H^s(quot); else why not."""
+    if not ((s == 0 or _value_zero(_coh(f.quot, s - 1, base)))
+            and _value_zero(_coh(f.sub, s + 1, base))):
+        return "long exact sequence does not collapse"
+    if not all(isinstance(v, FgAbGroup) and v.is_finite() for v in (a_s, b_s)):
+        return "short exact with an infinite term"
+    return None
 
 
 def cohomology_order(f: SheafSymbol, s: int, base: str) -> int:
@@ -412,11 +420,7 @@ def cohomology_order(f: SheafSymbol, s: int, base: str) -> int:
     if isinstance(ans, FgAbGroup) and ans.is_finite():
         return ans.order()
     if isinstance(f, SheafExtension):
-        a_s = _coh(f.sub, s, base)
-        b_s = _coh(f.quot, s, base)
-        b_prev_zero = True if s == 0 else _value_zero(_coh(f.quot, s - 1, base))
-        a_next_zero = _value_zero(_coh(f.sub, s + 1, base))
-        if b_prev_zero and a_next_zero and isinstance(a_s, FgAbGroup) \
-                and isinstance(b_s, FgAbGroup) and a_s.is_finite() and b_s.is_finite():
+        a_s, b_s = _coh(f.sub, s, base), _coh(f.quot, s, base)
+        if _not_short_exact(f, s, base, a_s, b_s) is None:
             return a_s.order() * b_s.order()
     raise NoFact(f"order of H^{s}({base}; {sheaf_display(f)}) is not decided")

@@ -1,17 +1,21 @@
-"""Trial-division normal form and fully tracked Smith normal form, kept as
-the oracle for `abelian.FgAbGroup.from_orders` and `abelian._snf_ext`.
+"""Trial-division normal form, fully tracked Smith normal form and the
+three-Smith-form subquotient, kept as the oracle for
+`abelian.FgAbGroup.from_orders`, `abelian._snf_ext` and `abelian._subquotient`.
 
 `from_orders` factors every order by trial division and rebuilds the
-invariant factors prime by prime; `snf_ext` always carries U, U⁻¹ and V.
-Both are the library code as it stood before the gcd/lcm normal form and
-before transforms were tracked only on request.
+invariant factors prime by prime; `snf_ext` always carries U, U⁻¹ and V;
+`_subquotient` reduces L + R to a lattice basis (`_lattice_basis`), writes
+R in that basis (`_solve_columns`) and takes the Smith form of the result.
+They are the library code as it stood before the gcd/lcm normal form,
+before transforms were tracked only on request, and before the subquotient
+came from one kernel and one Smith form of the relations.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-from brauerkit.abelian import FgAbGroup
+from brauerkit.abelian import FgAbGroup, _diag, _from_columns
 
 
 def _identity(n: int) -> List[List[int]]:
@@ -158,3 +162,94 @@ def from_orders(orders: Iterable[int]) -> FgAbGroup:
     factors = [f for f in factors if f > 1]
     factors.reverse()  # ascending dividing chain
     return FgAbGroup(free, tuple(factors))
+
+
+def _mat_vec(A: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
+def _snf_ext(M: Sequence[Sequence[int]], **tracked):
+    """The library's call shape on `snf_ext`: every transform comes back."""
+    return snf_ext(M)
+
+
+def _lattice_basis(cols: Sequence[Sequence[int]], n: int) -> List[List[int]]:
+    """Reduce a generating set of columns to a lattice basis in Z^n."""
+    cols = [c for c in cols if any(c)]
+    if not cols:
+        return []
+    A = _from_columns(cols, n)
+    _, D, _, Uinv, _ = _snf_ext(A, uinv=True)
+    diag = _diag(D)
+    basis = []
+    for j, d in enumerate(diag):
+        if d:
+            basis.append([Uinv[i][j] * d for i in range(n)])
+    return basis
+
+
+def _solve_columns(B_cols: Sequence[Sequence[int]], C_cols: Sequence[Sequence[int]], n: int) -> List[List[int]]:
+    """Solve B*X = C column-wise where the columns of B are independent.
+
+    Raises ArithmeticError if some column of C is not in the column lattice.
+    """
+    r = len(B_cols)
+    if r == 0:
+        if any(any(c) for c in C_cols):
+            raise ArithmeticError("inconsistent lattice containment")
+        return [[] for _ in C_cols]
+    B = _from_columns(B_cols, n)
+    U, D, V, _, _ = _snf_ext(B, u=True, v=True)
+    diag = _diag(D)
+    xs = []
+    for c in C_cols:
+        uc = _mat_vec(U, c)
+        y = []
+        for j in range(r):
+            d = diag[j] if j < len(diag) else 0
+            if d == 0:
+                if uc[j]:
+                    raise ArithmeticError("inconsistent lattice containment")
+                y.append(0)
+            else:
+                if uc[j] % d:
+                    raise ArithmeticError("inconsistent lattice containment")
+                y.append(uc[j] // d)
+        for j in range(r, n):
+            if uc[j]:
+                raise ArithmeticError("inconsistent lattice containment")
+        xs.append(_mat_vec(V, y))
+    return xs  # list of columns of X (length r each)
+
+
+def _subquotient(l_cols: Sequence[Sequence[int]], r_cols: Sequence[Sequence[int]], n: int):
+    """Structure of (lattice spanned by l_cols+r_cols) / (lattice of r_cols).
+
+    Returns (group, generator_vectors) with one ambient column vector in Z^n
+    per cyclic summand of the quotient, ordered free-then-torsion.
+    """
+    basis = _lattice_basis(list(l_cols) + list(r_cols), n)
+    r = len(basis)
+    if r == 0:
+        return FgAbGroup.zero(), []
+    rel = [c for c in r_cols if any(c)]
+    if rel:
+        xcols = _solve_columns(basis, rel, n)
+        X = _from_columns(xcols, r)
+        _, D, _, U1inv, _ = _snf_ext(X, uinv=True)
+        diag = _diag(D)
+    else:
+        U1inv = _identity(r)
+        diag = []
+    entries = []
+    for j in range(r):
+        d = diag[j] if j < len(diag) else 0
+        if d == 1:
+            continue
+        gen = [sum(basis[k][i] * U1inv[k][j] for k in range(r)) for i in range(n)]
+        entries.append((d, gen))
+    # free summands first, then torsion ascending (SNF already ascending)
+    entries.sort(key=lambda e: (e[0] != 0, e[0]))
+    orders = [d for d, _ in entries]
+    gens = [g for _, g in entries]
+    return FgAbGroup.from_orders(orders), gens

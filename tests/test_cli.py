@@ -202,6 +202,18 @@ def test_exit_2_on_a_cech_basis_over_the_bound(capsys):
     assert len(run_json(capsys, "cech", "--n-vars", "4", "--window", "40")["basis"]) == 91390
 
 
+def test_cech_with_many_variables_builds_its_one_monomial(capsys):
+    # C(1200, 1200) = 1 monomial: the composition of 0 into 1200 parts
+    assert run_json(capsys, "cech", "--n-vars", "1200", "--window", "1200")["basis"] == [[-1] * 1200]
+
+
+def test_exit_2_on_a_cech_basis_over_the_exponent_bound(capsys):
+    # C(901, 900) = 901 monomials is under the monomial bound, but 901 * 900 exponents are not
+    assert main(["cech", "--n-vars", "900", "--window", "901"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "810900" in out.err and "400000" in out.err
+
+
 def test_exit_2_on_non_prime_primes(capsys):
     for primes in ("[4]", "[1]", "[0]", "[-3]", "[true]", "[2.0]", "[3215031751]", "3"):
         assert main(["h1-qz", "--primes", primes]) == 2, primes
