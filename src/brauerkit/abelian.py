@@ -9,8 +9,8 @@ to Smith normal form over arbitrary-precision integers.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Sequence
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import AmbiguousExtension, NoExtension
 from .record import record
@@ -20,11 +20,11 @@ from .record import record
 # ---------------------------------------------------------------------------
 
 
-def _identity(n: int) -> List[List[int]]:
+def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> List[List[int]]:
+def _mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[list[int]]:
     if not A:
         return []
     cols = len(B[0]) if B else 0
@@ -40,13 +40,13 @@ def _mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> List[Lis
     return out
 
 
-def _transpose(A: Sequence[Sequence[int]]) -> List[List[int]]:
+def _transpose(A: Sequence[Sequence[int]]) -> list[list[int]]:
     if not A:
         return []
     return [list(col) for col in zip(*A)]
 
 
-def _from_columns(cols: Sequence[Sequence[int]], nrows: int) -> List[List[int]]:
+def _from_columns(cols: Sequence[Sequence[int]], nrows: int) -> list[list[int]]:
     if not cols:
         return [[] for _ in range(nrows)]
     return [[col[i] for col in cols] for i in range(nrows)]
@@ -157,11 +157,11 @@ def smith_normal_form(M: Sequence[Sequence[int]]):
     return U, D, V
 
 
-def _diag(D: Sequence[Sequence[int]]) -> List[int]:
+def _diag(D: Sequence[Sequence[int]]) -> list[int]:
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
 
-def _kernel_columns(M: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
+def _kernel_columns(M: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     """Basis of the integer kernel lattice of M, as columns of length ncols."""
     if not M or not M[0]:
         return [list(col) for col in _identity(ncols)]
@@ -194,7 +194,7 @@ class FgAbGroup:
     """A finitely generated abelian group in invariant-factor normal form."""
 
     free_rank: int = 0
-    invariant_factors: Tuple[int, ...] = ()
+    invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.free_rank < 0:
@@ -258,7 +258,7 @@ class FgAbGroup:
     def num_generators(self) -> int:
         return self.free_rank + len(self.invariant_factors)
 
-    def generator_orders(self) -> List[int]:
+    def generator_orders(self) -> list[int]:
         """Orders of the chosen generators; 0 stands for infinite order."""
         return [0] * self.free_rank + list(self.invariant_factors)
 
@@ -271,7 +271,7 @@ class FgAbGroup:
     def is_cyclic(self) -> bool:
         return self.num_generators <= 1
 
-    def order(self) -> Optional[int]:
+    def order(self) -> int | None:
         """Group order, or None for infinite groups."""
         if self.free_rank:
             return None
@@ -280,7 +280,7 @@ class FgAbGroup:
             out *= d
         return out
 
-    def exponent(self) -> Optional[int]:
+    def exponent(self) -> int | None:
         if self.free_rank:
             return None
         return self.invariant_factors[-1] if self.invariant_factors else 1
@@ -336,7 +336,7 @@ class GroupHom:
 
     source: FgAbGroup
     target: FgAbGroup
-    matrix: Tuple[Tuple[int, ...], ...]
+    matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         nt, ns = self.target.num_generators, self.source.num_generators
@@ -407,7 +407,7 @@ class GroupHom:
                 and self.matrix == other.matrix)
 
 
-def _relation_columns(g: FgAbGroup) -> List[List[int]]:
+def _relation_columns(g: FgAbGroup) -> list[list[int]]:
     n = g.num_generators
     cols = []
     for i, d in enumerate(g.generator_orders()):
@@ -450,7 +450,7 @@ def _subquotient(l_cols: Sequence[Sequence[int]], r_cols: Sequence[Sequence[int]
     return FgAbGroup.from_orders(orders), gens
 
 
-def _kernel_lift(f: GroupHom) -> List[List[int]]:
+def _kernel_lift(f: GroupHom) -> list[list[int]]:
     """Columns spanning the vectors of Z^ns that f sends into the target relations."""
     ns = f.source.num_generators
     if f.target.num_generators == 0:
@@ -519,8 +519,8 @@ class ExtensionTrace:
     """Exhaustive search record certifying uniqueness."""
 
     order: int
-    accepted: Tuple[FgAbGroup, ...]
-    rejected: Tuple[Tuple[FgAbGroup, str], ...]
+    accepted: tuple[FgAbGroup, ...]
+    rejected: tuple[tuple[FgAbGroup, str], ...]
 
 
 def _partitions(k: int):
@@ -537,7 +537,7 @@ def _partitions(k: int):
     yield from rec(k, k)
 
 
-def abelian_groups_of_order(n: int) -> List[FgAbGroup]:
+def abelian_groups_of_order(n: int) -> list[FgAbGroup]:
     """All abelian groups of order n, deterministically ordered."""
     if n < 1:
         raise ValueError("order must be positive")
@@ -563,7 +563,7 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
-def _p_type(orders: Iterable[int], p: int) -> Tuple[int, ...]:
+def _p_type(orders: Iterable[int], p: int) -> tuple[int, ...]:
     """The partition λ with ⊕ Z/p^λ_i the p-primary part of ⊕ Z/d over orders."""
     return tuple(sorted((v for v in (_valuation(d, p) for d in orders) if v), reverse=True))
 
@@ -600,7 +600,7 @@ def _lr_positive(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> bo
     return fill(0, None, [mu[0]], [0] * len(nu))
 
 
-def _generator_types(p: int, mu: Tuple[int, ...], b: int, c: int) -> set:
+def _generator_types(p: int, mu: tuple[int, ...], b: int, c: int) -> set:
     """Types of G ⊇ H of type μ with G/H ≅ Z/p^b generated by an e of order p^c.
 
     G = H ⊕ Ze / (p^b·e = h).  Up to Aut(H) (units on the cyclic summands
@@ -620,8 +620,8 @@ def _generator_types(p: int, mu: Tuple[int, ...], b: int, c: int) -> set:
     return out
 
 
-def _candidate_test(sub: FgAbGroup, quot: Optional[FgAbGroup], total: int,
-                    witness: Optional[ExtensionWitness]):
+def _candidate_test(sub: FgAbGroup, quot: FgAbGroup | None, total: int,
+                    witness: ExtensionWitness | None):
     """cand -> None if accepted, else the reason; per-prime set-up runs once."""
     generator = witness is not None and witness.maps_to_generator_of_quotient
     criteria = []
@@ -636,7 +636,7 @@ def _candidate_test(sub: FgAbGroup, quot: Optional[FgAbGroup], total: int,
         else:
             criteria.append((p, lambda lam, mu=mu: _contains(lam, mu)))
 
-    def rejection(cand: FgAbGroup) -> Optional[str]:
+    def rejection(cand: FgAbGroup) -> str | None:
         if witness is not None and cand.exponent() % witness.witness_order:
             return f"no element of order {witness.witness_order}"
         if generator and quot is not None and not quot.is_cyclic():
@@ -648,8 +648,8 @@ def _candidate_test(sub: FgAbGroup, quot: Optional[FgAbGroup], total: int,
     return rejection
 
 
-def _resolve(sub: FgAbGroup, quot: Optional[FgAbGroup], total: int,
-             witness: Optional[ExtensionWitness]):
+def _resolve(sub: FgAbGroup, quot: FgAbGroup | None, total: int,
+             witness: ExtensionWitness | None):
     """The unique abelian group of order `total` extending quot (None: any
     quotient of that order) by sub; the trace holds every candidate.
 
@@ -682,7 +682,7 @@ def _resolve(sub: FgAbGroup, quot: Optional[FgAbGroup], total: int,
 
 
 def resolve_extension(sub: FgAbGroup, quot: FgAbGroup,
-                      witness: Optional[ExtensionWitness] = None,
+                      witness: ExtensionWitness | None = None,
                       with_trace: bool = False):
     """The unique finite abelian extension of quot by sub passing the witness test."""
     if not sub.is_finite() or not quot.is_finite():
@@ -695,7 +695,7 @@ def resolve_extension(sub: FgAbGroup, quot: FgAbGroup,
 
 
 def resolve_extension_by_order(sub: FgAbGroup, quot_order: int,
-                               witness: Optional[ExtensionWitness] = None,
+                               witness: ExtensionWitness | None = None,
                                with_trace: bool = False):
     """Like resolve_extension but constraining only the order of the quotient."""
     if not sub.is_finite():

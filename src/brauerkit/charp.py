@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import Dict, List, Sequence, Tuple
+from collections.abc import Sequence
 
 from .errors import WindowTooSmall
 from .record import record
@@ -24,7 +24,7 @@ from .record import record
 @record
 class TruncatedCharPModule:
     p: int
-    window: Tuple[int, int]
+    window: tuple[int, int]
     laurent: bool = False
 
     def __post_init__(self):
@@ -46,10 +46,10 @@ class SemilinearOperator:
     """x |-> sum of c * j^k * x^(p^e) terms."""
 
     p: int
-    terms: Tuple[Tuple[int, int, int], ...]  # (c, k, e)
+    terms: tuple[tuple[int, int, int], ...]  # (c, k, e)
 
     def __post_init__(self):
-        merged: Dict[Tuple[int, int], int] = {}
+        merged: dict[tuple[int, int], int] = {}
         for c, k, e in self.terms:
             if e < 0:
                 raise ValueError("frobenius power must be nonnegative")
@@ -135,7 +135,7 @@ def _operator_matrix(op: SemilinearOperator, degrees: Sequence[int]):
     return cols, out_degrees
 
 
-def _kernel_basis_fp(cols: List[List[int]], p: int) -> List[List[int]]:
+def _kernel_basis_fp(cols: list[list[int]], p: int) -> list[list[int]]:
     """Kernel of the matrix with the given columns, canonical RREF basis."""
     ncols = len(cols)
     if ncols == 0:
@@ -168,7 +168,7 @@ def _kernel_basis_fp(cols: List[List[int]], p: int) -> List[List[int]]:
     return basis
 
 
-def _dominance_region(op: SemilinearOperator) -> Tuple[int, int]:
+def _dominance_region(op: SemilinearOperator) -> tuple[int, int]:
     """Degree interval (lo, hi) that can support kernel elements.
 
     An operator that is plainly injective (a single Frobenius level) gets
@@ -280,7 +280,7 @@ class PuncturedAffineCohomology:
     n_vars: int
     window: int
     degree: int  # cohomological degree n-1
-    basis: Tuple[Tuple[int, ...], ...]
+    basis: tuple[tuple[int, ...], ...]
     affine: bool = False
     note: str = ""
 

@@ -11,15 +11,14 @@ computation stays undecided, 4 when an extension problem is ambiguous.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import sys
-from contextlib import contextmanager
-from pathlib import Path
 
-from .abelian import FgAbGroup, smith_normal_form
-from .charp import TruncatedCharPModule, operator_cokernel_basis, operator_kernel, parse_operator
-from .cyccoh import group_cohomology, sign, trivial
+from . import data_dir
 from .errors import (
     AmbiguousExtension,
     NoExtension,
@@ -29,15 +28,6 @@ from .errors import (
     UnmatchedRule,
     WindowTooSmall,
 )
-from .kofam import SHIPPED_RINGS, EtaleRingDescriptor, lbr_ko, pic_ko
-from .numbrauer import (
-    brauer_laurent,
-    brauer_localized_integers,
-    h1_qz_report,
-    places_from_json,
-)
-from .sheaftab import data_dir
-from .tmffam import TmfPageData, lbr_m_o, lbr_tmf, pic_tmf_c4inv, pic_tmf_global, pic_tmf_r, run_pic_tmf
 
 EXIT_PARSE = 2
 EXIT_NOFACT = 3
@@ -49,10 +39,15 @@ _NOFACT_ERRORS = (NoFact, NotStabilized, UnmatchedRule, WindowTooSmall, NoExtens
 
 def data_file_versions() -> dict:
     """Short content digests of the curated data files in force."""
+    directory = data_dir()
+    try:
+        names = os.listdir(directory)
+    except OSError:  # no data directory: no data files
+        return {}
     out = {}
-    for path in sorted(data_dir().glob("*.json")):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:12]
-        out[path.name] = digest
+    for name in sorted(n for n in names if n.endswith(".json")):
+        with open(os.path.join(directory, name), "rb") as fh:
+            out[name] = hashlib.sha256(fh.read()).hexdigest()[:12]
     return out
 
 
@@ -66,7 +61,8 @@ def _poly_str(poly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# verb handlers (each returns a JSON-serializable report dict)
+# verb handlers (each returns a JSON-serializable report dict and imports
+# only the layers its verb runs)
 # ---------------------------------------------------------------------------
 
 
@@ -121,7 +117,7 @@ def _primes(text: str) -> list:
     return primes
 
 
-@contextmanager
+@contextlib.contextmanager
 def _user_json(what: str):
     """A key missing from user-supplied JSON is bad input, not a missing fact."""
     try:
@@ -131,6 +127,7 @@ def _user_json(what: str):
 
 
 def _cmd_snf(args) -> dict:
+    from .abelian import smith_normal_form
     matrix = _int_matrix(json.loads(args.matrix))
     u, d, v = smith_normal_form(matrix)
     return {
@@ -140,6 +137,8 @@ def _cmd_snf(args) -> dict:
 
 
 def _cmd_cohomology(args) -> dict:
+    from .abelian import FgAbGroup
+    from .cyccoh import group_cohomology, sign, trivial
     orders = _int_list(args.orders, "--orders", lambda d: d >= 0, "non-negative integers")
     group = FgAbGroup.from_orders(orders)
     module = (sign if args.action == "sign" else trivial)(group, args.n)
@@ -149,6 +148,8 @@ def _cmd_cohomology(args) -> dict:
 
 
 def _cmd_artin_schreier(args) -> dict:
+    from .charp import (
+        TruncatedCharPModule, operator_cokernel_basis, operator_kernel, parse_operator)
     op = parse_operator(args.op, args.p)
     window = (-args.window, args.window) if args.laurent else (0, args.window)
     module = TruncatedCharPModule(args.p, window, laurent=args.laurent)
@@ -178,6 +179,7 @@ def _cmd_cech(args) -> dict:
 
 
 def _cmd_br_number_ring(args) -> dict:
+    from .numbrauer import brauer_localized_integers, places_from_json
     with _user_json("--places"):
         places = places_from_json(args.places)
     desc = brauer_localized_integers(places)
@@ -186,6 +188,7 @@ def _cmd_br_number_ring(args) -> dict:
 
 
 def _cmd_h1_qz(args) -> dict:
+    from .numbrauer import h1_qz_report
     primes = _primes(args.primes)
     rep = h1_qz_report(primes)
     out = {"primes": sorted(primes), "computed": str(rep.computed),
@@ -196,6 +199,7 @@ def _cmd_h1_qz(args) -> dict:
 
 
 def _cmd_br_laurent(args) -> dict:
+    from .numbrauer import brauer_laurent, places_from_json
     with _user_json("--places"):
         places = places_from_json(args.places)
     primes = _primes(args.primes)
@@ -204,17 +208,19 @@ def _cmd_br_laurent(args) -> dict:
             "inverted_primes": sorted(primes)}
 
 
-def _load_ring(spec: str) -> EtaleRingDescriptor:
+def _load_ring(spec: str):
+    """A shipped `kofam.EtaleRingDescriptor` by name, or one read from a file."""
+    from .kofam import SHIPPED_RINGS, EtaleRingDescriptor
     if spec in SHIPPED_RINGS:
         return SHIPPED_RINGS[spec]
-    path = Path(spec)
-    if not path.exists():
+    if not os.path.exists(spec):
         raise NoFact(f"no shipped ring or descriptor file named {spec!r}")
-    with open(path) as fh, _user_json(f"ring descriptor {spec}"):
+    with open(spec) as fh, _user_json(f"ring descriptor {spec}"):
         return EtaleRingDescriptor.from_json(json.load(fh))
 
 
 def _cmd_pic_ko(args) -> dict:
+    from .kofam import pic_ko
     r = _load_ring(args.ring)
     res = pic_ko(r, d3_21=args.d3_21)
     return {
@@ -228,6 +234,7 @@ def _cmd_pic_ko(args) -> dict:
 
 
 def _cmd_lbr_ko(args) -> dict:
+    from .kofam import lbr_ko
     rep = lbr_ko()
     return {
         "group": str(rep.lbr), "structure": rep.lbr.to_json(),
@@ -237,13 +244,14 @@ def _cmd_lbr_ko(args) -> dict:
     }
 
 
-def _tmf_citations(data: TmfPageData) -> list:
+def _tmf_citations(data) -> list:
     cites = [item["citation"] for item in data.column0]
     cites += [rule["citation"] for rule in data.special_rules]
     return sorted(set(cites))
 
 
 def _cmd_pic_tmf(args) -> dict:
+    from .tmffam import TmfPageData, pic_tmf_global, pic_tmf_r, run_pic_tmf
     data = TmfPageData.load()
     if args.ring:
         rep = pic_tmf_r(_load_ring(args.ring), data)
@@ -270,6 +278,7 @@ def _cmd_pic_tmf(args) -> dict:
 
 
 def _cmd_pic_tmf_c4inv(args) -> dict:
+    from .tmffam import TmfPageData, pic_tmf_c4inv
     data = TmfPageData.load()
     group = pic_tmf_c4inv(data=data)
     return {"group": str(group), "structure": group.to_json(),
@@ -277,6 +286,7 @@ def _cmd_pic_tmf_c4inv(args) -> dict:
 
 
 def _cmd_lbr_tmf(args) -> dict:
+    from .tmffam import TmfPageData, lbr_tmf
     data = TmfPageData.load()
     rep = lbr_tmf(args.window, data=data)
     return {
@@ -295,6 +305,7 @@ def _cmd_lbr_tmf(args) -> dict:
 
 
 def _cmd_lbr_mo(args) -> dict:
+    from .tmffam import TmfPageData, lbr_m_o
     data = TmfPageData.load()
     rep = lbr_m_o(args.window, data=data)
     return {
@@ -331,88 +342,95 @@ def _cmd_ss_chart(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# verb -> (handler, help text, arguments), in the order `--help` lists them;
+# each argument is a flag and the keywords of `add_argument`, and every verb
+# also takes --output
+_VERBS = {
+    "snf": (_cmd_snf, "Smith normal form of an integer matrix", [
+        ("--matrix", dict(required=True, help="JSON list of rows"))]),
+    "cohomology": (_cmd_cohomology, "cyclic group cohomology H^s(C_n; M)", [
+        ("--orders", dict(required=True, help="JSON cyclic orders of M (0 for Z)")),
+        ("--action", dict(choices=["trivial", "sign"], default="trivial")),
+        ("--n", dict(type=int, default=2, help="order of the acting cyclic group")),
+        ("--s", dict(type=int, required=True))]),
+    "artin-schreier": (_cmd_artin_schreier,
+                       "kernel (and cokernel) of a semilinear operator on F_p[j] or F_p[j^±1]", [
+        ("--p", dict(type=int, required=True, choices=[2, 3])),
+        ("--op", dict(required=True, help='operator text, e.g. "x + j*x^2"')),
+        ("--laurent", dict(action="store_true")),
+        ("--window", dict(type=int, default=16)),
+        ("--cokernel", dict(action="store_true"))]),
+    "cech": (_cmd_cech, "cohomology of punctured affine space", [
+        ("--n-vars", dict(type=int, required=True)),
+        ("--window", dict(type=int, required=True))]),
+    "br-number-ring": (_cmd_br_number_ring,
+                       "Brauer group of a number-ring localization from its places", [
+        ("--places", dict(required=True, help="JSON list of place specs"))]),
+    "h1-qz": (_cmd_h1_qz, "H^1(-; Q/Z) of a localization of Spec Z", [
+        ("--primes", dict(required=True, help="JSON list of inverted primes"))]),
+    "br-laurent": (_cmd_br_laurent, "Brauer group of S[j^±1]", [
+        ("--places", dict(default='[{"kind":"real"}]')),
+        ("--primes", dict(default="[]"))]),
+    "pic-ko": (_cmd_pic_ko, "Picard group of KO over an étale Z-algebra", [
+        ("--ring", dict(default="Z", help="shipped ring name or descriptor file")),
+        ("--d3-21", dict(choices=["zero", "nonzero", "unknown"], default="zero"))]),
+    "lbr-ko": (_cmd_lbr_ko, "local Brauer group of KO", []),
+    "pic-tmf": (_cmd_pic_tmf, "Picard sheaf filtration and Pic(TMF) localizations", [
+        ("--ring", dict(help="shipped ring name or descriptor file"))]),
+    "pic-tmf-c4inv": (_cmd_pic_tmf_c4inv, "Pic of TMF with c4 inverted", []),
+    "lbr-tmf": (_cmd_lbr_tmf, "local Brauer group of TMF", [
+        ("--window", dict(type=int, default=32))]),
+    "lbr-mo": (_cmd_lbr_mo, "local Brauer group of the sheaf-level theory", [
+        ("--window", dict(type=int, default=32))]),
+    "ss-run": (_cmd_ss_run, "turn one page of a serialized spectral sequence", [
+        ("--page", dict(required=True, help="page JSON file (entries + rules)"))]),
+    "ss-chart": (_cmd_ss_chart, "SVG chart of a serialized page", [
+        ("--page", dict(required=True, help="page JSON file"))]),
+}
+
+
+def build_parser(verb=None) -> argparse.ArgumentParser:
+    """The parser with every verb's subparser, or with only that of `verb`."""
     parser = argparse.ArgumentParser(
         prog="brauerkit",
         description="Picard and Brauer group computations for KO, TMF and number rings.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, handler, help_text):
+    for name, (handler, help_text, arguments) in _VERBS.items():
+        if verb is not None and name != verb:
+            continue
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--output", help="write the report to this path instead of stdout")
-        return p
-
-    p = add("snf", _cmd_snf, "Smith normal form of an integer matrix")
-    p.add_argument("--matrix", required=True, help="JSON list of rows")
-
-    p = add("cohomology", _cmd_cohomology, "cyclic group cohomology H^s(C_n; M)")
-    p.add_argument("--orders", required=True, help="JSON cyclic orders of M (0 for Z)")
-    p.add_argument("--action", choices=["trivial", "sign"], default="trivial")
-    p.add_argument("--n", type=int, default=2, help="order of the acting cyclic group")
-    p.add_argument("--s", type=int, required=True)
-
-    p = add("artin-schreier", _cmd_artin_schreier,
-            "kernel (and cokernel) of a semilinear operator on F_p[j] or F_p[j^±1]")
-    p.add_argument("--p", type=int, required=True, choices=[2, 3])
-    p.add_argument("--op", required=True, help='operator text, e.g. "x + j*x^2"')
-    p.add_argument("--laurent", action="store_true")
-    p.add_argument("--window", type=int, default=16)
-    p.add_argument("--cokernel", action="store_true")
-
-    p = add("cech", _cmd_cech, "cohomology of punctured affine space")
-    p.add_argument("--n-vars", type=int, required=True)
-    p.add_argument("--window", type=int, required=True)
-
-    p = add("br-number-ring", _cmd_br_number_ring,
-            "Brauer group of a number-ring localization from its places")
-    p.add_argument("--places", required=True, help="JSON list of place specs")
-
-    p = add("h1-qz", _cmd_h1_qz, "H^1(-; Q/Z) of a localization of Spec Z")
-    p.add_argument("--primes", required=True, help="JSON list of inverted primes")
-
-    p = add("br-laurent", _cmd_br_laurent, "Brauer group of S[j^±1]")
-    p.add_argument("--places", default='[{"kind":"real"}]')
-    p.add_argument("--primes", default="[]")
-
-    p = add("pic-ko", _cmd_pic_ko, "Picard group of KO over an étale Z-algebra")
-    p.add_argument("--ring", default="Z", help="shipped ring name or descriptor file")
-    p.add_argument("--d3-21", dest="d3_21", choices=["zero", "nonzero", "unknown"],
-                   default="zero")
-
-    add("lbr-ko", _cmd_lbr_ko, "local Brauer group of KO")
-
-    p = add("pic-tmf", _cmd_pic_tmf, "Picard sheaf filtration and Pic(TMF) localizations")
-    p.add_argument("--ring", help="shipped ring name or descriptor file")
-
-    add("pic-tmf-c4inv", _cmd_pic_tmf_c4inv, "Pic of TMF with c4 inverted")
-
-    p = add("lbr-tmf", _cmd_lbr_tmf, "local Brauer group of TMF")
-    p.add_argument("--window", type=int, default=32)
-
-    p = add("lbr-mo", _cmd_lbr_mo, "local Brauer group of the sheaf-level theory")
-    p.add_argument("--window", type=int, default=32)
-
-    p = add("ss-run", _cmd_ss_run, "turn one page of a serialized spectral sequence")
-    p.add_argument("--page", required=True, help="page JSON file (entries + rules)")
-
-    p = add("ss-chart", _cmd_ss_chart, "SVG chart of a serialized page")
-    p.add_argument("--page", required=True, help="page JSON file")
-
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
+
+
+def _parse_args(argv):
+    """Read `argv` with the subparser of the verb it names alone; if there is
+    no such verb, or that parse fails or asks for help, the full parser reads
+    it again, so that help, usage and error output stay the full parser's."""
+    if argv and argv[0] in _VERBS:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                return build_parser(argv[0]).parse_args(argv)
+        except SystemExit:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def _emit(text: str, output) -> None:
     if output:
-        Path(output).write_text(text)
+        with open(output, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if exc.code else 0
     try:

@@ -7,7 +7,6 @@ with N = 1 + sigma + ... + sigma^{n-1} computes H^s(C_n; M).
 
 from __future__ import annotations
 
-from typing import List
 
 from .abelian import FgAbGroup, GroupHom, hom_kernel, homology
 from .errors import NotAnAction
@@ -69,7 +68,7 @@ def group_cohomology(m: CyclicModule, s: int) -> FgAbGroup:
     return homology(sm1, nm)  # even >= 2: ker(sigma-1)/im(N)
 
 
-def cohomology_row(m: CyclicModule, s_max: int) -> List[FgAbGroup]:
+def cohomology_row(m: CyclicModule, s_max: int) -> list[FgAbGroup]:
     """[H^0, ..., H^{s_max}]; entries for s >= 1 are 2-periodic."""
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")

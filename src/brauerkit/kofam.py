@@ -14,7 +14,6 @@ class of order 8 (order 4 when d = 0) resolves all extensions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
 
 from .abelian import ExtensionWitness, FgAbGroup, GroupHom, resolve_extension
 from .cyccoh import cohomology_row, group_cohomology, sign, trivial
@@ -37,11 +36,11 @@ class EtaleRingDescriptor:
     name: str
     units: FgAbGroup
     pic: FgAbGroup
-    residue_field_degrees_at_2: Tuple[int, ...]  # R/2 = prod F_{2^m_i}
+    residue_field_degrees_at_2: tuple[int, ...]  # R/2 = prod F_{2^m_i}
     h1_z2: FgAbGroup
     h2_gm: FgAbGroup
     connected: bool = True
-    inverted_primes: Tuple[int, ...] = ()
+    inverted_primes: tuple[int, ...] = ()
 
     def __post_init__(self):
         if 2 in self.inverted_primes and self.residue_field_degrees_at_2:
@@ -54,7 +53,7 @@ class EtaleRingDescriptor:
     def d(self) -> int:
         return len(self.residue_field_degrees_at_2)
 
-    def to_json(self) -> Dict:
+    def to_json(self) -> dict:
         return {
             "name": self.name,
             "units": self.units.to_json(),
@@ -67,7 +66,7 @@ class EtaleRingDescriptor:
         }
 
     @classmethod
-    def from_json(cls, data: Dict) -> "EtaleRingDescriptor":
+    def from_json(cls, data: dict) -> "EtaleRingDescriptor":
         return cls(
             data["name"],
             FgAbGroup.from_json(data["units"]),
@@ -84,7 +83,7 @@ def _g(*orders: int) -> FgAbGroup:
     return FgAbGroup.from_orders(list(orders))
 
 
-SHIPPED_RINGS: Dict[str, EtaleRingDescriptor] = {
+SHIPPED_RINGS: dict[str, EtaleRingDescriptor] = {
     "Z": EtaleRingDescriptor(
         "Z", units=_g(2), pic=_g(), residue_field_degrees_at_2=(1,),
         h1_z2=_g(2), h2_gm=_g()),
@@ -108,7 +107,7 @@ SHIPPED_RINGS: Dict[str, EtaleRingDescriptor] = {
 # ---------------------------------------------------------------------------
 
 
-def _bott_power(s: int, t: int) -> Optional[int]:
+def _bott_power(s: int, t: int) -> int | None:
     """k with eta^s beta^k in position (s, t), or None if no class sits there."""
     if t % 2 or (t - 2 * s) % 4:
         return None
@@ -116,7 +115,7 @@ def _bott_power(s: int, t: int) -> Optional[int]:
 
 
 def ku_additive_pages(r: EtaleRingDescriptor, s_max: int = 10,
-                      t_range: Tuple[int, int] = (0, 12)) -> List[SSPage]:
+                      t_range: tuple[int, int] = (0, 12)) -> list[SSPage]:
     """[E_2, E_3, E_4] of the additive C_2 fixed-point sequence for KO_r.
 
     Only the rank-one (Z-span) Bott pattern is encoded; étale descriptors
@@ -124,7 +123,7 @@ def ku_additive_pages(r: EtaleRingDescriptor, s_max: int = 10,
     """
     if not r.connected:
         raise ValueError("additive pages are built componentwise")
-    entries: Dict[Tuple[int, int], Entry] = {}
+    entries: dict[tuple[int, int], Entry] = {}
     # H^s(C_2; pi_t KU) depends only on t mod 4 (trivial or sign action)
     rows = {k: cohomology_row(action(FgAbGroup.free(1)), s_max) if s_max >= 0 else []
             for k, action in ((0, trivial), (2, sign))}
@@ -145,7 +144,7 @@ def ku_additive_pages(r: EtaleRingDescriptor, s_max: int = 10,
     return [e2, e3, e4]
 
 
-def _class_label(s: int, k: Optional[int]) -> str:
+def _class_label(s: int, k: int | None) -> str:
     if k is None:
         return ""
     eta = "" if s == 0 else ("η" if s == 1 else f"η^{s}")
@@ -153,7 +152,7 @@ def _class_label(s: int, k: Optional[int]) -> str:
     return (eta + beta) or "1"
 
 
-def ku_additive_d3_rules(e3: SSPage) -> List[DifferentialRule]:
+def ku_additive_d3_rules(e3: SSPage) -> list[DifferentialRule]:
     """The d_3 pattern: d_3(eta^s beta^k) = k * eta^{s+3} beta^{k-1}.
 
     Nonzero exactly when k is odd; an isomorphism for s >= 1 and a
@@ -186,11 +185,11 @@ def ku_additive_d3_rules(e3: SSPage) -> List[DifferentialRule]:
 @record
 class PicKOResult:
     group: FgAbGroup
-    graded: Tuple[Tuple[int, FgAbGroup], ...]
+    graded: tuple[tuple[int, FgAbGroup], ...]
     sections: FgAbGroup  # H^0(Spec R; pi_0 pic), the column-0 abutment
     witness_order: int
     d3_21: str
-    notes: Tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
 
 
 def pic_ko(r: EtaleRingDescriptor, d3_21: str = "zero") -> PicKOResult:
@@ -240,10 +239,10 @@ class OmniReport:
     """The six-term exact-sequence data H^1(Gm) -> ... -> H^3(Gm) with the
     local Brauer group extracted when the connecting data is decided."""
 
-    terms: Tuple[Tuple[str, Union[FgAbGroup, DivisibleGroupDescriptor]], ...]
-    lbr: Optional[FgAbGroup]
+    terms: tuple[tuple[str, FgAbGroup | DivisibleGroupDescriptor], ...]
+    lbr: FgAbGroup | None
     exact: bool
-    notes: Tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
 
 
 def omni_assemble(h1_gm, h0_pi1, h2_gm, h1_pi1, h3_gm) -> OmniReport:

@@ -11,7 +11,7 @@ ring splits as Br of the base plus that H^1.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Iterable, Mapping, Sequence
 
 from .abelian import FgAbGroup
 from .record import record
@@ -39,7 +39,7 @@ class PlaceSpec:
         return {"finite": "full", "real": "half", "complex": "zero"}[self.kind]
 
 
-def places_from_json(text: str) -> List[PlaceSpec]:
+def places_from_json(text: str) -> list[PlaceSpec]:
     data = json.loads(text)
     items = data["places"] if isinstance(data, dict) else data
     if not isinstance(items, list):
@@ -66,7 +66,7 @@ class DivisibleGroupDescriptor:
     """
 
     qz_copies: int = 0
-    qpzp_primes: Tuple[int, ...] = ()
+    qpzp_primes: tuple[int, ...] = ()
     finite_part: FgAbGroup = FgAbGroup.zero()
     infinite_f2: bool = False
     infinite_f2_basis: str = ""
@@ -123,8 +123,8 @@ class DivisibleGroupDescriptor:
             parts.append(f"F_2^(∞){label}")
         return " ⊕ ".join(parts) if parts else "0"
 
-    def to_json(self) -> Dict:
-        out: Dict = {
+    def to_json(self) -> dict:
+        out: dict = {
             "qz_copies": self.qz_copies,
             "qpzp_primes": list(self.qpzp_primes),
             "finite_part": self.finite_part.to_json(),
@@ -192,7 +192,7 @@ def h1_qz(inverted_primes: Iterable[int]) -> DivisibleGroupDescriptor:
 @record
 class H1QzReport:
     computed: DivisibleGroupDescriptor
-    stated: Optional[DivisibleGroupDescriptor]
+    stated: DivisibleGroupDescriptor | None
     discrepancy: bool
     note: str = ""
 

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
 
+from . import data_dir
 from .abelian import ExtensionWitness, FgAbGroup, resolve_extension
 from .charp import TruncatedCharPModule, operator_cokernel_basis, operator_kernel, parse_operator
 from .errors import AmbiguousExtension, NoFact
@@ -84,7 +83,7 @@ class R1jGm(SheafSymbol):
 
 @record
 class DirectSum(SheafSymbol):
-    summands: Tuple[SheafSymbol, ...]
+    summands: tuple[SheafSymbol, ...]
 
 
 @record
@@ -92,7 +91,7 @@ class SheafExtension(SheafSymbol):
     sub: SheafSymbol
     quot: SheafSymbol
     nontrivial: bool = False
-    witness: Optional[ExtensionWitness] = None
+    witness: ExtensionWitness | None = None
 
 
 def canonical_r1jgm() -> SheafExtension:
@@ -109,7 +108,7 @@ def canonical_r1jgm() -> SheafExtension:
 # --- JSON (used by spectral-sequence page files) ---------------------------
 
 
-def sheaf_to_json(f: SheafSymbol) -> Dict:
+def sheaf_to_json(f: SheafSymbol) -> dict:
     if isinstance(f, Constant):
         return {"type": "constant", "group": f.group.to_json()}
     if isinstance(f, ClosedPush):
@@ -124,7 +123,7 @@ def sheaf_to_json(f: SheafSymbol) -> Dict:
     if isinstance(f, DirectSum):
         return {"type": "direct_sum", "summands": [sheaf_to_json(g) for g in f.summands]}
     if isinstance(f, SheafExtension):
-        out: Dict = {"type": "extension", "sub": sheaf_to_json(f.sub),
+        out: dict = {"type": "extension", "sub": sheaf_to_json(f.sub),
                      "quot": sheaf_to_json(f.quot), "nontrivial": f.nontrivial}
         if f.witness is not None:
             out["witness"] = {"order": f.witness.witness_order,
@@ -133,7 +132,7 @@ def sheaf_to_json(f: SheafSymbol) -> Dict:
     raise TypeError(f"not a sheaf symbol: {f!r}")
 
 
-def sheaf_from_json(data: Dict) -> SheafSymbol:
+def sheaf_from_json(data: dict) -> SheafSymbol:
     t = data["type"]
     if t == "constant":
         return Constant(FgAbGroup.from_json(data["group"]))
@@ -180,19 +179,11 @@ def sheaf_display(f: SheafSymbol) -> str:
 # ---------------------------------------------------------------------------
 
 
-_DATA_DIR = Path(__file__).resolve().parent / "data"
-
-
-def data_dir() -> Path:
-    override = os.environ.get("BRAUERKIT_DATA")
-    return Path(override) if override else _DATA_DIR
-
-
 class FactTable:
     """Immutable store of cohomology facts keyed by (sheaf, site, degree)."""
 
-    def __init__(self, entries: List[Dict]):
-        self._facts: Dict[Tuple[str, str, int], Dict] = {}
+    def __init__(self, entries: list[dict]):
+        self._facts: dict[tuple[str, str, int], dict] = {}
         for e in entries:
             for key in ("sheaf", "site", "degree", "value", "citation"):
                 if key not in e:
@@ -201,7 +192,7 @@ class FactTable:
 
     @classmethod
     def load(cls) -> "FactTable":
-        with open(data_dir() / "sheaf_facts.json") as fh:
+        with open(os.path.join(data_dir(), "sheaf_facts.json")) as fh:
             return cls(json.load(fh))
 
     def lookup(self, sheaf: str, site: str, degree: int):
@@ -224,7 +215,7 @@ class FactTable:
         return sheaf_from_json(e["value"]["symbol"])
 
 
-_DEFAULT_TABLE: Optional[FactTable] = None
+_DEFAULT_TABLE: FactTable | None = None
 
 
 def default_fact_table() -> FactTable:
@@ -245,7 +236,7 @@ class Unknown:
     rule: str = ""
 
 
-Value = Union[FgAbGroup, DivisibleGroupDescriptor, Unknown]
+Value = FgAbGroup | DivisibleGroupDescriptor | Unknown
 
 
 @record
@@ -258,7 +249,7 @@ class CohomologyAnswer:
         return self.value
 
 
-def _sum_values(values: List[Value]) -> Value:
+def _sum_values(values: list[Value]) -> Value:
     for v in values:
         if isinstance(v, Unknown):
             return v
@@ -340,7 +331,7 @@ def _kstar_vshriek_cohomology(s: int) -> Value:
     return FgAbGroup.zero()
 
 
-def kstar_vshriek_h1_basis(window: int) -> List[int]:
+def kstar_vshriek_h1_basis(window: int) -> list[int]:
     """Certified independent monomial degrees {2k : k >= 1} in H^1.
 
     The polynomial cokernel of x + jx^2 contains the even monomials; the
@@ -352,11 +343,22 @@ def kstar_vshriek_h1_basis(window: int) -> List[int]:
     return [d for d in basis if d >= 1 and d <= prefix]
 
 
-def _value_zero(v: Value) -> Optional[bool]:
+def _value_zero(v: Value) -> bool | None:
     return None if isinstance(v, Unknown) else v.is_zero()
 
 
-def _extension_cohomology(f: SheafExtension, s: int, base: str) -> Value:
+def _term(terms: dict, g: SheafSymbol, d: int, base: str) -> Value:
+    """H^d(base; g), evaluated at most once for each `terms` dict."""
+    if (g, d) not in terms:
+        terms[g, d] = _coh(g, d, base)
+    return terms[g, d]
+
+
+def _extension_cohomology(f: SheafExtension, s: int, base: str,
+                          terms: dict | None = None) -> Value:
+    """H^s(base; F) by R6; the cohomology of sub and quot it evaluates is
+    kept in `terms`, keyed by (symbol, degree)."""
+    terms = {} if terms is None else terms
     # an extension concentrated at one closed point is the pushforward of the
     # resolved extension of stalks (pushforward along a closed immersion is
     # exact), so compute it on the residue site
@@ -370,21 +372,21 @@ def _extension_cohomology(f: SheafExtension, s: int, base: str) -> Value:
         except AmbiguousExtension:
             return Unknown("witness does not pin down the stalk extension", rule="R6")
         return _coh(ClosedPush(f.sub.point, resolved, f.sub.residue_site), s, base)
-    a_s = _coh(f.sub, s, base)
-    b_s = _coh(f.quot, s, base)
+    a_s = _term(terms, f.sub, s, base)
+    b_s = _term(terms, f.quot, s, base)
     if _value_zero(a_s) and _value_zero(b_s):
         return FgAbGroup.zero()
     if _value_zero(b_s):
         # ... -> H^{s-1}(quot) -> H^s(sub) -> H^s(F) -> 0
-        if s == 0 or _value_zero(_coh(f.quot, s - 1, base)):
+        if s == 0 or _value_zero(_term(terms, f.quot, s - 1, base)):
             return a_s
         return Unknown("connecting map into the sub-term undecided", rule="R6")
     if _value_zero(a_s):
         # 0 -> H^s(F) -> H^s(quot) -> H^{s+1}(sub)
-        if _value_zero(_coh(f.sub, s + 1, base)):
+        if _value_zero(_term(terms, f.sub, s + 1, base)):
             return b_s
         return Unknown("connecting map out of the quotient-term undecided", rule="R6")
-    why = _not_short_exact(f, s, base, a_s, b_s)
+    why = _not_short_exact(f, s, base, terms)
     if why is not None:
         return Unknown(why, rule="R6")
     if f.witness is None:
@@ -395,15 +397,16 @@ def _extension_cohomology(f: SheafExtension, s: int, base: str) -> Value:
         return Unknown("witness does not pin down the extension", rule="R6")
 
 
-def _not_short_exact(f: SheafExtension, s: int, base: str, a_s: Value, b_s: Value) -> Optional[str]:
+def _not_short_exact(f: SheafExtension, s: int, base: str, terms: dict) -> str | None:
     """None if the long exact sequence of 0 -> sub -> F -> quot -> 0 collapses
-    to 0 -> H^s(sub) -> H^s(F) -> H^s(quot) -> 0, that is if H^{s-1}(quot)
-    and H^{s+1}(sub) vanish, with finite groups a_s = H^s(sub) and
-    b_s = H^s(quot); else why not."""
-    if not ((s == 0 or _value_zero(_coh(f.quot, s - 1, base)))
-            and _value_zero(_coh(f.sub, s + 1, base))):
+    to 0 -> H^s(sub) -> H^s(F) -> H^s(quot) -> 0 of finite groups, that is if
+    H^{s-1}(quot) and H^{s+1}(sub) vanish and H^s(sub), H^s(quot) are
+    finite; else why not.  Reads and fills `terms` as `_term` does."""
+    if not ((s == 0 or _value_zero(_term(terms, f.quot, s - 1, base)))
+            and _value_zero(_term(terms, f.sub, s + 1, base))):
         return "long exact sequence does not collapse"
-    if not all(isinstance(v, FgAbGroup) and v.is_finite() for v in (a_s, b_s)):
+    if not all(isinstance(v, FgAbGroup) and v.is_finite()
+               for v in (_term(terms, f.sub, s, base), _term(terms, f.quot, s, base))):
         return "short exact with an infinite term"
     return None
 
@@ -413,14 +416,16 @@ def cohomology_order(f: SheafSymbol, s: int, base: str) -> int:
 
     For an extension whose long exact sequence collapses to a short exact
     sequence of finite groups, the order is the product of the outer orders
-    regardless of the unresolved extension class.
+    regardless of the unresolved extension class.  Each H^d of sub and quot
+    is evaluated once for both answers.
     """
     default_fact_table()  # loaded even when no rule reads it: no data, no answer
-    ans = _coh(f, s, base)
+    extension, terms = isinstance(f, SheafExtension), {}
+    ans = _extension_cohomology(f, s, base, terms) if extension else _coh(f, s, base)
     if isinstance(ans, FgAbGroup) and ans.is_finite():
         return ans.order()
-    if isinstance(f, SheafExtension):
-        a_s, b_s = _coh(f.sub, s, base), _coh(f.quot, s, base)
-        if _not_short_exact(f, s, base, a_s, b_s) is None:
+    if extension:
+        a_s, b_s = _term(terms, f.sub, s, base), _term(terms, f.quot, s, base)
+        if _not_short_exact(f, s, base, terms) is None:
             return a_s.order() * b_s.order()
     raise NoFact(f"order of H^{s}({base}; {sheaf_display(f)}) is not decided")

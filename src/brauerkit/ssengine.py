@@ -14,7 +14,7 @@ later differentials could still connect two nonzero positions.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from collections.abc import Sequence
 
 from .abelian import (
     ExtensionWitness,
@@ -47,7 +47,7 @@ class CharPRef:
     module: TruncatedCharPModule
 
 
-EntryValue = Union[FgAbGroup, SheafSymbol, CharPRef]
+EntryValue = FgAbGroup | SheafSymbol | CharPRef
 
 
 @record
@@ -58,7 +58,7 @@ class Entry:
     value: EntryValue
     label: str = ""
     index: int = 1
-    assumed: Tuple[str, ...] = ()
+    assumed: tuple[str, ...] = ()
 
     def is_zero(self) -> bool:
         return isinstance(self.value, FgAbGroup) and self.value.is_zero()
@@ -82,7 +82,7 @@ class Entry:
 @record
 class SSPage:
     r: int
-    entries: Dict[Tuple[int, int], Entry]
+    entries: dict[tuple[int, int], Entry]
 
     def __post_init__(self):
         if self.r < 2:
@@ -90,13 +90,13 @@ class SSPage:
         cleaned = {pos: e for pos, e in self.entries.items() if not e.is_zero()}
         object.__setattr__(self, "entries", cleaned)
 
-    def entry(self, s: int, t: int) -> Optional[Entry]:
+    def entry(self, s: int, t: int) -> Entry | None:
         return self.entries.get((s, t))
 
-    def target_of(self, s: int, t: int) -> Tuple[int, int]:
+    def target_of(self, s: int, t: int) -> tuple[int, int]:
         return (s + self.r, t + self.r - 1)
 
-    def source_of(self, s: int, t: int) -> Tuple[int, int]:
+    def source_of(self, s: int, t: int) -> tuple[int, int]:
         return (s - self.r, t - self.r + 1)
 
 
@@ -111,10 +111,10 @@ class DifferentialRule:
     """
 
     r: int
-    source: Tuple[int, int]
+    source: tuple[int, int]
     kind: str
-    hom: Optional[GroupHom] = None
-    operator: Optional[SemilinearOperator] = None
+    hom: GroupHom | None = None
+    operator: SemilinearOperator | None = None
     surjective: bool = False
     name: str = ""
     provenance: str = ""
@@ -152,10 +152,10 @@ def _validate_rules(page: SSPage, rules: Sequence[DifferentialRule]) -> None:
             raise ValueError(f"d∘d ≠ 0 at ({s},{t}) on page {rule.r}")
 
 
-_RuleIndex = Dict[Tuple[int, int], List[DifferentialRule]]  # rules by source
+_RuleIndex = dict[tuple[int, int], list[DifferentialRule]]  # rules by source
 
 
-def _rule_for(index: _RuleIndex, s: int, t: int) -> Optional[DifferentialRule]:
+def _rule_for(index: _RuleIndex, s: int, t: int) -> DifferentialRule | None:
     found = index.get((s, t), ())
     if len(found) > 1:
         raise ValueError(f"multiple rules match ({s},{t})")
@@ -178,7 +178,7 @@ def turn_page(page: SSPage, rules: Sequence[DifferentialRule]) -> SSPage:
     for rule in rules:
         index.setdefault(rule.source, []).append(rule)
     killed: set = set()
-    new_entries: Dict[Tuple[int, int], Entry] = {}
+    new_entries: dict[tuple[int, int], Entry] = {}
     for (s, t), entry in sorted(page.entries.items()):
         out_rule = _rule_for(index, s, t)
         in_pos = page.source_of(s, t)
@@ -228,7 +228,7 @@ def _evolve_entry(page, entry, pos, out_rule, in_rule, killed):
     return Entry(value, label, index, assumed)
 
 
-def _mod_image(entry: Entry, in_hom: Optional[GroupHom], assumed: Tuple[str, ...]) -> Entry:
+def _mod_image(entry: Entry, in_hom: GroupHom | None, assumed: tuple[str, ...]) -> Entry:
     if in_hom is None:
         return replace(entry, assumed=assumed)
     if not isinstance(entry.value, FgAbGroup):
@@ -255,7 +255,7 @@ def _operator_kernel_entry(entry: Entry, rule: DifferentialRule) -> Entry:
 
 
 def column_filtration(pages: Sequence[SSPage], column: int,
-                      bound: Optional[int] = None) -> List[Tuple[int, Entry]]:
+                      bound: int | None = None) -> list[tuple[int, Entry]]:
     """Nonzero E∞ entries (s, gr^s) with t - s = column, ascending s.
 
     The last supplied page must be stable along the column: no later
@@ -274,7 +274,7 @@ def column_filtration(pages: Sequence[SSPage], column: int,
     return out
 
 
-def _check_stable(page: SSPage, s: int, t: int, bound: Optional[int]) -> None:
+def _check_stable(page: SSPage, s: int, t: int, bound: int | None) -> None:
     for (s2, t2) in page.entries:
         if (s2, t2) == (s, t):
             continue
@@ -287,7 +287,7 @@ def _check_stable(page: SSPage, s: int, t: int, bound: Optional[int]) -> None:
                     f"a d_{r} could still connect {src} to {tgt}; supply a bound")
 
 
-def assemble_abutment(gr: Sequence[Tuple[int, Entry]],
+def assemble_abutment(gr: Sequence[tuple[int, Entry]],
                       witnesses: Sequence[ExtensionWitness]) -> FgAbGroup:
     """Iterated extension resolution of a finite column, deepest stage first.
 
@@ -340,7 +340,7 @@ def assemble_abutment_by_orders(orders_deepest_first: Sequence[int],
 # ---------------------------------------------------------------------------
 
 
-def _entry_value_to_json(v: EntryValue) -> Dict:
+def _entry_value_to_json(v: EntryValue) -> dict:
     if isinstance(v, FgAbGroup):
         return {"kind": "group", "group": v.to_json()}
     if isinstance(v, CharPRef):
@@ -350,7 +350,7 @@ def _entry_value_to_json(v: EntryValue) -> Dict:
     return {"kind": "sheaf", "sheaf": sheaf_to_json(v)}
 
 
-def _entry_value_from_json(d: Dict) -> EntryValue:
+def _entry_value_from_json(d: dict) -> EntryValue:
     if d["kind"] == "group":
         return FgAbGroup.from_json(d["group"])
     if d["kind"] == "charp":
@@ -358,8 +358,8 @@ def _entry_value_from_json(d: Dict) -> EntryValue:
     return sheaf_from_json(d["sheaf"])
 
 
-def _rule_to_json(rule: DifferentialRule) -> Dict:
-    out: Dict = {"r": rule.r, "s": rule.source[0], "t": rule.source[1],
+def _rule_to_json(rule: DifferentialRule) -> dict:
+    out: dict = {"r": rule.r, "s": rule.source[0], "t": rule.source[1],
                  "kind": rule.kind, "provenance": rule.provenance}
     if rule.kind == "operator":
         out["operator"] = str(rule.operator)
@@ -376,7 +376,7 @@ def _rule_to_json(rule: DifferentialRule) -> Dict:
     return out
 
 
-def _rule_from_json(d: Dict) -> DifferentialRule:
+def _rule_from_json(d: dict) -> DifferentialRule:
     kind = d["kind"]
     hom = operator = None
     if kind == "matrix":
@@ -401,7 +401,7 @@ def page_to_json(page: SSPage, rules: Sequence[DifferentialRule] = ()) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def page_from_json(text: str) -> Tuple[SSPage, List[DifferentialRule]]:
+def page_from_json(text: str) -> tuple[SSPage, list[DifferentialRule]]:
     data = json.loads(text)
     entries = {}
     for item in data["entries"]:

@@ -15,9 +15,9 @@ a config overrides it.  Every affected output line carries an explicit
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+import os
 
+from . import data_dir
 from .abelian import ExtensionWitness, FgAbGroup, resolve_extension
 from .charp import parse_operator
 from .errors import NoFact
@@ -32,7 +32,6 @@ from .sheaftab import (
     SheafSymbol,
     cohomology,
     cohomology_order,
-    data_dir,
     default_fact_table,
     kstar_vshriek_h1_basis,
     sheaf_display,
@@ -46,18 +45,18 @@ UNRESOLVED_NAMES = ("d13_row5", "d25_row5", "d23_row7", "d9_lbr_row6")
 OPEN_AT_STAGE = {(5, 2): ("d13_row5", "d25_row5"), (7, 2): ("d23_row7",)}
 
 
-def _source(item: Dict) -> Tuple[int, int, int]:
+def _source(item: dict) -> tuple[int, int, int]:
     return item["s"], item["t"], item.get("local", 0)
 
 
 @record
 class TmfPageData:
-    column0: Tuple[Dict, ...]
-    special_rules: Tuple[Dict, ...]
-    unresolved: Dict[str, str]
+    column0: tuple[dict, ...]
+    special_rules: tuple[dict, ...]
+    unresolved: dict[str, str]
     pic_witness_order: int
-    c4inv: Dict
-    lbr_mo: Dict
+    c4inv: dict
+    lbr_mo: dict
 
     def __post_init__(self):
         for item in self.column0:
@@ -89,9 +88,8 @@ class TmfPageData:
                 operator_sources.add(_source(rule))
 
     @classmethod
-    def load(cls, path: Optional[Path] = None) -> "TmfPageData":
-        path = path or (data_dir() / "tmf_pages.json")
-        with open(path) as fh:
+    def load(cls) -> "TmfPageData":
+        with open(os.path.join(data_dir(), "tmf_pages.json")) as fh:
             raw = json.load(fh)
         return cls(
             tuple(raw["column0"]),
@@ -111,10 +109,10 @@ class TmfPageData:
 @record
 class GrStage:
     s: int
-    symbol: Optional[SheafSymbol]  # upper bound; None means zero
+    symbol: SheafSymbol | None  # upper bound; None means zero
     local: int  # 0 = integral, 2/3 = p-local piece
     exact: bool  # False when an unresolved differential could shrink it
-    assumed: Tuple[str, ...] = ()
+    assumed: tuple[str, ...] = ()
 
     def display(self) -> str:
         body = "0" if self.symbol is None else sheaf_display(self.symbol)
@@ -129,11 +127,11 @@ class GrStage:
 
 @record
 class Column0Report:
-    stages: Tuple[GrStage, ...]
+    stages: tuple[GrStage, ...]
 
 
-def run_pic_tmf(data: Optional[TmfPageData] = None,
-                config: Optional[Dict[str, str]] = None) -> Column0Report:
+def run_pic_tmf(data: TmfPageData | None = None,
+                config: dict[str, str] | None = None) -> Column0Report:
     """The column-0 filtration of the Picard sheaf of TMF over the j-line.
 
     gr^0 = Z/2, gr^1 = R^1j_*G_m, gr^3 = k_*v_!Z/2, gr^5 = b_*Z/3 plus (a
@@ -147,7 +145,7 @@ def run_pic_tmf(data: Optional[TmfPageData] = None,
     table = default_fact_table()
     operators = {_source(rule): rule for rule in data.special_rules
                  if rule["kind"] == "operator"}
-    stages: List[GrStage] = []
+    stages: list[GrStage] = []
     for item in data.column0:
         s, local = item["s"], item.get("local", 0)
         symbol = sheaf_from_json(item["entry"])
@@ -185,8 +183,8 @@ def _stage_section_order(stage: GrStage, p: int) -> int:
     return _p_part(order, p)
 
 
-def pic_tmf_global(config: Optional[Dict[str, str]] = None,
-                   data: Optional[TmfPageData] = None) -> Dict[int, FgAbGroup]:
+def pic_tmf_global(config: dict[str, str] | None = None,
+                   data: TmfPageData | None = None) -> dict[int, FgAbGroup]:
     """Pic(TMF) localized at 2, 3 and 5, assembled from the column-0
     global-section orders with the order-576 suspension witness.
 
@@ -196,7 +194,7 @@ def pic_tmf_global(config: Optional[Dict[str, str]] = None,
     """
     data = data or TmfPageData.load()
     report = run_pic_tmf(data, config)
-    out: Dict[int, FgAbGroup] = {}
+    out: dict[int, FgAbGroup] = {}
     for p in (2, 3, 5):
         orders = [_stage_section_order(g, p) for g in report.stages]
         witness = ExtensionWitness(_p_part(data.pic_witness_order, p),
@@ -205,7 +203,7 @@ def pic_tmf_global(config: Optional[Dict[str, str]] = None,
     return out
 
 
-def pic_tmf_c4inv(data: Optional[TmfPageData] = None) -> FgAbGroup:
+def pic_tmf_c4inv(data: TmfPageData | None = None) -> FgAbGroup:
     """Pic of TMF with the modular form c4 inverted: Z/2 ⊕ Z/8.
 
     Over the punctured j-line the Brauer and Picard obstructions of the base
@@ -232,11 +230,11 @@ class PicTmfRReport:
     h0_ideal_order: int  # sections of the positive-filtration piece
     sections_order: int
     total_order: int
-    notes: Tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
 
 
 def pic_tmf_r(r: EtaleRingDescriptor,
-              data: Optional[TmfPageData] = None) -> PicTmfRReport:
+              data: TmfPageData | None = None) -> PicTmfRReport:
     """The two exact sequences computing Pic(TMF_R) for étale R over Z:
     0 → Pic(R) → Pic(TMF_R) → H^0(A^1_R; pi_0 pic) → 0 and
     0 → H^0(A^1_R; I) → H^0(A^1_R; pi_0 pic) → Z/24 → 0,
@@ -248,7 +246,7 @@ def pic_tmf_r(r: EtaleRingDescriptor,
     gr1_sections = cohomology(R1jGm(), 0, "A1").group()
     quotient = resolve_extension(gr1_sections, FgAbGroup.cyclic(2),
                                  ExtensionWitness(24, True))
-    notes: List[str] = []
+    notes: list[str] = []
     report = run_pic_tmf(data)
     h0_ideal = 1
     for p, support in ((2, "the (2,j)-supported pieces vanish"),
@@ -275,17 +273,17 @@ class LbrTmfReport:
     window: int
     three_torsion: FgAbGroup
     p_gt_3_torsion: FgAbGroup
-    two_local_basis: Tuple[str, ...]
+    two_local_basis: tuple[str, ...]
     certified_prefix: int
     split_surjection: bool
     kernel_finite: bool
     kernel_order_bound: int
     br_pi0_zero: bool
-    assumed: Tuple[str, ...] = ()
+    assumed: tuple[str, ...] = ()
 
 
-def lbr_tmf(window: int = 32, config: Optional[Dict[str, str]] = None,
-            data: Optional[TmfPageData] = None) -> LbrTmfReport:
+def lbr_tmf(window: int = 32, config: dict[str, str] | None = None,
+            data: TmfPageData | None = None) -> LbrTmfReport:
     """Structure of the local Brauer group of TMF.
 
     The 3-torsion is H^1(A^1; b_*Z/3) = H^1(Spec F_3; Z/3) = Z/3 and there
@@ -333,17 +331,17 @@ class LbrMOReport:
     window: int
     two_local_kernel_order: int
     kernel_footnote: str
-    two_local_basis: Tuple[str, ...]
+    two_local_basis: tuple[str, ...]
     three_local: FgAbGroup
     iso_after_inverting_2: bool
     cokernel_order_bound: int
-    generator_map: Tuple[Tuple[str, str], ...]
+    generator_map: tuple[tuple[str, str], ...]
     injection_distinct: bool
-    assumed: Tuple[str, ...] = ()
+    assumed: tuple[str, ...] = ()
 
 
-def lbr_m_o(window: int = 32, config: Optional[Dict[str, str]] = None,
-            data: Optional[TmfPageData] = None) -> LbrMOReport:
+def lbr_m_o(window: int = 32, config: dict[str, str] | None = None,
+            data: TmfPageData | None = None) -> LbrMOReport:
     """The local Brauer group of the sheaf-level theory and its comparison
     with lbr_tmf: surjection onto the truncated F_2-space with 2-local
     kernel of order 8, Z/3 3-locally, and an isomorphism after inverting 2;

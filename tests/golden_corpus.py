@@ -1,7 +1,9 @@
 """The golden corpus: CLI reports and the TMF column-0 dump, byte for byte.
 
 `CASES` names every CLI invocation in the corpus; `cli_output` runs one in
-process and returns its exit code and stdout.  `column_dump` renders the
+process and returns its exit code and stdout.  `USAGE_CASES` names the
+invocations that end in argparse's help, usage or an error; `usage_output`
+records exit code, stdout and stderr of one.  `column_dump` renders the
 column-0 stages of `run_pic_tmf`, `pic_tmf_global` and the `assumed`
 markers of `lbr_tmf`/`lbr_m_o` for all 16 zero/iso settings of the four
 open differentials.  `tests/test_golden.py` compares both with the files in
@@ -18,8 +20,10 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 GOLDEN = Path(__file__).parent / "golden"
 PAGE = GOLDEN / "page.json"
@@ -79,6 +83,21 @@ def _cases():
 
 CASES = dict(_cases())
 
+# help, usage and error bytes of the front door; argparse may word these
+# differently on another Python version, so the files hold the bytes of
+# USAGE_PYTHON
+USAGE_CASES = {
+    "help": ["--help"],
+    "no_verb": [],
+    "unknown_verb": ["bogus"],
+    "snf_help": ["snf", "--help"],
+    "snf_no_matrix": ["snf"],
+    "artin-schreier_bad_choice": ["artin-schreier", "--p", "5", "--op", "x"],
+    "cohomology_bad_int": ["cohomology", "--orders", "[1]", "--s", "x"],
+    "lbr-ko_unrecognized": ["lbr-ko", "--bogus"],
+}
+USAGE_PYTHON = (3, 11)
+
 
 def cli_output(argv):
     from brauerkit.cli import main
@@ -86,6 +105,18 @@ def cli_output(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue()
+
+
+def usage_output(argv) -> str:
+    """Exit code, stdout and stderr of one in-process run as a JSON document,
+    with argparse's line width pinned to 80 columns."""
+    from brauerkit.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return json.dumps({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()},
+                      ensure_ascii=False, indent=1) + "\n"
 
 
 def column_dump() -> str:
@@ -142,6 +173,9 @@ def main() -> int:
             print(f"{name}: exit {code}", file=sys.stderr)
             return 1
         (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
+    if sys.version_info[:2] == USAGE_PYTHON:
+        for name, argv in USAGE_CASES.items():
+            (GOLDEN / f"usage_{name}.json").write_bytes(usage_output(argv).encode("utf-8"))
     (GOLDEN / "column0_configs.json").write_bytes(column_dump().encode("utf-8"))
     return 0
 

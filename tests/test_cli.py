@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
 from brauerkit.cli import main
+from golden_corpus import CASES, PAGE, USAGE_CASES, usage_output
 from brauerkit.ssengine import DifferentialRule, Entry, SSPage, page_to_json
 from brauerkit.abelian import FgAbGroup, GroupHom
 
@@ -395,3 +399,89 @@ def test_brauerkit_data_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(sheaftab, "_DEFAULT_TABLE", None)
     rep = run_json(capsys, "lbr-ko")
     assert rep["group"] == "Z/2"
+
+
+# ---------------------------------------------------------------------------
+# the front door: one subparser per run, and only the verb's layers
+# ---------------------------------------------------------------------------
+
+
+def _full_parser_output(argv):
+    """Exit code, stdout and stderr of parsing `argv` with every subparser."""
+    import contextlib
+    import io
+    from brauerkit.cli import build_parser
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    raise AssertionError(f"{argv} parses")
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_CASES))
+def test_help_usage_and_errors_are_the_full_parsers(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _full_parser_output(USAGE_CASES[name])
+    assert json.loads(usage_output(USAGE_CASES[name])) == dict(zip(("exit", "stdout", "stderr"),
+                                                                    want))
+
+
+def test_one_subparser_reads_what_the_full_parser_reads():
+    from brauerkit.cli import build_parser
+    for argv in CASES.values():
+        assert vars(build_parser(argv[0]).parse_args(argv)) == vars(
+            build_parser().parse_args(argv)), argv
+
+
+def test_data_file_digests_list_the_json_files(tmp_path, monkeypatch):
+    import hashlib
+    from pathlib import Path
+    from brauerkit import data_dir
+    from brauerkit.cli import data_file_versions
+    want = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:12]
+            for p in sorted(Path(data_dir()).glob("*.json"))}
+    assert data_file_versions() == want and list(want) == ["sheaf_facts.json", "tmf_pages.json"]
+    monkeypatch.setenv("BRAUERKIT_DATA", str(tmp_path / "missing"))
+    assert data_file_versions() == {}
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# modules no report may load, and the layers each lighter verb must do without
+NEVER = {"typing", "pathlib", "dataclasses", "inspect"}
+HEAVY = {"brauerkit.charp", "brauerkit.sheaftab", "brauerkit.ssengine", "brauerkit.kofam",
+         "brauerkit.tmffam"}
+GUARD = {
+    "snf": (["--matrix", "[[2,4],[6,8]]"], HEAVY),
+    "cohomology": (["--orders", "[2]", "--s", "1"], HEAVY),
+    "h1-qz": (["--primes", "[2,3]"], HEAVY),
+    "br-number-ring": (["--places", '[{"kind":"real"}]'], HEAVY),
+    "br-laurent": ([], HEAVY),
+    "artin-schreier": (["--p", "2", "--op", "x + j*x^2"], HEAVY - {"brauerkit.charp"}),
+    "cech": (["--n-vars", "2", "--window", "4"], HEAVY - {"brauerkit.charp"}),
+    "pic-ko": ([], set()),
+    "lbr-ko": ([], set()),
+    "pic-tmf": ([], set()),
+    "pic-tmf-c4inv": ([], set()),
+    "lbr-tmf": (["--window", "8"], set()),
+    "lbr-mo": (["--window", "8"], set()),
+    "ss-run": (["--page", str(PAGE)], set()),
+    "ss-chart": (["--page", str(PAGE)], set()),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(GUARD))
+def test_a_report_loads_only_its_verbs_layers(verb):
+    # -S: a site-packages hook may import typing or pathlib before brauerkit runs
+    args, absent = GUARD[verb]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    child = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "brauerkit.cli",
+                            verb, *args], capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in child.stderr.splitlines()
+              if line.startswith("import time:") and "|" in line}
+    assert "brauerkit.errors" in loaded  # -m runs the cli itself as __main__
+    assert not loaded & (NEVER | absent), sorted(loaded & (NEVER | absent))
+    if verb in ("artin-schreier", "cech"):
+        assert "brauerkit.charp" in loaded

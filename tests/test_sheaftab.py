@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from brauerkit import data_dir
 from brauerkit.abelian import ExtensionWitness, FgAbGroup, resolve_extension
 from brauerkit.errors import NoFact
 from brauerkit.numbrauer import DivisibleGroupDescriptor
@@ -17,7 +19,6 @@ from brauerkit.sheaftab import (
     canonical_r1jgm,
     cohomology,
     cohomology_order,
-    data_dir,
     default_fact_table,
     kstar_vshriek_h1_basis,
     sheaf_display,
@@ -136,6 +137,21 @@ def test_extension_short_exact_without_witness_is_unknown_but_has_order():
     assert cohomology_order(f, 0, "A1") == 4
 
 
+def test_cohomology_order_evaluates_each_outer_term_once(monkeypatch):
+    import brauerkit.sheaftab as sheaftab
+    calls = []
+    coh = sheaftab._coh
+
+    def counted(f, s, base):
+        calls.append((f, s, base))
+        return coh(f, s, base)
+
+    monkeypatch.setattr(sheaftab, "_coh", counted)
+    sub, quot = QuasiCoherent("O/(2,j)"), Constant(Z2)
+    assert cohomology_order(SheafExtension(sub, quot, witness=None), 0, "A1") == 4
+    assert len(calls) == 3 and set(calls) == {(sub, 0, "A1"), (quot, 0, "A1"), (sub, 1, "A1")}
+
+
 def test_cohomology_order_undecided_raises():
     with pytest.raises(NoFact):
         cohomology_order(QuasiCoherent("O"), 0, "A1")
@@ -183,7 +199,8 @@ def test_r1jgm_symbol_cohomology_matches():
 
 
 def test_fact_table_has_citations():
-    facts = json.loads((data_dir() / "sheaf_facts.json").read_text())
+    with open(os.path.join(data_dir(), "sheaf_facts.json")) as fh:
+        facts = json.load(fh)
     keys = {(e["sheaf"], e["site"], e["degree"]) for e in facts}
     assert {("Z/12", "SpecZ", 1), ("O/(2,j)", "A1", 0)} <= keys
     assert all(e["citation"] for e in facts)

@@ -1,7 +1,9 @@
 import json
+import shutil
 
 import pytest
 
+from brauerkit import data_dir
 from brauerkit.abelian import FgAbGroup
 from brauerkit.kofam import SHIPPED_RINGS, EtaleRingDescriptor
 from brauerkit.sheaftab import (
@@ -45,47 +47,43 @@ def test_data_unresolved_set(data):
     assert set(data.unresolved) == set(UNRESOLVED_NAMES)
 
 
-def test_data_rejects_missing_citation(data, tmp_path):
-    with open(__import__("brauerkit.sheaftab", fromlist=["data_dir"]).data_dir()
-              / "tmf_pages.json") as fh:
-        raw = json.load(fh)
-    raw["column0"][0]["citation"] = ""
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
-    with pytest.raises(ValueError, match="citation"):
-        TmfPageData.load(bad)
-
-
-def test_data_rejects_nonzero_d11(data, tmp_path):
-    from brauerkit.sheaftab import data_dir
-    with open(data_dir() / "tmf_pages.json") as fh:
-        raw = json.load(fh)
-    for rule in raw["special_rules"]:
-        if rule["name"] == "d11_77":
-            rule["kind"] = "iso"
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
-    with pytest.raises(ValueError, match="fixed to zero"):
-        TmfPageData.load(bad)
-
-
-def _edited_data(tmp_path, edit):
-    from brauerkit.sheaftab import data_dir
-    with open(data_dir() / "tmf_pages.json") as fh:
-        raw = json.load(fh)
+def _edited_data(tmp_path, monkeypatch, edit):
+    """`TmfPageData.load()` from a copy of the data directory whose page file
+    `edit` has changed."""
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir(), copy)
+    raw = json.loads((copy / "tmf_pages.json").read_text())
     edit(raw)
-    path = tmp_path / "edited.json"
-    path.write_text(json.dumps(raw))
-    return TmfPageData.load(path)
+    (copy / "tmf_pages.json").write_text(json.dumps(raw))
+    monkeypatch.setenv("BRAUERKIT_DATA", str(copy))
+    return TmfPageData.load()
 
 
-def test_data_rejects_two_operator_rules_from_one_source(tmp_path):
+def test_data_rejects_missing_citation(tmp_path, monkeypatch):
+    def edit(raw):
+        raw["column0"][0]["citation"] = ""
+
+    with pytest.raises(ValueError, match="citation"):
+        _edited_data(tmp_path, monkeypatch, edit)
+
+
+def test_data_rejects_nonzero_d11(tmp_path, monkeypatch):
+    def edit(raw):
+        for rule in raw["special_rules"]:
+            if rule["name"] == "d11_77":
+                rule["kind"] = "iso"
+
+    with pytest.raises(ValueError, match="fixed to zero"):
+        _edited_data(tmp_path, monkeypatch, edit)
+
+
+def test_data_rejects_two_operator_rules_from_one_source(tmp_path, monkeypatch):
     def edit(raw):
         rule = next(r for r in raw["special_rules"] if r["name"] == "d5_55")
         raw["special_rules"].append({**rule, "name": "d7_55", "r": 7})
 
     with pytest.raises(ValueError, match=r"two operator rules out of \(5, 5, 2\)"):
-        _edited_data(tmp_path, edit)
+        _edited_data(tmp_path, monkeypatch, edit)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +132,8 @@ def test_run_pic_tmf_assumed_markers(data):
     assert "assuming" in five.display()
 
 
-def test_run_pic_tmf_reads_defaults_from_the_data(tmp_path):
-    edited = _edited_data(tmp_path, lambda raw: raw["unresolved"].update(d23_row7="iso"))
+def test_run_pic_tmf_reads_defaults_from_the_data(tmp_path, monkeypatch):
+    edited = _edited_data(tmp_path, monkeypatch, lambda raw: raw["unresolved"].update(d23_row7="iso"))
     seven = [g for g in run_pic_tmf(edited).stages if g.s == 7][0]
     assert seven.symbol is None and seven.exact
     assert lbr_tmf(16, data=edited).assumed == ("d13_row5", "d25_row5")
@@ -144,12 +142,12 @@ def test_run_pic_tmf_reads_defaults_from_the_data(tmp_path):
     assert seven.assumed == ("d23_row7",)
 
 
-def test_run_pic_tmf_row_without_an_operator_rule_stays_unkerneled(tmp_path):
+def test_run_pic_tmf_row_without_an_operator_rule_stays_unkerneled(tmp_path, monkeypatch):
     def edit(raw):
         raw["special_rules"] = [r for r in raw["special_rules"] if r["name"] != "d3_33"]
         raw["column0"].append({**raw["column0"][-1], "s": 9, "t": 9})
 
-    report = run_pic_tmf(_edited_data(tmp_path, edit))
+    report = run_pic_tmf(_edited_data(tmp_path, monkeypatch, edit))
     three = [g for g in report.stages if g.s == 3][0]
     assert three.symbol == QuasiCoherent("O/2") and three.exact
     nine = [g for g in report.stages if g.s == 9][0]
