@@ -61,8 +61,17 @@ def _snf_ext(M: Sequence[Sequence[int]], u: bool = False, v: bool = False, uinv:
     depend on what is tracked, so a tracked transform is the same whatever
     else is.  Callers track U and V (`smith_normal_form`), V
     (`_kernel_columns`), Uinv (`_subquotient`), U (`hom_cokernel`) or
-    nothing (`_generator_types`).  The fifth slot is
-    always None and stays so that callers can unpack five values.
+    nothing (`_generator_types`).  The fifth slot is always None.
+
+    The steps are a contract, as `tests/golden/snf_*.out` and
+    `bench/digests.json` pin the bytes of U and V; only a deliberate change
+    of output may alter them.  Pass t swaps to (t, t) the entry of least |a|
+    in the trailing block, first by row then by column.  Then row i -= q *
+    row t for each row below and col j -= q * col t for each column to the
+    right, with floor quotients q, and the pass repeats while a remainder is
+    left.  Else row t += the first row whose trailing block the pivot does
+    not divide, and the pass repeats; if none, a negative pivot flips row t
+    and t moves on.
     """
     m = len(M)
     n = len(M[0]) if m else 0
@@ -71,81 +80,72 @@ def _snf_ext(M: Sequence[Sequence[int]], u: bool = False, v: bool = False, uinv:
     # V and Uinv only ever see column operations: keep them transposed
     Vt = _identity(n) if v else []
     Uinvt = _identity(m) if uinv else []
-    # rows and columns before the pivot t hold only their diagonal entry of A,
-    # so operations on A skip them
+    # rows and columns before the pivot t hold only their diagonal entry of A
     t = 0
-
-    def row_swap(i, k):
-        A[i], A[k] = A[k], A[i]
-        if U:
-            U[i], U[k] = U[k], U[i]
-        if Uinvt:
-            Uinvt[i], Uinvt[k] = Uinvt[k], Uinvt[i]
-
-    def row_add(i, k, q):
-        # row i += q * row k
-        A[i][t:] = [a + q * b for a, b in zip(A[i][t:], A[k][t:])]
-        if U:
-            U[i] = [a + q * b for a, b in zip(U[i], U[k])]
-        if Uinvt:
-            Uinvt[k] = [a - q * b for a, b in zip(Uinvt[k], Uinvt[i])]
-
-    def row_neg(i):
-        A[i] = [-x for x in A[i]]
-        if U:
-            U[i] = [-x for x in U[i]]
-        if Uinvt:
-            Uinvt[i] = [-x for x in Uinvt[i]]
-
-    def col_swap(j, k):
-        for r in A[t:]:
-            r[j], r[k] = r[k], r[j]
-        if Vt:
-            Vt[j], Vt[k] = Vt[k], Vt[j]
-
-    def col_add(j, k, q):
-        # col j += q * col k
-        for r in A[t:]:
-            r[j] += q * r[k]
-        if Vt:
-            Vt[j] = [a + q * b for a, b in zip(Vt[j], Vt[k])]
-
     limit = min(m, n)
     while t < limit:
-        # a pivot of minimal absolute value in the trailing block, first in row order
-        nonzero = [(abs(a), i, j) for i in range(t, m) for j, a in enumerate(A[i][t:], t) if a]
-        if not nonzero:
+        # nothing beats an entry ±1, nor a later one ties with it
+        best = 0
+        for i in range(t, m):
+            row = A[i]
+            for j in range(t, n):
+                a = abs(row[j])
+                if a and (a < best or not best):
+                    best, i0, j0 = a, i, j
+            if best == 1:
+                break
+        if not best:
             break
-        _, i0, j0 = min(nonzero)
         if i0 != t:
-            row_swap(t, i0)
+            for T in (A, U, Uinvt):
+                if T:
+                    T[t], T[i0] = T[i0], T[t]
+        rows = A[t:]
         if j0 != t:
-            col_swap(t, j0)
-        # clear row and column t
+            for row in rows:
+                row[t], row[j0] = row[j0], row[t]
+            if Vt:
+                Vt[t], Vt[j0] = Vt[j0], Vt[t]
+        At = A[t]
+        p = At[t]
+        tail = At[t:]
         dirty = False
         for i in range(t + 1, m):
-            if A[i][t]:
-                q = A[i][t] // A[t][t]
-                row_add(i, t, -q)
-                if A[i][t]:
-                    dirty = True
+            row = A[i]
+            if row[t]:
+                q = row[t] // p
+                row[t:] = [a - q * b for a, b in zip(row[t:], tail)]
+                if U:
+                    U[i] = [a - q * b for a, b in zip(U[i], U[t])]
+                if Uinvt:
+                    Uinvt[t] = [a + q * b for a, b in zip(Uinvt[t], Uinvt[i])]
+                dirty = dirty or row[t] != 0
         for j in range(t + 1, n):
-            if A[t][j]:
-                q = A[t][j] // A[t][t]
-                col_add(j, t, -q)
-                if A[t][j]:
-                    dirty = True
+            if At[j]:
+                q = At[j] // p
+                for row in rows:
+                    row[j] -= q * row[t]
+                if Vt:
+                    Vt[j] = [a - q * b for a, b in zip(Vt[j], Vt[t])]
+                dirty = dirty or At[j] != 0
         if dirty:
             continue
-        # enforce divisibility of the remaining block by the pivot
-        d = A[t][t]
-        offender = next((i for i in range(t + 1, m) if any(x % d for x in A[i][t + 1:])), None)
-        if offender is not None:
-            row_add(t, offender, 1)
-            continue
-        if d < 0:
-            row_neg(t)
-        t += 1
+        # a unit pivot divides every entry, so only a larger one looks for a row
+        for i in range(t + 1, m) if abs(p) > 1 else ():
+            if any(x % p for x in A[i][t + 1:]):
+                At[t:] = [a + b for a, b in zip(At[t:], A[i][t:])]
+                if U:
+                    U[t] = [a + b for a, b in zip(U[t], U[i])]
+                if Uinvt:
+                    Uinvt[i] = [a - b for a, b in zip(Uinvt[i], Uinvt[t])]
+                break
+        else:
+            if p < 0:
+                At[t] = -p
+                for T in (U, Uinvt):
+                    if T:
+                        T[t] = [-x for x in T[t]]
+            t += 1
 
     D = [[A[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
     return U, D, _transpose(Vt), _transpose(Uinvt), None
@@ -537,12 +537,36 @@ def _partitions(k: int):
     yield from rec(k, k)
 
 
+# abelian groups of one order that may be listed: 2^40 has 37,338, which
+# take about 0.8 s to build and test as extension candidates
+GROUPS_OF_ORDER_BOUND = 100_000
+
+
+def _partition_count(k: int) -> int:
+    """p(k): ways[s] counts the partitions of s into the parts seen so far."""
+    ways = [1] + [0] * k
+    for part in range(1, k + 1):
+        for s in range(part, k + 1):
+            ways[s] += ways[s - part]
+    return ways[k]
+
+
 def abelian_groups_of_order(n: int) -> list[FgAbGroup]:
-    """All abelian groups of order n, deterministically ordered."""
+    """All abelian groups of order n, deterministically ordered.
+
+    There are ∏ p(e) of them over the prime powers p^e of n; more than
+    GROUPS_OF_ORDER_BOUND raise ValueError before any is built.
+    """
     if n < 1:
         raise ValueError("order must be positive")
-    per_prime = [[[p ** x for x in part] for part in _partitions(e)]
-                 for p, e in sorted(_factorize(n).items())]
+    prime_powers = sorted(_factorize(n).items())
+    count = 1
+    for _, e in prime_powers:
+        count *= _partition_count(e)
+    if count > GROUPS_OF_ORDER_BOUND:
+        raise ValueError(f"order {n} has {count} abelian groups, "
+                         f"over the bound of {GROUPS_OF_ORDER_BOUND}")
+    per_prime = [[[p ** x for x in part] for part in _partitions(e)] for p, e in prime_powers]
     out = []
     for combo in itertools.product(*per_prime):
         # slot i multiplies the i-th largest prime power of every prime

@@ -21,6 +21,11 @@ from .errors import WindowTooSmall
 from .record import record
 
 
+# degrees a module may span: a polynomial window of 512 (where the cokernel
+# of x + j*x^2 takes about 5.5 s on a 2-vCPU VM) or a Laurent one of ±256
+WINDOW_DEGREE_BOUND = 513
+
+
 @record
 class TruncatedCharPModule:
     p: int
@@ -35,6 +40,9 @@ class TruncatedCharPModule:
             raise ValueError("window must contain degree 0")
         if not self.laurent and lo != 0:
             raise ValueError("polynomial modules start at degree 0")
+        if hi - lo + 1 > WINDOW_DEGREE_BOUND:
+            raise ValueError(f"the window [{lo}, {hi}] has {hi - lo + 1} degrees, "
+                             f"over the bound of {WINDOW_DEGREE_BOUND}")
         object.__setattr__(self, "window", (lo, hi))
 
     def degrees(self) -> range:

@@ -345,6 +345,21 @@ def test_resolve_order_2_pow_20():
     assert resolve_extension_by_order(sub, 2, witness).same_structure(want)
 
 
+def test_resolve_counts_candidates_before_building_them():
+    # p(40) = 37338 groups of order 2^40 are under the bound of 100000
+    sub = FgAbGroup.cyclic(2 ** 39)
+    witness = ExtensionWitness(2 ** 40, maps_to_generator_of_quotient=True)
+    group, trace = resolve_extension(sub, FgAbGroup.cyclic(2), witness, with_trace=True)
+    assert group.same_structure(FgAbGroup.cyclic(2 ** 40))
+    assert len(trace.accepted) + len(trace.rejected) == 37338
+    # p(50) = 204226 and p(30)^2 = 31404816 are over it
+    with pytest.raises(ValueError, match="204226 abelian groups, over the bound of 100000"):
+        resolve_extension(FgAbGroup.cyclic(2 ** 49), FgAbGroup.cyclic(2), ExtensionWitness(2))
+    with pytest.raises(ValueError, match="31404816 abelian groups"):
+        resolve_extension_by_order(FgAbGroup.cyclic(2 ** 30), 3 ** 30)
+    assert [abelian._partition_count(k) for k in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
+
+
 def test_resolve_mixed_2_pow_6_3_pow_4():
     want = FgAbGroup.from_orders([2 ** 5, 2, 3 ** 3, 3])
     # generator witness: the p^b·e = h relations leave one type per prime

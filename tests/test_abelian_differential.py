@@ -5,16 +5,21 @@ Seeded random order lists (0, 1, repeated prime powers and primes near
 10^6-10^12) must normalise to the oracle's group.  Seeded random m×n
 matrices with m, n ≤ 9 and many zero entries, 0-row and 1×n ones among
 them, must give the oracle's D and, for every subset of tracked
-transforms, exactly the oracle's U, V and U⁻¹, with [] for the rest.
+transforms, exactly the oracle's U, V and U⁻¹, with [] for the rest; so
+must the benchmark's dense shapes up to 30×30, rank-deficient and sparse
+ones and the matrices `_generator_types` builds, at the seed in
+SNF_DIFFERENTIAL_SEED when it is set.
 Seeded random lattices L and R in Z^n, n ≤ 8, must give the group of the
 three-Smith-form `_subquotient`, with generators that lie in L + R and
 whose torsion orders take them into R.
 """
 
 import itertools
+import os
 import random
 
 import abelian_oracle
+from brauerkit import abelian
 from brauerkit.abelian import FgAbGroup, _snf_ext, _subquotient
 
 BIG_PRIMES = (999983, 1000003, 1000000007, 999999999989, 1000000000039)
@@ -53,6 +58,46 @@ def test_snf_ext_matches_full_tracking_for_every_subset():
             got = _snf_ext(M, u=u, v=v, uinv=uinv)
             want = (U if u else [], D, V if v else [], Uinv if uinv else [], None)
             assert got == want, (M, u, v, uinv)
+
+
+def _generator_type_matrices(monkeypatch):
+    """The matrices `_generator_types` reduces for the extension shapes of
+    the algebra benchmark and a few larger ones."""
+    seen = []
+
+    def spy(M, *args, **kwargs):
+        seen.append(M)
+        return _snf_ext(M, *args, **kwargs)
+
+    monkeypatch.setattr(abelian, "_snf_ext", spy)
+    for p, mu, b in ((2, (3,), 1), (2, (2, 1), 2), (2, (3, 1), 2), (2, (6,), 1), (3, (2,), 2),
+                     (2, (3, 2, 1), 2), (3, (2, 2, 1), 1), (5, (2, 1), 1)):
+        abelian._generator_types(p, mu, b, mu[0] + b)
+    monkeypatch.undo()
+    return seen
+
+
+def test_snf_ext_matches_full_tracking_at_benchmark_sizes(monkeypatch):
+    seed = int(os.environ.get("SNF_DIFFERENTIAL_SEED", "20260418"))
+    rng = random.Random(seed)
+
+    def dense(m, n):
+        return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+
+    # the algebra workload's shapes, whose transforms reach hundreds of digits
+    cases = [dense(m, n) for m, n in ((8, 8), (12, 12), (16, 16), (20, 20), (10, 14), (24, 18), (30, 30))]
+    # rank r < min(m, n): a product of m×r and r×n
+    for m, n, r in ((12, 12, 7), (16, 10, 3), (9, 20, 5), (14, 14, 1)):
+        cases.append(abelian._mat_mul(dense(m, r), dense(r, n)))
+    for m, n in ((20, 20), (14, 25), (25, 14)):
+        cases.append([[x if rng.random() < 0.1 else 0 for x in row] for row in dense(m, n)])
+    cases += _generator_type_matrices(monkeypatch)
+    for M in cases:
+        U, D, V, Uinv, _ = abelian_oracle.snf_ext(M)
+        for u, v, uinv in itertools.product((False, True), repeat=3):
+            got = _snf_ext(M, u=u, v=v, uinv=uinv)
+            want = (U if u else [], D, V if v else [], Uinv if uinv else [], None)
+            assert got == want, f"seed {seed}: first differing matrix {M} (u={u}, v={v}, uinv={uinv})"
 
 
 def _in_lattice(v, cols, n):

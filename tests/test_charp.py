@@ -149,6 +149,15 @@ def test_artin_schreier_prime_field_count():
         assert p ** len(basis) == p
 
 
+def test_module_over_the_degree_bound_is_refused():
+    # 513 degrees: a polynomial window of 512 or a Laurent one of ±256
+    for window, laurent in (((0, 512), False), ((-256, 256), True), ((-12, 500), True)):
+        assert len(TruncatedCharPModule(2, window, laurent=laurent).degrees()) == 513
+    for window, laurent in (((0, 513), False), ((-256, 257), True), ((-10 ** 12, 10 ** 12), True)):
+        with pytest.raises(ValueError, match="degrees, over the bound of 513"):
+            TruncatedCharPModule(3, window, laurent=laurent)
+
+
 def test_window_too_small_raises(capsys):
     from brauerkit.cli import main
     op = parse_operator("x + j*x^2", 2)

@@ -206,6 +206,27 @@ def test_exit_2_on_a_cech_basis_over_the_bound(capsys):
     assert len(run_json(capsys, "cech", "--n-vars", "4", "--window", "40")["basis"]) == 91390
 
 
+def test_exit_2_at_once_on_a_charp_window_over_the_bound(capsys):
+    for argv, degrees in ((["lbr-tmf", "--window", "100000"], 100001),
+                          (["artin-schreier", "--p", "2", "--op", "x + j*x^2", "--window", "2000",
+                            "--cokernel"], 2001)):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert out.out == "" and f"{degrees} degrees, over the bound of 513" in out.err
+
+
+def test_exit_2_on_an_extension_with_too_many_candidates(capsys, tmp_path):
+    # Pic(R) = Z/2^48 against sections of order 8: p(51) = 239943 groups of order 2^51
+    from brauerkit.kofam import SHIPPED_RINGS
+    ring = dict(SHIPPED_RINGS["Z"].to_json(), pic={"free_rank": 0, "factors": [2 ** 48]})
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(ring))
+    assert main(["pic-ko", "--ring", str(path)]) == 2
+    assert "239943 abelian groups, over the bound of 100000" in capsys.readouterr().err
+
+
 def test_cech_with_many_variables_builds_its_one_monomial(capsys):
     # C(1200, 1200) = 1 monomial: the composition of 0 into 1200 parts
     assert run_json(capsys, "cech", "--n-vars", "1200", "--window", "1200")["basis"] == [[-1] * 1200]
