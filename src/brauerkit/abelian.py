@@ -176,16 +176,52 @@ def _kernel_columns(M: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
+# the first 13 primes: as Miller-Rabin bases they decide primality exactly
+# below 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+# trial division stops here; what is left above it must be a certified prime
+TRIAL_DIVISION_BOUND = 1 << 20
+
+
+def _is_prime(n: int) -> bool:
+    """Strong probable-prime test to the bases `_MR_BASES`; no trial division."""
+    if n < 2 or n in _MR_BASES:
+        return n in _MR_BASES
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
+    d = (n - 1) >> r
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 def _factorize(n: int) -> dict:
+    """{p: e} with n = ∏ p^e, by trial division below TRIAL_DIVISION_BOUND.
+
+    A cofactor left over is taken as one prime if `_is_prime` certifies it;
+    otherwise ValueError, since factoring it could take days.
+    """
     out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
+    m, d = n, 2
+    while d * d <= m and d < TRIAL_DIVISION_BOUND:
+        while m % d == 0:
             out[d] = out.get(d, 0) + 1
-            n //= d
+            m //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    if m > 1:
+        if d * d <= m and not (m < _MR_EXACT_BELOW and _is_prime(m)):
+            raise ValueError(f"cannot factor {n}: {m} has no prime factor below "
+                             f"{TRIAL_DIVISION_BOUND} and is not a certified prime")
+        out[m] = out.get(m, 0) + 1
     return out
 
 

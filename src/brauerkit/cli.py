@@ -77,30 +77,6 @@ def _int_matrix(value) -> list:
     return value
 
 
-# the first 13 primes: as Miller-Rabin bases they decide primality exactly
-# below 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n: int) -> bool:
-    """Strong probable-prime test to the bases `_MR_BASES`; no trial division."""
-    if n < 2 or n in _MR_BASES:
-        return n in _MR_BASES
-    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
-    d = (n - 1) >> r
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1:
-            continue
-        for _ in range(r):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
-
-
 def _int_list(text: str, flag: str, accept, what: str) -> list:
     """A JSON list of integers (not bools) that `accept` admits."""
     value = json.loads(text)
@@ -111,6 +87,7 @@ def _int_list(text: str, flag: str, accept, what: str) -> list:
 
 def _primes(text: str) -> list:
     """--primes: a JSON list of distinct primes."""
+    from .abelian import _is_prime
     primes = _int_list(text, "--primes", _is_prime, "primes")
     if len(set(primes)) != len(primes):
         raise ValueError("--primes must not list a prime twice")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping, Sequence
 
-from .abelian import FgAbGroup
+from .abelian import FgAbGroup, _valuation
 from .record import record
 
 
@@ -96,15 +96,7 @@ class DivisibleGroupDescriptor:
             raise ValueError("n must be positive")
         if self.infinite_f2 and n % 2 == 0:
             raise ValueError("n-torsion of an infinite F_2-vector space is infinite")
-        orders = [n] * self.qz_copies
-        for p in self.qpzp_primes:
-            q = 1
-            m = n
-            while m % p == 0:
-                m //= p
-                q *= p
-            if q > 1:
-                orders.append(q)
+        orders = [n] * self.qz_copies + [p ** _valuation(n, p) for p in self.qpzp_primes]
         torsion = FgAbGroup.from_orders(orders)
         return torsion.direct_sum(self.finite_part.torsion(n))
 

@@ -7,9 +7,9 @@ rules (Artin-Schreier operators evaluated through `charp` and the sheaf
 fact table), the fixed-zero d11 on row 7, and the four open differentials.
 The column is read from the rule positions and the `unresolved` map: an
 operator rule out of an entry's (s, t, local) turns it into the kernel
-sheaf, and open differentials keep their `unresolved` default (zero) unless
-a config overrides it.  Every affected output line carries an explicit
-`assumed` marker; no report silently depends on a guess.
+sheaf, and each open differential takes its `unresolved` value, "zero" or
+"iso".  Every affected output line carries an explicit `assumed` marker; no
+report silently depends on a guess.
 """
 
 from __future__ import annotations
@@ -18,17 +18,15 @@ import json
 import os
 
 from . import data_dir
-from .abelian import ExtensionWitness, FgAbGroup, resolve_extension
+from .abelian import ExtensionWitness, FgAbGroup, _valuation, resolve_extension
 from .charp import parse_operator
 from .errors import NoFact
-from .kofam import EtaleRingDescriptor
 from .numbrauer import PlaceSpec, brauer_laurent, brauer_localized_integers
 from .record import record
 from .sheaftab import (
     ClosedPush,
     QuasiCoherent,
     R1jGm,
-    SheafExtension,
     SheafSymbol,
     cohomology,
     cohomology_order,
@@ -130,18 +128,17 @@ class Column0Report:
     stages: tuple[GrStage, ...]
 
 
-def run_pic_tmf(data: TmfPageData | None = None,
-                config: dict[str, str] | None = None) -> Column0Report:
+def run_pic_tmf(data: TmfPageData | None = None) -> Column0Report:
     """The column-0 filtration of the Picard sheaf of TMF over the j-line.
 
     gr^0 = Z/2, gr^1 = R^1j_*G_m, gr^3 = k_*v_!Z/2, gr^5 = b_*Z/3 plus (a
     subgroup of) the extension A of a_*Z/2 by O/(2,j), gr^7 ⊆ O/(2,j), and
     gr^s = 0 for s > 7.  The open differentials of `OPEN_AT_STAGE` shrink
     the row-5 and row-7 pieces only; each affected stage is marked, and one
-    set to "iso" kills its stage.
+    set to "iso" in `data.unresolved` kills its stage.
     """
     data = data or TmfPageData.load()
-    config = {**data.unresolved, **(config or {})}
+    unresolved = data.unresolved
     table = default_fact_table()
     operators = {_source(rule): rule for rule in data.special_rules
                  if rule["kind"] == "operator"}
@@ -154,9 +151,9 @@ def run_pic_tmf(data: TmfPageData | None = None,
             symbol = table.kernel_sheaf(
                 str(parse_operator(op["operator"], op["p"])), sheaf_display(symbol))
         open_here = OPEN_AT_STAGE.get((s, local), ())
-        killed = any(config[n] == "iso" for n in open_here)
+        killed = any(unresolved[n] == "iso" for n in open_here)
         stages.append(GrStage(s, None if killed else symbol, local, exact=killed or not open_here,
-                              assumed=tuple(n for n in open_here if config[n] != "iso")))
+                              assumed=tuple(n for n in open_here if unresolved[n] != "iso")))
     return Column0Report(tuple(sorted(stages, key=lambda g: (g.s, g.local))))
 
 
@@ -165,26 +162,16 @@ def run_pic_tmf(data: TmfPageData | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _p_part(n: int, p: int) -> int:
-    q = 1
-    while n % p == 0:
-        n //= p
-        q *= p
-    return q
-
-
 def _stage_section_order(stage: GrStage, p: int) -> int:
     """p-part of the order of H^0(A1; gr^s)."""
     if stage.symbol is None:
         return 1
     if stage.local and stage.local != p:
         return 1
-    order = cohomology_order(stage.symbol, 0, "A1")
-    return _p_part(order, p)
+    return p ** _valuation(cohomology_order(stage.symbol, 0, "A1"), p)
 
 
-def pic_tmf_global(config: dict[str, str] | None = None,
-                   data: TmfPageData | None = None) -> dict[int, FgAbGroup]:
+def pic_tmf_global(data: TmfPageData | None = None) -> dict[int, FgAbGroup]:
     """Pic(TMF) localized at 2, 3 and 5, assembled from the column-0
     global-section orders with the order-576 suspension witness.
 
@@ -193,11 +180,11 @@ def pic_tmf_global(config: dict[str, str] | None = None,
     3, 3 give Z/9; there is no 5-torsion anywhere in the column.
     """
     data = data or TmfPageData.load()
-    report = run_pic_tmf(data, config)
+    report = run_pic_tmf(data)
     out: dict[int, FgAbGroup] = {}
     for p in (2, 3, 5):
         orders = [_stage_section_order(g, p) for g in report.stages]
-        witness = ExtensionWitness(_p_part(data.pic_witness_order, p),
+        witness = ExtensionWitness(p ** _valuation(data.pic_witness_order, p),
                                    maps_to_generator_of_quotient=True)
         out[p] = assemble_abutment_by_orders(orders, witness)
     return out
@@ -233,9 +220,9 @@ class PicTmfRReport:
     notes: tuple[str, ...] = ()
 
 
-def pic_tmf_r(r: EtaleRingDescriptor,
-              data: TmfPageData | None = None) -> PicTmfRReport:
-    """The two exact sequences computing Pic(TMF_R) for étale R over Z:
+def pic_tmf_r(r, data: TmfPageData | None = None) -> PicTmfRReport:
+    """The two exact sequences computing Pic(TMF_R) for étale R over Z, given
+    as a `kofam.EtaleRingDescriptor`:
     0 → Pic(R) → Pic(TMF_R) → H^0(A^1_R; pi_0 pic) → 0 and
     0 → H^0(A^1_R; I) → H^0(A^1_R; pi_0 pic) → Z/24 → 0,
     where I is the filtration-positive part supported at (2,j) and (3,j).
@@ -282,34 +269,34 @@ class LbrTmfReport:
     assumed: tuple[str, ...] = ()
 
 
-def lbr_tmf(window: int = 32, config: dict[str, str] | None = None,
-            data: TmfPageData | None = None) -> LbrTmfReport:
+def _lbr_common(window: int) -> tuple[FgAbGroup, tuple[str, ...]]:
+    """What lbr_tmf and lbr_m_o share: the 3-torsion H^1(A^1; b_*Z/3) =
+    H^1(Spec F_3; Z/3) = Z/3 and the monomial basis j^2, j^4, ... of the H^1
+    of k_*v_!Z/2, truncated at the window."""
+    if window < 8:
+        raise ValueError("window must be at least 8")
+    three = cohomology(ClosedPush("(3,j)", FgAbGroup.cyclic(3), "SpecF3"), 1, "A1").group()
+    return three, tuple(f"j^{d}" for d in kstar_vshriek_h1_basis(window))
+
+
+def lbr_tmf(window: int = 32, data: TmfPageData | None = None) -> LbrTmfReport:
     """Structure of the local Brauer group of TMF.
 
-    The 3-torsion is H^1(A^1; b_*Z/3) = H^1(Spec F_3; Z/3) = Z/3 and there
-    is no p-torsion for p > 3.  2-locally there is a split surjection onto
-    an infinite F_2-space with certified independent monomial basis
-    j^2, j^4, ... (the H^1 of k_*v_!Z/2, truncated at the window) and a
+    The 3-torsion is Z/3 and there is no p-torsion for p > 3.  2-locally
+    there is a split surjection onto an infinite F_2-space with certified
+    independent monomial basis j^2, j^4, ... (truncated at the window) and a
     finite kernel bounded by the H^1 of the deeper filtration pieces.
     Br(pi_0 TMF) = Br(Z[j]) = 0 enters as the base-ring input.
     """
-    if window < 8:
-        raise ValueError("window must be at least 8")
+    three, basis = _lbr_common(window)
     data = data or TmfPageData.load()
-    config = {**data.unresolved, **(config or {})}
-    three = cohomology(ClosedPush("(3,j)", FgAbGroup.cyclic(3), "SpecF3"), 1, "A1").group()
-    basis_degrees = kstar_vshriek_h1_basis(window)
-    basis = tuple(f"j^{d}" for d in basis_degrees)
     # kernel bound: H^1 of the exact row-5/7 pieces; the quasi-coherent parts
-    # have no H^1, the skyscraper quotient of the A-extension contributes at
-    # most Z/2
-    a_ext = SheafExtension(QuasiCoherent("O/(2,j)"),
-                           ClosedPush("(2,j)", FgAbGroup.cyclic(2), "SpecF2"),
-                           nontrivial=True)
-    quot_h1 = cohomology(a_ext.quot, 1, "A1").group()
-    bound = quot_h1.order()
+    # have no H^1, and the skyscraper Z/2 at (2,j), the quotient of the row-5
+    # extension, contributes at most Z/2
+    a_quot = ClosedPush("(2,j)", FgAbGroup.cyclic(2), "SpecF2")
+    bound = cohomology(a_quot, 1, "A1").group().order()
     assumed = tuple(n for names in OPEN_AT_STAGE.values() for n in names
-                    if config[n] == "zero")
+                    if data.unresolved[n] == "zero")
     return LbrTmfReport(
         window=window,
         three_torsion=three,
@@ -340,28 +327,22 @@ class LbrMOReport:
     assumed: tuple[str, ...] = ()
 
 
-def lbr_m_o(window: int = 32, config: dict[str, str] | None = None,
-            data: TmfPageData | None = None) -> LbrMOReport:
+def lbr_m_o(window: int = 32, data: TmfPageData | None = None) -> LbrMOReport:
     """The local Brauer group of the sheaf-level theory and its comparison
     with lbr_tmf: surjection onto the truncated F_2-space with 2-local
     kernel of order 8, Z/3 3-locally, and an isomorphism after inverting 2;
     the 2-local cokernel of the reverse injection is bounded by the O/(2,j)
     entries in rows 6, 18 and 30, pending the open d9 on row 6.
     """
-    if window < 8:
-        raise ValueError("window must be at least 8")
+    three, basis = _lbr_common(window)
     data = data or TmfPageData.load()
-    config = {**data.unresolved, **(config or {})}
-    basis_degrees = kstar_vshriek_h1_basis(window)
-    basis = tuple(f"j^{d}" for d in basis_degrees)
-    three = cohomology(ClosedPush("(3,j)", FgAbGroup.cyclic(3), "SpecF3"), 1, "A1").group()
     # cokernel bound: each O/(2,j) row contributes sections of order 2
     rows = data.lbr_mo["rows_o2j"]
     per_row = cohomology_order(QuasiCoherent("O/(2,j)"), 0, "A1")
     cokernel_bound = per_row ** len(rows)
     generator_map = tuple((g, g) for g in basis)
     distinct = len({img for _, img in generator_map}) == len(generator_map)
-    assumed = ("d9_lbr_row6",) if config["d9_lbr_row6"] == "zero" else ()
+    assumed = ("d9_lbr_row6",) if data.unresolved["d9_lbr_row6"] == "zero" else ()
     return LbrMOReport(
         window=window,
         two_local_kernel_order=data.lbr_mo["two_local_kernel_order"],

@@ -6,8 +6,9 @@ invocations that end in argparse's help, usage or an error; `usage_output`
 records exit code, stdout and stderr of one.  `column_dump` renders the
 column-0 stages of `run_pic_tmf`, `pic_tmf_global` and the `assumed`
 markers of `lbr_tmf`/`lbr_m_o` for all 16 zero/iso settings of the four
-open differentials.  `tests/test_golden.py` compares both with the files in
-`tests/golden/`.  A deliberate output change regenerates them with
+open differentials, each given as the `unresolved` map of the page data.
+`tests/test_golden.py` compares both with the files in `tests/golden/`.
+A deliberate output change regenerates them with
 
     PYTHONPATH=src python tests/golden_corpus.py
 
@@ -120,18 +121,21 @@ def usage_output(argv) -> str:
 
 
 def column_dump() -> str:
-    from brauerkit.tmffam import lbr_m_o, lbr_tmf, pic_tmf_global, run_pic_tmf
+    from brauerkit.record import replace
+    from brauerkit.tmffam import TmfPageData, lbr_m_o, lbr_tmf, pic_tmf_global, run_pic_tmf
+    shipped = TmfPageData.load()
     rows = []
     for values in itertools.product(("zero", "iso"), repeat=len(OPEN)):
         config = dict(zip(OPEN, values))
+        data = replace(shipped, unresolved=config)
         rows.append({
             "config": config,
             "column0": [{"s": g.s, "local": g.local, "display": g.display(),
                          "exact": g.exact, "assumed": list(g.assumed)}
-                        for g in run_pic_tmf(config=config).stages],
-            "global": {str(p): str(g) for p, g in pic_tmf_global(config=config).items()},
-            "lbr_tmf_assumed": list(lbr_tmf(8, config=config).assumed),
-            "lbr_mo_assumed": list(lbr_m_o(8, config=config).assumed),
+                        for g in run_pic_tmf(data).stages],
+            "global": {str(p): str(g) for p, g in pic_tmf_global(data).items()},
+            "lbr_tmf_assumed": list(lbr_tmf(8, data).assumed),
+            "lbr_mo_assumed": list(lbr_m_o(8, data).assumed),
         })
     return json.dumps(rows, ensure_ascii=False, indent=1) + "\n"
 

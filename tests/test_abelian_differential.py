@@ -1,10 +1,11 @@
-"""`FgAbGroup.from_orders`, `_snf_ext` and `_subquotient` against the
-oracle in `abelian_oracle`.
+"""`FgAbGroup.from_orders`, `_factorize`, `_snf_ext` and `_subquotient`
+against the oracle in `abelian_oracle`.
 
 Seeded random order lists (0, 1, repeated prime powers and primes near
-10^6-10^12) must normalise to the oracle's group.  Seeded random m×n
-matrices with m, n ≤ 9 and many zero entries, 0-row and 1×n ones among
-them, must give the oracle's D and, for every subset of tracked
+10^6-10^12) must normalise to the oracle's group, and seeded orders
+below 10^9 and multiples of those primes must factor as the oracle's full
+trial division does.  Seeded random m×n matrices with m, n ≤ 9 and many
+zero entries, 0-row and 1×n ones among them, must give the oracle's D and, for every subset of tracked
 transforms, exactly the oracle's U, V and U⁻¹, with [] for the rest; so
 must the benchmark's dense shapes up to 30×30, rank-deficient and sparse
 ones and the matrices `_generator_types` builds, at the seed in
@@ -17,6 +18,8 @@ whose torsion orders take them into R.
 import itertools
 import os
 import random
+
+import pytest
 
 import abelian_oracle
 from brauerkit import abelian
@@ -41,6 +44,26 @@ def test_from_orders_matches_trial_division():
     cases += [_random_orders(rng) for _ in range(300)]
     for orders in cases:
         assert FgAbGroup.from_orders(orders) == abelian_oracle.from_orders(orders), orders
+
+
+def test_factorize_matches_full_trial_division():
+    # 999999999989 and 1000000000039 are past the trial-division bound: the
+    # primality test certifies them
+    rng = random.Random(19)
+    cases = list(range(1, 2000)) + [rng.randrange(1, 10 ** 9) for _ in range(300)]
+    cases += [p * k for p in BIG_PRIMES for k in (1, 2, 12)]
+    for n in cases:
+        assert abelian._factorize(n) == abelian_oracle._factorize(n), n
+    p = 100000000000000000001027
+    assert abelian._factorize(12 * p) == {2: 2, 3: 1, p: 1}
+
+
+def test_factorize_refuses_what_it_cannot_certify():
+    # two primes past the bound 2^20, a square of one, and a prime past the
+    # range where the primality test is exact
+    for n in (1048583 * 1048589, 2 * 1048583 ** 2, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=f"cannot factor {n}: .* below 1048576"):
+            abelian._factorize(n)
 
 
 def _random_matrix(rng, m, n):

@@ -217,14 +217,40 @@ def test_exit_2_at_once_on_a_charp_window_over_the_bound(capsys):
         assert out.out == "" and f"{degrees} degrees, over the bound of 513" in out.err
 
 
-def test_exit_2_on_an_extension_with_too_many_candidates(capsys, tmp_path):
-    # Pic(R) = Z/2^48 against sections of order 8: p(51) = 239943 groups of order 2^51
+def _ring_with_pic(tmp_path, order):
+    """A descriptor file for Z with Pic replaced by Z/order."""
     from brauerkit.kofam import SHIPPED_RINGS
-    ring = dict(SHIPPED_RINGS["Z"].to_json(), pic={"free_rank": 0, "factors": [2 ** 48]})
+    ring = dict(SHIPPED_RINGS["Z"].to_json(), pic={"free_rank": 0, "factors": [order]})
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(ring))
-    assert main(["pic-ko", "--ring", str(path)]) == 2
+    return str(path)
+
+
+def test_exit_2_on_an_extension_with_too_many_candidates(capsys, tmp_path):
+    # Pic(R) = Z/2^48 against sections of order 8: p(51) = 239943 groups of order 2^51
+    assert main(["pic-ko", "--ring", _ring_with_pic(tmp_path, 2 ** 48)]) == 2
     assert "239943 abelian groups, over the bound of 100000" in capsys.readouterr().err
+
+
+def test_pic_ko_with_a_24_digit_prime_in_pic_needs_no_long_factoring(capsys, tmp_path):
+    # as for a small prime p, Z/(2p) by the sections leaves two candidates: exit 4
+    small = main(["pic-ko", "--ring", _ring_with_pic(tmp_path, 2 * 1000003)])
+    assert small == 4 and "ambiguous extension" in capsys.readouterr().err
+    p = 100000000000000000001027
+    start = time.perf_counter()
+    assert main(["pic-ko", "--ring", _ring_with_pic(tmp_path, 2 * p)]) == small
+    assert time.perf_counter() - start < 2
+    assert f"Z/{8 * p}" in capsys.readouterr().err
+
+
+def test_exit_2_at_once_on_an_order_with_two_large_prime_factors(capsys, tmp_path):
+    # Z/2n with n a product of two primes just above the trial-division bound
+    # 2^20: an odd Pic splits off without an extension problem
+    n = 1048583 * 1048589
+    start = time.perf_counter()
+    assert main(["pic-ko", "--ring", _ring_with_pic(tmp_path, 2 * n)]) == 2
+    assert time.perf_counter() - start < 2
+    assert "no prime factor below 1048576" in capsys.readouterr().err
 
 
 def test_cech_with_many_variables_builds_its_one_monomial(capsys):
@@ -304,7 +330,7 @@ def test_h1_qz_of_a_24_digit_prime_needs_no_factoring(capsys):
 
 
 def test_is_prime_matches_trial_division():
-    from brauerkit.cli import _is_prime
+    from brauerkit.abelian import _is_prime
 
     def trial(n):
         return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
@@ -473,6 +499,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 NEVER = {"typing", "pathlib", "dataclasses", "inspect"}
 HEAVY = {"brauerkit.charp", "brauerkit.sheaftab", "brauerkit.ssengine", "brauerkit.kofam",
          "brauerkit.tmffam"}
+# the KO layers, which a TMF verb loads only to read a --ring
+KO = {"brauerkit.kofam", "brauerkit.cyccoh"}
 GUARD = {
     "snf": (["--matrix", "[[2,4],[6,8]]"], HEAVY),
     "cohomology": (["--orders", "[2]", "--s", "1"], HEAVY),
@@ -483,10 +511,10 @@ GUARD = {
     "cech": (["--n-vars", "2", "--window", "4"], HEAVY - {"brauerkit.charp"}),
     "pic-ko": ([], set()),
     "lbr-ko": ([], set()),
-    "pic-tmf": ([], set()),
-    "pic-tmf-c4inv": ([], set()),
-    "lbr-tmf": (["--window", "8"], set()),
-    "lbr-mo": (["--window", "8"], set()),
+    "pic-tmf": ([], KO),
+    "pic-tmf-c4inv": ([], KO),
+    "lbr-tmf": (["--window", "8"], KO),
+    "lbr-mo": (["--window", "8"], KO),
     "ss-run": (["--page", str(PAGE)], set()),
     "ss-chart": (["--page", str(PAGE)], set()),
 }

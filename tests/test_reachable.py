@@ -36,8 +36,8 @@ ALLOWED = {
         "paper check: test_acceptance.py compares it with the brute-force kernel count",
     "abelian.FgAbGroup.torsion": "paper check: the finite part of n_torsion",
     "ssengine.column_filtration":
-        "direction-2 infrastructure: column 0 read from turned pages (ROADMAP)",
-    "ssengine._check_stable": "direction-2 infrastructure: the stability check of column_filtration",
+        "ROADMAP direction 4: column 0 read from turned pages",
+    "ssengine._check_stable": "ROADMAP direction 4: the stability check of column_filtration",
     "numbrauer.DivisibleGroupDescriptor.from_json":
         "other half of a reached (de)serializer: to_json writes every Brauer report",
     "ssengine._rule_to_json":

@@ -6,6 +6,7 @@ import pytest
 from brauerkit import data_dir
 from brauerkit.abelian import FgAbGroup
 from brauerkit.kofam import SHIPPED_RINGS, EtaleRingDescriptor
+from brauerkit.record import replace
 from brauerkit.sheaftab import (
     ClosedPush,
     KStarVShriek,
@@ -118,8 +119,13 @@ def test_run_pic_tmf_nothing_above_row_7(data):
     assert max(g.s for g in report.stages) == 7
 
 
+def _set_open(data, **values):
+    """`data` with the given open differentials set to "zero" or "iso"."""
+    return replace(data, unresolved={**data.unresolved, **values})
+
+
 def test_run_pic_tmf_iso_config_kills_row_7(data):
-    report = run_pic_tmf(data, config={"d23_row7": "iso"})
+    report = run_pic_tmf(_set_open(data, d23_row7="iso"))
     seven = [g for g in report.stages if g.s == 7][0]
     assert seven.symbol is None and seven.exact
 
@@ -137,8 +143,8 @@ def test_run_pic_tmf_reads_defaults_from_the_data(tmp_path, monkeypatch):
     seven = [g for g in run_pic_tmf(edited).stages if g.s == 7][0]
     assert seven.symbol is None and seven.exact
     assert lbr_tmf(16, data=edited).assumed == ("d13_row5", "d25_row5")
-    # an explicit config still overrides the data default
-    seven = [g for g in run_pic_tmf(edited, {"d23_row7": "zero"}).stages if g.s == 7][0]
+    # a copy of the record with another value overrides the file's default
+    seven = [g for g in run_pic_tmf(_set_open(edited, d23_row7="zero")).stages if g.s == 7][0]
     assert seven.assumed == ("d23_row7",)
 
 
@@ -166,15 +172,14 @@ def test_pic_tmf_global_values():
     assert out[5].is_zero()
 
 
-def test_pic_tmf_global_locality_knobs():
+def test_pic_tmf_global_locality_knobs(data):
     # the open 2-local differentials do not touch the 3-local answer
     base = pic_tmf_global()
     for name in ("d13_row5", "d25_row5", "d23_row7"):
-        tweaked = pic_tmf_global(config={name: "iso"})
+        tweaked = pic_tmf_global(_set_open(data, **{name: "iso"}))
         assert tweaked[3].same_structure(base[3])
     # ... and flipping them changes (only) the 2-local order
-    all_iso = pic_tmf_global(config={n: "iso" for n in
-                                     ("d13_row5", "d25_row5", "d23_row7")})
+    all_iso = pic_tmf_global(_set_open(data, d13_row5="iso", d25_row5="iso", d23_row7="iso"))
     assert all_iso[2].order() < base[2].order()
     assert all_iso[3].same_structure(base[3])
 
