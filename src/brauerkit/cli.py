@@ -86,9 +86,11 @@ def _int_list(text: str, flag: str, accept, what: str) -> list:
 
 
 def _primes(text: str) -> list:
-    """--primes: a JSON list of distinct primes."""
-    from .abelian import _is_prime
-    primes = _int_list(text, "--primes", _is_prime, "primes")
+    """--primes: a JSON list of distinct primes below `_MR_EXACT_BELOW`, the
+    bound under which `_is_prime` is exact."""
+    from .abelian import _MR_EXACT_BELOW, _is_prime
+    primes = _int_list(text, "--primes", lambda p: p < _MR_EXACT_BELOW and _is_prime(p),
+                       f"primes below {_MR_EXACT_BELOW}")
     if len(set(primes)) != len(primes):
         raise ValueError("--primes must not list a prime twice")
     return primes

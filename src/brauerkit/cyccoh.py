@@ -2,11 +2,15 @@
 
 For a C_n-module M with generator acting by sigma, the complex
     M --(sigma-1)--> M --N--> M --(sigma-1)--> ...
-with N = 1 + sigma + ... + sigma^{n-1} computes H^s(C_n; M).
+with N = 1 + sigma + ... + sigma^{n-1} computes H^s(C_n; M).  H^s for
+s >= 1 depends only on the parity of s, so a row is at most three distinct
+groups: `cohomology_row` builds sigma - 1 and N once for the whole row, and
+`group_cohomology` runs the same code for its one degree.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 
 from .abelian import FgAbGroup, GroupHom, hom_kernel, homology
 from .errors import NotAnAction
@@ -58,21 +62,30 @@ def group_cohomology(m: CyclicModule, s: int) -> FgAbGroup:
     """H^s(C_n; M) from the 2-periodic resolution."""
     if s < 0:
         raise ValueError("cohomological degree must be nonnegative")
-    sm1 = m.sigma.sub(GroupHom.identity(m.group))
-    if s == 0:
-        ker, _ = hom_kernel(sm1)
-        return ker
-    nm = _norm(m)
-    if s % 2:  # odd: ker(N)/im(sigma-1)
-        return homology(nm, sm1)
-    return homology(sm1, nm)  # even >= 2: ker(sigma-1)/im(N)
+    return _cohomology(m, (0 if s == 0 else 2 - s % 2,))[0]
 
 
 def cohomology_row(m: CyclicModule, s_max: int) -> list[FgAbGroup]:
     """[H^0, ..., H^{s_max}]; entries for s >= 1 are 2-periodic."""
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
-    out = [group_cohomology(m, s) for s in range(min(s_max, 2) + 1)]
+    out = _cohomology(m, range(min(s_max, 2) + 1))
     while len(out) < s_max + 1:
         out.append(out[-2])
+    return out
+
+
+def _cohomology(m: CyclicModule, degrees: Sequence[int]) -> list[FgAbGroup]:
+    """H^s for each s in `degrees`, each 0, 1 or 2, from one sigma - 1 and,
+    if a positive degree is asked for, one N."""
+    sm1 = m.sigma.sub(GroupHom.identity(m.group))
+    nm = _norm(m) if any(degrees) else None
+    out = []
+    for s in degrees:
+        if s == 0:
+            out.append(hom_kernel(sm1)[0])
+        elif s == 1:  # ker(N)/im(sigma-1)
+            out.append(homology(nm, sm1))
+        else:  # ker(sigma-1)/im(N)
+            out.append(homology(sm1, nm))
     return out

@@ -5,10 +5,15 @@ Pages use Adams indexing: an entry sits at (s, t), charts are drawn in the
 Entries are finitely generated abelian groups, symbolic sheaves, or
 truncated characteristic-p modules; differentials are declared as rules
 (zero, isomorphism, explicit matrix, semilinear operator, or unresolved)
-and `turn_page` replaces each entry by kernel-mod-image.  Everything absent
-from the sparse entry map is zero, and page-turning only ever shrinks
-entries, so stabilization of a column is decidable by inspecting which
-later differentials could still connect two nonzero positions.
+and `turn_page` replaces each entry by kernel-mod-image.  A turn recomputes
+only the entries its differentials touch, each matrix differential's
+cokernel once; every other entry passes through as the same immutable
+object, so beyond building the new page a turn's work grows with its
+differentials, not with the page.
+Everything absent from the sparse entry map is zero, and page-turning only
+ever shrinks entries, so stabilization of a column is decidable by
+inspecting which later differentials could still connect two nonzero
+positions.
 """
 
 from __future__ import annotations
@@ -96,9 +101,6 @@ class SSPage:
     def target_of(self, s: int, t: int) -> tuple[int, int]:
         return (s + self.r, t + self.r - 1)
 
-    def source_of(self, s: int, t: int) -> tuple[int, int]:
-        return (s - self.r, t - self.r + 1)
-
 
 @record
 class DifferentialRule:
@@ -162,36 +164,55 @@ def _rule_for(index: _RuleIndex, s: int, t: int) -> DifferentialRule | None:
     return found[0] if found else None
 
 
-def _index_multiplier(hom: GroupHom) -> int:
-    """Order of the image of a matrix differential (target must be finite)."""
-    if not hom.target.is_finite():
-        return 1
-    cok, _ = hom_cokernel(hom)
-    return hom.target.order() // cok.order()
-
-
 def turn_page(page: SSPage, rules: Sequence[DifferentialRule]) -> SSPage:
-    """Replace every entry by ker(outgoing d_r)/im(incoming d_r)."""
+    """Replace every entry by ker(outgoing d_r)/im(incoming d_r).
+
+    Only the sources of `rules` and the entries they hit are recomputed, in
+    ascending (s, t) order, so an error surfaces where a sweep over every
+    entry would meet it first.  Any other entry, and a recomputed one that
+    the turn leaves as it was, passes through as the same immutable
+    `Entry`: beyond copying the entry map and building the page, a turn
+    costs time in proportion to its differentials.  A matrix rule's
+    cokernel is computed at most once, on first use; the source's index and
+    the target's image both read that one group.
+    """
     _validate_rules(page, rules)
     default_fact_table()  # loaded even when no rule reads it: no data, no page
+    r = page.r
     index: _RuleIndex = {}
     for rule in rules:
         index.setdefault(rule.source, []).append(rule)
+    entries = page.entries
+    touched = set(index)  # every rule source is an entry: _validate_rules checked
+    for s, t in index:
+        if (s + r, t + r - 1) in entries:
+            touched.add((s + r, t + r - 1))
     killed: set = set()
-    new_entries: dict[tuple[int, int], Entry] = {}
-    for (s, t), entry in sorted(page.entries.items()):
+    cokernels: dict[tuple[int, int], FgAbGroup] = {}
+    new_entries = dict(entries)
+    for s, t in sorted(touched):
         out_rule = _rule_for(index, s, t)
-        in_pos = page.source_of(s, t)
-        in_rule = _rule_for(index, *in_pos) if page.entry(*in_pos) else None
-        new = _evolve_entry(page, entry, (s, t), out_rule, in_rule, killed)
-        if new is not None and not new.is_zero():
-            new_entries[(s, t)] = new
+        in_rule = _rule_for(index, s - r, t - r + 1)
+        new = _evolve_entry(page, entries[s, t], (s, t), out_rule, in_rule, killed, cokernels)
+        if new is None or new.is_zero():
+            del new_entries[s, t]
+        else:
+            new_entries[s, t] = new
     for pos in killed:
         new_entries.pop(pos, None)
-    return SSPage(page.r + 1, new_entries)
+    return SSPage(r + 1, new_entries)
 
 
-def _evolve_entry(page, entry, pos, out_rule, in_rule, killed):
+def _cokernel(rule: DifferentialRule, cokernels: dict) -> FgAbGroup:
+    """Cokernel of a matrix rule's hom, computed on its first use in a turn."""
+    cok = cokernels.get(rule.source)
+    if cok is None:
+        cok, _ = hom_cokernel(rule.hom)
+        cokernels[rule.source] = cok
+    return cok
+
+
+def _evolve_entry(page, entry, pos, out_rule, in_rule, killed, cokernels):
     s, t = pos
     assumed = entry.assumed
     # incoming differential
@@ -199,15 +220,16 @@ def _evolve_entry(page, entry, pos, out_rule, in_rule, killed):
         return None  # killed by the incoming isomorphism
     if in_rule is not None and in_rule.kind == "unresolved":
         assumed = assumed + (in_rule.name,)
-    in_hom = in_rule.hom if in_rule is not None and in_rule.kind == "matrix" else None
+    if in_rule is not None and in_rule.kind != "matrix":
+        in_rule = None  # a zero or unresolved d_r has no image
     # outgoing differential
     if out_rule is None or out_rule.kind == "zero":
-        return _mod_image(entry, in_hom, assumed)
+        return _mod_image(entry, in_rule, assumed, cokernels)
     if out_rule.kind == "iso":
         killed.add(page.target_of(s, t))
         return None
     if out_rule.kind == "unresolved":
-        return _mod_image(entry, in_hom, assumed + (out_rule.name,))
+        return _mod_image(entry, in_rule, assumed + (out_rule.name,), cokernels)
     if out_rule.kind == "operator":
         new = _operator_kernel_entry(entry, out_rule)
         if out_rule.surjective:
@@ -219,22 +241,25 @@ def _evolve_entry(page, entry, pos, out_rule, in_rule, killed):
     hom = out_rule.hom
     if not hom.source.same_structure(entry.value):
         raise ValueError(f"rule at ({s},{t}) does not match the entry group")
-    if in_hom is not None:
-        value = homology(hom, in_hom)
+    if in_rule is not None:
+        value = homology(hom, in_rule.hom)
     else:
         value, _ = hom_kernel(hom)
-    index = entry.index * _index_multiplier(hom)
+    index = entry.index
+    if hom.target.is_finite():  # times the order of the image
+        index *= hom.target.order() // _cokernel(out_rule, cokernels).order()
     label = out_rule.relabel or entry.label
     return Entry(value, label, index, assumed)
 
 
-def _mod_image(entry: Entry, in_hom: GroupHom | None, assumed: tuple[str, ...]) -> Entry:
-    if in_hom is None:
-        return replace(entry, assumed=assumed)
+def _mod_image(entry: Entry, in_rule: DifferentialRule | None, assumed: tuple[str, ...],
+               cokernels: dict) -> Entry:
+    """The entry modulo the image of an incoming matrix rule, if any."""
+    if in_rule is None:
+        return entry if assumed == entry.assumed else replace(entry, assumed=assumed)
     if not isinstance(entry.value, FgAbGroup):
         raise NoFact("matrix image hitting a non-group entry")
-    cok, _ = hom_cokernel(in_hom)
-    return Entry(cok, entry.label, entry.index, assumed)
+    return Entry(_cokernel(in_rule, cokernels), entry.label, entry.index, assumed)
 
 
 def _operator_kernel_entry(entry: Entry, rule: DifferentialRule) -> Entry:

@@ -1,21 +1,23 @@
-"""Linear-scan rule lookup, kept as the oracle for the indexed lookup in
-`ssengine.turn_page`.
+"""Page turning entry by entry, kept as the oracle for `ssengine.turn_page`.
 
-Each function is the engine's code from before the index, so its result
-(or the exception it raises) is the reference for the fast path.
+This is the engine's code from before rule indexing, pass-through entries
+and shared cokernels: every entry of the page is evolved in ascending
+(s, t) order, rules are found by a linear scan, and each use of a matrix
+rule's cokernel computes it again.  Its result (or the exception it
+raises) is the reference for the fast path.  It imports only the page and
+rule types and the layers below the engine, none of the engine's helpers.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from brauerkit.ssengine import (
-    DifferentialRule,
-    Entry,
-    SSPage,
-    _evolve_entry,
-    _validate_rules,
-)
+from brauerkit.abelian import FgAbGroup, GroupHom, hom_cokernel, hom_kernel, homology
+from brauerkit.charp import operator_kernel
+from brauerkit.errors import NoFact, UnmatchedRule
+from brauerkit.record import replace
+from brauerkit.sheaftab import SheafSymbol, default_fact_table, sheaf_display
+from brauerkit.ssengine import CharPRef, DifferentialRule, Entry, SSPage
 
 
 def rule_for(rules: Sequence[DifferentialRule], s: int, t: int) -> Optional[DifferentialRule]:
@@ -25,17 +27,94 @@ def rule_for(rules: Sequence[DifferentialRule], s: int, t: int) -> Optional[Diff
     return found[0] if found else None
 
 
+def validate_rules(page: SSPage, rules: Sequence[DifferentialRule]) -> None:
+    for rule in rules:
+        if rule.r != page.r:
+            raise ValueError(f"rule for page {rule.r} applied to page {page.r}")
+        if page.entry(*rule.source) is None:
+            raise UnmatchedRule(f"rule source {rule.source} is a zero entry")
+    explicit = {rule.source: rule for rule in rules if rule.kind == "matrix"}
+    for (s, t), rule in explicit.items():
+        nxt = explicit.get((s + rule.r, t + rule.r - 1))
+        if nxt is not None and not nxt.hom.compose(rule.hom).is_zero_hom():
+            raise ValueError(f"d∘d ≠ 0 at ({s},{t}) on page {rule.r}")
+
+
 def turn_page(page: SSPage, rules: Sequence[DifferentialRule]) -> SSPage:
-    _validate_rules(page, rules)
+    validate_rules(page, rules)
+    default_fact_table()
     killed: set = set()
     new_entries: Dict[Tuple[int, int], Entry] = {}
     for (s, t), entry in sorted(page.entries.items()):
         out_rule = rule_for(rules, s, t)
-        in_pos = page.source_of(s, t)
+        in_pos = (s - page.r, t - page.r + 1)
         in_rule = rule_for(rules, *in_pos) if page.entry(*in_pos) else None
-        new = _evolve_entry(page, entry, (s, t), out_rule, in_rule, killed)
+        new = evolve_entry(page, entry, (s, t), out_rule, in_rule, killed)
         if new is not None and not new.is_zero():
             new_entries[(s, t)] = new
     for pos in killed:
         new_entries.pop(pos, None)
     return SSPage(page.r + 1, new_entries)
+
+
+def evolve_entry(page, entry, pos, out_rule, in_rule, killed):
+    s, t = pos
+    target = (s + page.r, t + page.r - 1)
+    assumed = entry.assumed
+    if in_rule is not None and in_rule.kind == "iso":
+        return None
+    if in_rule is not None and in_rule.kind == "unresolved":
+        assumed = assumed + (in_rule.name,)
+    in_hom = in_rule.hom if in_rule is not None and in_rule.kind == "matrix" else None
+    if out_rule is None or out_rule.kind == "zero":
+        return mod_image(entry, in_hom, assumed)
+    if out_rule.kind == "iso":
+        killed.add(target)
+        return None
+    if out_rule.kind == "unresolved":
+        return mod_image(entry, in_hom, assumed + (out_rule.name,))
+    if out_rule.kind == "operator":
+        new = operator_kernel_entry(entry, out_rule)
+        if out_rule.surjective:
+            killed.add(target)
+        return replace(new, assumed=assumed)
+    if not isinstance(entry.value, FgAbGroup):
+        raise NoFact(f"matrix rule on a non-group entry at ({s},{t})")
+    hom = out_rule.hom
+    if not hom.source.same_structure(entry.value):
+        raise ValueError(f"rule at ({s},{t}) does not match the entry group")
+    if in_hom is not None:
+        value = homology(hom, in_hom)
+    else:
+        value, _ = hom_kernel(hom)
+    index = entry.index * index_multiplier(hom)
+    label = out_rule.relabel or entry.label
+    return Entry(value, label, index, assumed)
+
+
+def index_multiplier(hom: GroupHom) -> int:
+    if not hom.target.is_finite():
+        return 1
+    cok, _ = hom_cokernel(hom)
+    return hom.target.order() // cok.order()
+
+
+def mod_image(entry: Entry, in_hom: Optional[GroupHom], assumed: Tuple[str, ...]) -> Entry:
+    if in_hom is None:
+        return replace(entry, assumed=assumed)
+    if not isinstance(entry.value, FgAbGroup):
+        raise NoFact("matrix image hitting a non-group entry")
+    cok, _ = hom_cokernel(in_hom)
+    return Entry(cok, entry.label, entry.index, assumed)
+
+
+def operator_kernel_entry(entry: Entry, rule: DifferentialRule) -> Entry:
+    op = rule.operator
+    if isinstance(entry.value, CharPRef):
+        basis, _ = operator_kernel(op, entry.value.module)
+        group = FgAbGroup.from_orders([op.p] * len(basis))
+        return Entry(group, label=entry.label, index=entry.index)
+    if isinstance(entry.value, SheafSymbol):
+        kernel = default_fact_table().kernel_sheaf(str(op), sheaf_display(entry.value))
+        return Entry(kernel, label=entry.label, index=entry.index)
+    raise NoFact("operator rule on a plain group entry")

@@ -329,6 +329,17 @@ def test_h1_qz_of_a_24_digit_prime_needs_no_factoring(capsys):
     assert f"Z/{p - 1}" in rep["computed"]
 
 
+def test_primes_from_the_certified_bound_on_exit_2(capsys):
+    from brauerkit.abelian import _MR_EXACT_BELOW
+    # the least strong pseudoprime to all 13 bases is the bound itself
+    for verb in ("h1-qz", "br-laurent"):
+        assert main([verb, "--primes", f"[2, {_MR_EXACT_BELOW}]"]) == 2
+        assert f"primes below {_MR_EXACT_BELOW}" in capsys.readouterr().err
+    p = 100000000000000000001027  # a 24-digit prime below the bound
+    assert main(["h1-qz", "--primes", f"[{p}]"]) == 0
+    assert f"Q_{p}/Z_{p}" in capsys.readouterr().out
+
+
 def test_is_prime_matches_trial_division():
     from brauerkit.abelian import _is_prime
 

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -122,3 +123,21 @@ def test_trivial_action_invertible_order_vanishes():
     m = trivial(FgAbGroup.cyclic(9))
     for s in range(1, 5):
         assert group_cohomology(m, s).is_zero()
+
+
+def test_cohomology_row_matches_degree_by_degree():
+    # every action and row length the grid names, each on random groups
+    seed = int(os.environ.get("COHOMOLOGY_ROW_DIFFERENTIAL_SEED", "20260419"))
+    rng = random.Random(seed)
+    for action in (trivial, sign):
+        for n in range(1, 7):
+            for s_max in range(7):
+                while True:
+                    orders = [rng.choice((0, 2, 3, 4, 6, 8)) for _ in range(rng.randint(1, 3))]
+                    try:
+                        m = action(FgAbGroup.from_orders(orders), n)
+                        break
+                    except NotAnAction:  # -1 has order n only on 2-torsion when n is odd
+                        assert action is sign and n % 2, (seed, orders, n)
+                want = [group_cohomology(m, s) for s in range(s_max + 1)]
+                assert cohomology_row(m, s_max) == want, (seed, action.__name__, orders, n, s_max)

@@ -1,7 +1,9 @@
+import os
 import random
 
 import pytest
 
+import brauerkit.ssengine as ssengine
 import ssengine_oracle
 from brauerkit.abelian import ExtensionWitness, FgAbGroup, GroupHom
 from brauerkit.charp import TruncatedCharPModule, parse_operator
@@ -71,6 +73,19 @@ def test_matrix_rule_index_bookkeeping():
     assert survivor.value.same_structure(Z) and survivor.index == 2
     assert survivor.label == "2β"
     assert (3, 6) not in nxt.entries
+
+
+def test_each_matrix_cokernel_is_computed_once(monkeypatch):
+    calls = []
+    original = ssengine.hom_cokernel
+    monkeypatch.setattr(ssengine, "hom_cokernel", lambda f: calls.append(f) or original(f))
+    # Z --(x2)--> Z/4: the source's index and the target's image read one cokernel
+    hom = GroupHom(Z, FgAbGroup.cyclic(4), ((2,),))
+    page = SSPage(3, {(0, 4): Entry(Z), (3, 6): group_entry(FgAbGroup.cyclic(4))})
+    nxt = turn_page(page, [DifferentialRule(3, (0, 4), "matrix", hom=hom, provenance="x2")])
+    assert nxt.entries[(0, 4)].index == 2
+    assert nxt.entries[(3, 6)].value.same_structure(Z2)
+    assert calls == [hom]
 
 
 def test_unmatched_rule_raises():
@@ -229,18 +244,22 @@ def test_chart_svg_deterministic_and_has_legend():
 
 
 # ---------------------------------------------------------------------------
-# indexed rule lookup against the linear-scan oracle
+# page turning against the entry-by-entry oracle
 # ---------------------------------------------------------------------------
 
 
 _GROUPS = [Z, Z2, FgAbGroup.cyclic(4), FgAbGroup.cyclic(3), FgAbGroup(1, (2,))]
+_NON_GROUPS = [CharPRef("R/2", TruncatedCharPModule(2, (0, 8))), QuasiCoherent("O/2")]
+_OPERATORS = ["x + x^2", "x + j*x^2"]
 
 
-def _outcome(call):
+def _turned(turn, page, rules):
+    """(page, None) or (None, (type, message)): the oracle must raise the
+    same type with the same message."""
     try:
-        return call()
-    except Exception as exc:  # the oracle must raise the same type and message
-        return (type(exc).__name__, str(exc))
+        return turn(page, rules), None
+    except Exception as exc:
+        return None, (type(exc).__name__, str(exc))
 
 
 def _random_hom(rng, source, target):
@@ -255,28 +274,51 @@ def _random_hom(rng, source, target):
 
 
 def _random_page(rng, r):
+    """Group, char-p and sheaf entries, some already assuming open
+    differentials; about half the chosen cells also fill the cell their
+    d_r would hit, so entries are often both a source and a target."""
     cells = [(s, t) for s in range(7) for t in range(9)]
-    entries = {pos: Entry(rng.choice(_GROUPS), label=rng.choice(["", "a", "b"]))
-               for pos in rng.sample(cells, rng.randint(1, 16))}
+    chosen = set(rng.sample(cells, rng.randint(1, 12)))
+    for s, t in sorted(chosen):
+        if rng.random() < 0.5:
+            chosen.add((s + r, t + r - 1))
+    entries = {}
+    for pos in sorted(chosen):
+        value = rng.choice(_GROUPS) if rng.random() < 0.8 else rng.choice(_NON_GROUPS)
+        assumed = tuple(rng.sample(["d5_a", "d7_b"], rng.randint(1, 2))) if rng.random() < 0.2 else ()
+        entries[pos] = Entry(value, label=rng.choice(["", "a", "b"]), assumed=assumed)
     return SSPage(r, entries)
 
 
 def _random_rules(rng, page):
     r = page.r
-    positions = list(page.entries)
+    positions = sorted(page.entries)
     rules = []
     for pos in rng.sample(positions, rng.randint(0, len(positions))):
-        kind = rng.choice(["zero", "iso", "unresolved", "matrix", "matrix"])
+        source = page.entries[pos].value
+        if isinstance(source, FgAbGroup):  # rarely an operator: NoFact
+            kind = rng.choice(["zero", "iso", "unresolved", "matrix", "matrix",
+                               "operator" if rng.random() < 0.1 else "matrix"])
+        else:  # rarely a matrix: NoFact
+            kind = rng.choice(["zero", "iso", "unresolved", "operator", "operator",
+                               "matrix" if rng.random() < 0.1 else "operator"])
         if kind == "matrix":
+            # a target that is no group gets a group-valued image: NoFact
             target = page.entry(*page.target_of(*pos))
-            target_group = target.value if target else rng.choice(_GROUPS)
-            hom = _random_hom(rng, page.entries[pos].value, target_group)
+            target_group = (target.value if target and isinstance(target.value, FgAbGroup)
+                            else rng.choice(_GROUPS))
+            source_group = source if isinstance(source, FgAbGroup) else rng.choice(_GROUPS)
+            hom = _random_hom(rng, source_group, target_group)
             rules.append(DifferentialRule(r, pos, "matrix", hom=hom, provenance="random",
                                           relabel=rng.choice(["", "2a"])))
+        elif kind == "operator":
+            rules.append(DifferentialRule(r, pos, "operator",
+                                          operator=parse_operator(rng.choice(_OPERATORS), 2),
+                                          surjective=rng.random() < 0.5, provenance="random"))
         else:
             rules.append(DifferentialRule(r, pos, kind, name=f"d{r}_{pos[0]}_{pos[1]}",
                                           provenance="random"))
-    if rules and rng.random() < 0.15:  # two position rules on one source
+    if rules and rng.random() < 0.1:  # two position rules on one source
         rules.append(zero_rule(r, *rng.choice(rules).source))
     if rng.random() < 0.03:
         rules.append(zero_rule(r + 1, *positions[0]))  # wrong page
@@ -287,22 +329,38 @@ def _random_rules(rng, page):
 
 
 def test_turn_page_matches_linear_scan_oracle():
-    rng = random.Random(20260418)
-    errors = ("multiple rules match", "rule for page", "rule source")
+    seed = int(os.environ.get("TURN_PAGE_DIFFERENTIAL_SEED", "20260418"))
+    rng = random.Random(seed)
+    errors = ("multiple rules match", "rule for page", "rule source", "d∘d ≠ 0",
+              "matrix rule on a non-group entry", "matrix image hitting a non-group entry",
+              "operator rule on a plain group entry")
     outcomes = set()
-    for _ in range(600):
-        page = _random_page(rng, rng.randint(2, 4))
+    for _ in range(800):
+        r = rng.randint(2, 4)
+        page = _random_page(rng, r)
         rules = _random_rules(rng, page)
-        got = _outcome(lambda: page_to_json(turn_page(page, rules)))
-        want = _outcome(lambda: page_to_json(ssengine_oracle.turn_page(page, rules)))
-        assert got == want
-        if isinstance(got, tuple):
-            outcomes.update(e for e in errors if got[1].startswith(e))
-        else:
-            outcomes.add("page")
-    # the seeded pages reach the page result and each rule error: two rules on
-    # one source, a rule for another page and a rule out of a zero entry
-    assert outcomes == {"page", *errors}
+        got, got_error = _turned(turn_page, page, rules)
+        want, want_error = _turned(ssengine_oracle.turn_page, page, rules)
+        assert got_error == want_error, (seed, page, rules)
+        if got is None:
+            outcomes.update(e for e in errors if got_error[1].startswith(e))
+            continue
+        assert page_to_json(got) == page_to_json(want), (seed, page, rules)
+        sources = {rule.source for rule in rules}
+        for (s, t), entry in page.entries.items():
+            if (s, t) not in sources and (s - r, t - r + 1) not in sources:
+                assert got.entries[s, t] is entry  # no differential in or out
+        outcomes.add("page")
+        outcomes.update("assumed" for e in page.entries.values() if e.assumed)
+        for rule in rules:
+            value = page.entries[rule.source].value
+            if rule.kind == "operator" and not isinstance(value, FgAbGroup):
+                outcomes.add(f"operator on {type(value).__name__}")
+            if rule.kind != "zero" and page.target_of(*rule.source) in sources:
+                outcomes.add("source and target")
+    # the seeded pages reach a turned page with each feature and every error
+    assert outcomes == {"page", "assumed", "operator on CharPRef", "operator on QuasiCoherent",
+                        "source and target", *errors}
 
 
 def test_turn_page_looks_position_rules_up_without_scanning(monkeypatch):
