@@ -437,11 +437,6 @@ class GroupHom:
     def is_zero_hom(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.matrix)
 
-    def equals(self, other: "GroupHom") -> bool:
-        return (self.source.same_structure(other.source)
-                and self.target.same_structure(other.target)
-                and self.matrix == other.matrix)
-
 
 def _relation_columns(g: FgAbGroup) -> list[list[int]]:
     n = g.num_generators
@@ -736,30 +731,25 @@ def _resolve(sub: FgAbGroup, quot: FgAbGroup | None, total: int,
     if len(accepted) > 1:
         raise AmbiguousExtension(
             f"{len(accepted)} isomorphism classes satisfy the constraints: "
-            + ", ".join(str(g) for g in accepted),
-            candidates=accepted)
+            + ", ".join(str(g) for g in accepted))
     return accepted[0], trace
 
 
 def resolve_extension(sub: FgAbGroup, quot: FgAbGroup,
-                      witness: ExtensionWitness | None = None,
-                      with_trace: bool = False):
+                      witness: ExtensionWitness | None = None) -> FgAbGroup:
     """The unique finite abelian extension of quot by sub passing the witness test."""
     if not sub.is_finite() or not quot.is_finite():
         raise ValueError("extension resolution requires finite groups")
     total = sub.order() * quot.order()
     if witness is not None and total % witness.witness_order:
         raise NoExtension(f"witness order {witness.witness_order} does not divide {total}")
-    group, trace = _resolve(sub, quot, total, witness)
-    return (group, trace) if with_trace else group
+    return _resolve(sub, quot, total, witness)[0]
 
 
 def resolve_extension_by_order(sub: FgAbGroup, quot_order: int,
-                               witness: ExtensionWitness | None = None,
-                               with_trace: bool = False):
+                               witness: ExtensionWitness | None = None) -> FgAbGroup:
     """Like resolve_extension but constraining only the order of the quotient."""
     if not sub.is_finite():
         raise ValueError("extension resolution requires finite groups")
     total = sub.order() * quot_order
-    group, trace = _resolve(sub, None, total, witness)
-    return (group, trace) if with_trace else group
+    return _resolve(sub, None, total, witness)[0]

@@ -29,7 +29,8 @@ class CyclicModule:
         if not (self.sigma.source.same_structure(self.group)
                 and self.sigma.target.same_structure(self.group)):
             raise NotAnAction("sigma must be an endomorphism of the module")
-        if not self.sigma.power(self.n).equals(GroupHom.identity(self.group)):
+        # source and target match the group, so the matrices decide
+        if self.sigma.power(self.n).matrix != GroupHom.identity(self.group).matrix:
             raise NotAnAction(f"sigma^{self.n} is not the identity")
 
 

@@ -6,12 +6,8 @@ class BrauerkitError(Exception):
 
 
 class AmbiguousExtension(BrauerkitError):
-    """More than one isomorphism class satisfies the extension constraints."""
-
-    def __init__(self, msg, candidates=None, stage=None):
-        super().__init__(msg)
-        self.candidates = candidates or []
-        self.stage = stage
+    """More than one isomorphism class satisfies the extension constraints;
+    the message names them."""
 
 
 class NoExtension(BrauerkitError):

@@ -37,8 +37,6 @@ class EtaleRingDescriptor:
     units: FgAbGroup
     pic: FgAbGroup
     residue_field_degrees_at_2: tuple[int, ...]  # R/2 = prod F_{2^m_i}
-    h1_z2: FgAbGroup
-    h2_gm: FgAbGroup
     connected: bool = True
     inverted_primes: tuple[int, ...] = ()
 
@@ -59,8 +57,6 @@ class EtaleRingDescriptor:
             "units": self.units.to_json(),
             "pic": self.pic.to_json(),
             "residue_field_degrees_at_2": list(self.residue_field_degrees_at_2),
-            "h1_z2": self.h1_z2.to_json(),
-            "h2_gm": self.h2_gm.to_json(),
             "connected": self.connected,
             "inverted_primes": list(self.inverted_primes),
         }
@@ -72,8 +68,6 @@ class EtaleRingDescriptor:
             FgAbGroup.from_json(data["units"]),
             FgAbGroup.from_json(data["pic"]),
             tuple(data.get("residue_field_degrees_at_2", ())),
-            FgAbGroup.from_json(data["h1_z2"]),
-            FgAbGroup.from_json(data["h2_gm"]),
             data.get("connected", True),
             tuple(data.get("inverted_primes", ())),
         )
@@ -85,20 +79,16 @@ def _g(*orders: int) -> FgAbGroup:
 
 SHIPPED_RINGS: dict[str, EtaleRingDescriptor] = {
     "Z": EtaleRingDescriptor(
-        "Z", units=_g(2), pic=_g(), residue_field_degrees_at_2=(1,),
-        h1_z2=_g(2), h2_gm=_g()),
+        "Z", units=_g(2), pic=_g(), residue_field_degrees_at_2=(1,)),
     "Z[w][1/17]": EtaleRingDescriptor(
         "Z[w][1/17]", units=FgAbGroup(1, (6,)), pic=_g(),
-        residue_field_degrees_at_2=(1, 1), h1_z2=_g(2, 2), h2_gm=_g(),
-        inverted_primes=(17,)),
+        residue_field_degrees_at_2=(1, 1), inverted_primes=(17,)),
     "Z[1/2,zeta4]": EtaleRingDescriptor(
         "Z[1/2,zeta4]", units=FgAbGroup(1, (4,)), pic=_g(),
-        residue_field_degrees_at_2=(), h1_z2=_g(2), h2_gm=_g(),
-        inverted_primes=(2,)),
+        residue_field_degrees_at_2=(), inverted_primes=(2,)),
     "Z[1/3,zeta3]": EtaleRingDescriptor(
         "Z[1/3,zeta3]", units=FgAbGroup(1, (6,)), pic=_g(),
-        residue_field_degrees_at_2=(2,), h1_z2=_g(2), h2_gm=_g(),
-        inverted_primes=(3,)),
+        residue_field_degrees_at_2=(2,), inverted_primes=(3,)),
 }
 
 
@@ -188,7 +178,6 @@ class PicKOResult:
     graded: tuple[tuple[int, FgAbGroup], ...]
     sections: FgAbGroup  # H^0(Spec R; pi_0 pic), the column-0 abutment
     witness_order: int
-    d3_21: str
     notes: tuple[str, ...] = ()
 
 
@@ -199,7 +188,8 @@ def pic_ko(r: EtaleRingDescriptor, d3_21: str = "zero") -> PicKOResult:
     (trivial action, so the 2-torsion of the units), and gr^3 = (Z/2)^d cut
     out by d_3(x) = x + x^2 on R/2; the suspension class of order 8 (4 when
     d = 0) resolves the extensions, and Pic(R) splits off.  The d3_21 knob
-    never reaches column 0, which is asserted rather than assumed.
+    never reaches column 0: it leaves the answer as it is, and "unknown"
+    adds a note saying so.
     """
     if d3_21 not in ("zero", "nonzero", "unknown"):
         raise ValueError("d3_21 must be 'zero', 'nonzero', or 'unknown'")
@@ -213,7 +203,7 @@ def pic_ko(r: EtaleRingDescriptor, d3_21: str = "zero") -> PicKOResult:
     witness_order = 8 if r.d >= 1 else 4
     witness = ExtensionWitness(witness_order, maps_to_generator_of_quotient=True)
     sections = assemble_abutment(
-        [(s, Entry(g)) for s, g in graded if not g.is_zero()], [witness])
+        [(s, Entry(g)) for s, g in graded if not g.is_zero()], witness)
     notes = []
     if d3_21 == "unknown":
         notes.append("d3_21 left unresolved; column 0 is disjoint from its "
@@ -226,7 +216,7 @@ def pic_ko(r: EtaleRingDescriptor, d3_21: str = "zero") -> PicKOResult:
     else:
         total = resolve_extension(r.pic, sections, ExtensionWitness(witness_order))
     return PicKOResult(total, tuple((s, g) for s, g in graded), sections,
-                       witness_order, d3_21, tuple(notes))
+                       witness_order, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

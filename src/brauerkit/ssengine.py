@@ -25,7 +25,6 @@ from .abelian import (
     ExtensionWitness,
     FgAbGroup,
     GroupHom,
-    abelian_groups_of_order,
     hom_cokernel,
     hom_kernel,
     homology,
@@ -86,14 +85,16 @@ class Entry:
 
 @record
 class SSPage:
+    """Page r with its nonzero entries by position.  The builders keep zero
+    entries out (`turn_page` drops them, `page_from_json` skips them), so
+    the page stores `entries` as given; a zero entry passed in stays."""
+
     r: int
     entries: dict[tuple[int, int], Entry]
 
     def __post_init__(self):
         if self.r < 2:
             raise ValueError("pages start at r = 2")
-        cleaned = {pos: e for pos, e in self.entries.items() if not e.is_zero()}
-        object.__setattr__(self, "entries", cleaned)
 
     def entry(self, s: int, t: int) -> Entry | None:
         return self.entries.get((s, t))
@@ -313,50 +314,46 @@ def _check_stable(page: SSPage, s: int, t: int, bound: int | None) -> None:
 
 
 def assemble_abutment(gr: Sequence[tuple[int, Entry]],
-                      witnesses: Sequence[ExtensionWitness]) -> FgAbGroup:
-    """Iterated extension resolution of a finite column, deepest stage first.
+                      witness: ExtensionWitness) -> FgAbGroup:
+    """Iterated extension resolution of a finite column, from gr^0 down.
 
     The filtration is decreasing: gr^0 is the top quotient of the abutment
     and the running total G/fil^s grows downward, so resolution starts at
     the lowest s and each deeper stage enters as the subgroup of the next
-    extension.  Witness orders are clamped to the running group order (the
-    witness element's image in a quotient cannot have larger order).  Every
-    stage must be group-valued.
+    extension.  At each stage the witness order is clamped to the running
+    group order (the witness element's image in a quotient cannot have
+    larger order).  Every stage must be group-valued.
     """
     if not gr:
         return FgAbGroup.zero()
     stages = sorted(gr, key=lambda se: se[0])
     total = stages[0][1].value
-    for i, (s, entry) in enumerate(stages[1:]):
-        witness = witnesses[i] if i < len(witnesses) else (witnesses[-1] if witnesses else None)
-        if witness is not None:
-            clamp = min(witness.witness_order, total.order() * entry.value.order())
-            witness = ExtensionWitness(clamp, witness.maps_to_generator_of_quotient)
+    for s, entry in stages[1:]:
+        clamp = min(witness.witness_order, total.order() * entry.value.order())
         try:
-            total = resolve_extension(entry.value, total, witness)
+            total = resolve_extension(
+                entry.value, total, ExtensionWitness(clamp, witness.maps_to_generator_of_quotient))
         except AmbiguousExtension as exc:
-            raise AmbiguousExtension(f"stage s = {s}: {exc}", stage=s) from exc
+            raise AmbiguousExtension(f"stage s = {s}: {exc}") from exc
     return total
 
 
 def assemble_abutment_by_orders(orders_deepest_first: Sequence[int],
                                 witness: ExtensionWitness) -> FgAbGroup:
-    """Order-chain assembly when only the orders of the quotient stages are
-    known.  The deepest stage must have squarefree-determined structure
-    (order 1, a prime, or resolved earlier); subsequent stages add known
-    orders via `resolve_extension_by_order` with the witness clamped."""
-    orders = [n for n in orders_deepest_first if n != 1]
-    if not orders:
-        return FgAbGroup.zero()
-    first = orders[0]
-    candidates = abelian_groups_of_order(first)
-    if len(candidates) != 1:
-        raise AmbiguousExtension(f"deepest stage of order {first} is not unique")
-    total = candidates[0]
-    for n in orders[1:]:
-        clamp = min(witness.witness_order, total.order() * n)
-        total = resolve_extension_by_order(
-            total, n, ExtensionWitness(clamp, witness.maps_to_generator_of_quotient))
+    """Order-chain assembly when only the orders of the stages are known.
+
+    The running subgroup fil^s grows upward from the zero group: each stage,
+    deepest first, adds its order as the quotient of the next extension
+    (`resolve_extension_by_order`), with the witness order clamped to the
+    running group order, so the witness also decides a deepest stage of
+    composite order.
+    """
+    total = FgAbGroup.zero()
+    for n in orders_deepest_first:
+        if n != 1:
+            clamp = min(witness.witness_order, total.order() * n)
+            total = resolve_extension_by_order(
+                total, n, ExtensionWitness(clamp, witness.maps_to_generator_of_quotient))
     return total
 
 
@@ -434,7 +431,9 @@ def page_from_json(text: str) -> tuple[SSPage, list[DifferentialRule]]:
             _entry_value_from_json(item["entry"]), item.get("label", ""),
             item.get("index", 1), tuple(item.get("assumed", ())))
     rules = [_rule_from_json(d) for d in data.get("rules", [])]
-    return SSPage(data["r"], entries), rules
+    # user JSON may list zero entries; no other page builder makes them
+    nonzero = {pos: e for pos, e in entries.items() if not e.is_zero()}
+    return SSPage(data["r"], nonzero), rules
 
 
 _LEGEND = [

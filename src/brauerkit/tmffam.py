@@ -177,13 +177,15 @@ def pic_tmf_global(data: TmfPageData | None = None) -> dict[int, FgAbGroup]:
 
     2-locally the section orders along the filtration are 2, 4, 1, 4, 2 and
     the witness makes every stage cyclic, giving Z/64; 3-locally the orders
-    3, 3 give Z/9; there is no 5-torsion anywhere in the column.
+    3, 3 give Z/9; there is no 5-torsion anywhere in the column.  The
+    assembly starts from the deepest stage, so the orders go in by
+    descending s.
     """
     data = data or TmfPageData.load()
     report = run_pic_tmf(data)
     out: dict[int, FgAbGroup] = {}
     for p in (2, 3, 5):
-        orders = [_stage_section_order(g, p) for g in report.stages]
+        orders = [_stage_section_order(g, p) for g in reversed(report.stages)]
         witness = ExtensionWitness(p ** _valuation(data.pic_witness_order, p),
                                    maps_to_generator_of_quotient=True)
         out[p] = assemble_abutment_by_orders(orders, witness)

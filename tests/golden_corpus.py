@@ -28,6 +28,9 @@ from unittest import mock
 
 GOLDEN = Path(__file__).parent / "golden"
 PAGE = GOLDEN / "page.json"
+# a --ring descriptor file, read through EtaleRingDescriptor.from_json; its
+# Pic(R) is zero, so no extension by Pic(R) is resolved
+RING_FILE = GOLDEN / "ring_Zsqrtm7.json"
 
 RINGS = {"Z": "Z", "Zw17": "Z[w][1/17]", "Zhalf_i": "Z[1/2,zeta4]",
          "Zthird_w": "Z[1/3,zeta3]"}
@@ -70,6 +73,7 @@ def _cases():
     for name, ring in RINGS.items():
         for d3 in ("zero", "nonzero", "unknown"):
             yield f"pic-ko_{name}_{d3}", ["pic-ko", "--ring", ring, "--d3-21", d3]
+    yield "pic-ko_file_Zsqrtm7", ["pic-ko", "--ring", str(RING_FILE)]
     yield "lbr-ko", ["lbr-ko"]
     yield "pic-tmf", ["pic-tmf"]
     for name, ring in RINGS.items():

@@ -141,7 +141,6 @@ def _resolve(sub: FgAbGroup, quot: Optional[FgAbGroup], total: int,
     if len(accepted) > 1:
         raise AmbiguousExtension(
             f"{len(accepted)} isomorphism classes satisfy the constraints: "
-            + ", ".join(str(g) for g in accepted),
-            candidates=accepted)
+            + ", ".join(str(g) for g in accepted))
     return accepted[0], trace
 

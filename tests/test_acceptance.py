@@ -377,7 +377,7 @@ def test_criterion_10_filtration_orders_multiply_to_abutment_order():
         ([(0, Entry(FgAbGroup.cyclic(4)))], ExtensionWitness(4, True)),
     ]
     for gr, witness in examples:
-        total = assemble_abutment(gr, [witness])
+        total = assemble_abutment(gr, witness)
         product = 1
         for _, e in gr:
             product *= e.value.order()

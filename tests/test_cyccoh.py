@@ -82,7 +82,7 @@ def test_power_and_norm_match_products_one_factor_at_a_time():
         for _ in range(36):
             powers.append(h.compose(powers[-1]))
         assert all(h.power(e).matrix == q.matrix for e, q in enumerate(powers))
-        order = next((e for e in range(1, 13) if powers[e].equals(powers[0])), None)
+        order = next((e for e in range(1, 13) if powers[e].matrix == powers[0].matrix), None)
         if order is None:
             continue
         for n in range(order, 37, order):

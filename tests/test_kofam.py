@@ -28,12 +28,19 @@ ZERO = FgAbGroup.zero()
 
 def test_descriptor_invariant_two_inverted():
     with pytest.raises(ValueError):
-        EtaleRingDescriptor("bad", Z2, ZERO, (1,), Z2, ZERO, inverted_primes=(2,))
+        EtaleRingDescriptor("bad", Z2, ZERO, (1,), inverted_primes=(2,))
 
 
 def test_descriptor_json_roundtrip():
     r = SHIPPED_RINGS["Z[w][1/17]"]
     assert EtaleRingDescriptor.from_json(r.to_json()) == r
+
+
+def test_descriptor_file_with_the_dropped_keys_still_loads():
+    data = SHIPPED_RINGS["Z"].to_json()
+    assert "h1_z2" not in data and "h2_gm" not in data
+    old = dict(data, h1_z2=Z2.to_json(), h2_gm=ZERO.to_json())
+    assert EtaleRingDescriptor.from_json(old) == SHIPPED_RINGS["Z"]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +158,7 @@ def test_pic_ko_quotient_by_pic_and_gr3_is_z4():
 
 
 def test_pic_ko_nonzero_odd_pic_splits():
-    r = EtaleRingDescriptor("toy", Z2, FgAbGroup.cyclic(3), (1,), Z2, ZERO)
+    r = EtaleRingDescriptor("toy", Z2, FgAbGroup.cyclic(3), (1,))
     res = pic_ko(r)
     assert res.group.same_structure(FgAbGroup.from_orders([3, 8]))
 

@@ -1,14 +1,20 @@
 """Every function and method in `src/brauerkit` is called by the golden
-corpus, or is on `ALLOWED` with the reason it exists.
+corpus, or is on `ALLOWED` with the reason it exists; and every field of a
+`@record` class is read somewhere, or is on `ALLOWED_FIELDS`.
 
 The corpus (`golden_corpus.CASES` and `column_dump`) runs in a fresh
 interpreter under `sys.setprofile`, so code that runs at import time, and
 the fact table that a process loads once, count exactly when a report
 needs them.  Run this file directly to print the names the corpus reaches.
+
+A field counts as read when `src/` or `bench/` reads an attribute of that
+name outside its own class's `to_json`, `from_json` and `__post_init__`,
+which only carry a field through or check it.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import json
@@ -19,6 +25,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = SRC.parent / "bench"
 
 ALLOWED = {
     "kofam.ku_additive_pages":
@@ -44,8 +51,6 @@ ALLOWED = {
         "other half of a reached (de)serializer: ss-run reads rules with _rule_from_json",
     "kofam.EtaleRingDescriptor.to_json":
         "other half of a (de)serializer: from_json reads --ring descriptor files",
-    "kofam.EtaleRingDescriptor.from_json":
-        "reached only by user input: pic-ko and pic-tmf --ring <descriptor file>",
     "abelian._lr_positive":
         "reached only by user input: pic-ko --ring <file> when Pic(R) has even order",
     "abelian._contains": "reached only by user input: the containment test of _lr_positive",
@@ -53,9 +58,19 @@ ALLOWED = {
     "record._repr": "debugging aid: tests/test_record.py checks the Name(field=value) form",
     "record._frozen":
         "immutability guard: tests/test_record.py assigns and deletes fields, which no report does",
-    "errors.AmbiguousExtension.__init__":
-        "reached only by user input: an extension the witness cannot decide exits 4",
 }
+
+ALLOWED_FIELDS = {
+    "sheaftab.Unknown.reason":
+        "shown to the user: a NoFact message carries the Unknown's repr",
+    "sheaftab.Unknown.rule": "shown to the user: a NoFact message carries the Unknown's repr",
+    "tmffam.LbrMOReport.generator_map":
+        "benchmark digest: bench/workloads.py canonicalises lbr_m_o through vars(); "
+        "ROADMAP direction 6 derives injection_distinct from it",
+}
+
+# a record's own (de)serializer and check carry its fields without using them
+_CARRIERS = ("to_json", "from_json", "__post_init__")
 
 
 def defined() -> dict:
@@ -99,6 +114,61 @@ def reached() -> list:
     finally:
         sys.setprofile(None)
     return sorted(name for code, name in defined().items() if code in seen)
+
+
+def record_fields() -> dict:
+    """{(module, class): field names} for every record class in src/brauerkit."""
+    import brauerkit
+
+    out = {}
+    for info in pkgutil.iter_modules(brauerkit.__path__):
+        mod = importlib.import_module(f"brauerkit.{info.name}")
+        for name, obj in vars(mod).items():
+            if inspect.isclass(obj) and obj.__module__ == mod.__name__ and "_fields" in vars(obj):
+                out[info.name, name] = obj._fields
+    return out
+
+
+def attribute_reads() -> set:
+    """(attribute, module, class, method) for every attribute read in src/ and
+    bench/; class and method name the enclosing class and its method, or are
+    None outside a class."""
+    reads = set()
+
+    def walk(node, module, cls, method):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, module, child.name, None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and method is None:
+                walk(child, module, cls, child.name if cls else None)
+            else:
+                if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                    reads.add((child.attr, module, cls, method))
+                walk(child, module, cls, method)
+
+    for path in sorted((SRC / "brauerkit").glob("*.py")) + sorted(BENCH.glob("*.py")):
+        module = path.stem if path.parent.name == "brauerkit" else None
+        walk(ast.parse(path.read_text(), str(path)), module, None, None)
+    return reads
+
+
+def unread_fields() -> list:
+    """`module.Class.field` for each record field that nothing reads."""
+    reads = attribute_reads()
+    out = []
+    for (module, cls), fields in record_fields().items():
+        for field in fields:
+            if not any(attr == field and not (m == module and c == cls and f in _CARRIERS)
+                       for attr, m, c, f in reads):
+                out.append(f"{module}.{cls}.{field}")
+    return sorted(out)
+
+
+def test_every_record_field_is_read_or_allowed():
+    unread = unread_fields()
+    assert sorted(set(unread) - ALLOWED_FIELDS.keys()) == [], "neither read nor allowed"
+    assert sorted(ALLOWED_FIELDS.keys() - set(unread)) == [], "stale entries in ALLOWED_FIELDS"
+    assert all(reason.strip() for reason in ALLOWED_FIELDS.values())
 
 
 def test_every_function_is_reached_or_allowed():

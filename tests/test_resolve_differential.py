@@ -2,10 +2,10 @@
 
 Every sub, quotient and witness with |G| <= 16 (witness orders: the
 divisors of |G|, 2|G| and 3|G|; generator flag on and off) goes through both public entry points twice, once with the
-oracle standing in for `_resolve`; the accepted group, the trace, and the
-exception type, message and candidates must agree.  Where an exception
-takes the trace with it, the rejection reason of every candidate is
-compared instead.
+oracle standing in for `_resolve`; the accepted group, the trace that
+`_resolve` hands the entry point, and the exception type and message (which
+names the candidates) must agree.  Where an exception takes the trace with
+it, the rejection reason of every candidate is compared instead.
 """
 
 from unittest import mock
@@ -28,7 +28,24 @@ def _outcome(call):
     try:
         return call()
     except (BrauerkitError, ValueError) as exc:
-        return type(exc), str(exc), getattr(exc, "candidates", None)
+        return type(exc), str(exc)
+
+
+def _traced(call, resolve):
+    """The outcome of `call` with `resolve` standing in for `abelian._resolve`:
+    the (group, trace) it returned to the entry point, or the exception."""
+    returned = []
+
+    def spy(*args):
+        returned.append(resolve(*args))
+        return returned[-1]
+
+    with mock.patch.object(abelian, "_resolve", spy):
+        got = _outcome(call)
+    if isinstance(got, FgAbGroup):
+        assert got is returned[-1][0]
+        return returned[-1]
+    return got
 
 
 def _witnesses(total):
@@ -46,9 +63,8 @@ def _reasons_agree(sub, quot, total, witness):
 
 
 def _agree(call, sub, quot, total, witness):
-    got = _outcome(call)
-    with mock.patch.object(abelian, "_resolve", resolve_oracle._resolve):
-        want = _outcome(call)
+    got = _traced(call, abelian._resolve)
+    want = _traced(call, resolve_oracle._resolve)
     assert got == want, (sub, quot, witness)
     if not isinstance(got[0], FgAbGroup):  # an exception took the trace with it
         _reasons_agree(sub, quot, total, witness)
@@ -56,8 +72,8 @@ def _agree(call, sub, quot, total, witness):
 
 def _check(sub, quot, witness):
     total = sub.order() * quot.order()
-    _agree(lambda: resolve_extension(sub, quot, witness, with_trace=True), sub, quot, total, witness)
-    _agree(lambda: resolve_extension_by_order(sub, quot.order(), witness, with_trace=True),
+    _agree(lambda: resolve_extension(sub, quot, witness), sub, quot, total, witness)
+    _agree(lambda: resolve_extension_by_order(sub, quot.order(), witness),
            sub, None, total, witness)
 
 

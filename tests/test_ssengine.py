@@ -178,21 +178,20 @@ def test_column_filtration_not_stabilized():
 
 def test_assemble_z8_from_three_z2s():
     gr = [(0, group_entry(Z2)), (1, group_entry(Z2)), (3, group_entry(Z2))]
-    got = assemble_abutment(gr, [ExtensionWitness(8, True)])
+    got = assemble_abutment(gr, ExtensionWitness(8, True))
     assert got.same_structure(FgAbGroup.cyclic(8))
 
 
 def test_assemble_ambiguous_reports_stage():
     gr = [(0, group_entry(Z2)), (1, group_entry(Z2))]
-    with pytest.raises(AmbiguousExtension) as exc:
-        assemble_abutment(gr, [ExtensionWitness(2)])
-    assert exc.value.stage == 1
+    with pytest.raises(AmbiguousExtension, match="^stage s = 1: 2 isomorphism classes"):
+        assemble_abutment(gr, ExtensionWitness(2))
 
 
 def test_assemble_single_stage_and_empty():
-    assert assemble_abutment([(0, group_entry(FgAbGroup.cyclic(4)))], []) \
+    assert assemble_abutment([(0, group_entry(FgAbGroup.cyclic(4)))], ExtensionWitness(1)) \
         .same_structure(FgAbGroup.cyclic(4))
-    assert assemble_abutment([], []).is_zero()
+    assert assemble_abutment([], ExtensionWitness(1)).is_zero()
 
 
 def test_assemble_by_orders_chain():
@@ -203,9 +202,17 @@ def test_assemble_by_orders_chain():
     assert assemble_abutment_by_orders([], ExtensionWitness(1)).is_zero()
 
 
+def test_assemble_by_orders_lets_the_witness_decide_a_composite_deepest_stage():
+    # the 2-local column with row 7 killed: orders 4, 4, 2 from the deepest up
+    got = assemble_abutment_by_orders([1, 4, 1, 4, 2], ExtensionWitness(64, True))
+    assert got.same_structure(FgAbGroup.cyclic(32))
+    with pytest.raises(AmbiguousExtension, match="^2 isomorphism classes"):
+        assemble_abutment_by_orders([4], ExtensionWitness(2))
+
+
 def test_filtration_orders_multiply_to_abutment_order():
     gr = [(0, group_entry(Z2)), (1, group_entry(Z2)), (3, group_entry(Z2))]
-    total = assemble_abutment(gr, [ExtensionWitness(8, True)])
+    total = assemble_abutment(gr, ExtensionWitness(8, True))
     product = 1
     for _, e in gr:
         product *= e.value.order()
@@ -233,6 +240,14 @@ def test_page_json_roundtrip():
     page2, rules2 = page_from_json(text)
     assert page_to_json(page2, rules2) == text
     assert page2.entries == page.entries
+
+
+def test_page_from_json_drops_zero_entries_that_a_built_page_keeps():
+    zero = group_entry(FgAbGroup.zero())
+    page = SSPage(2, {(0, 0): group_entry(Z2), (1, 1): zero})
+    assert page.entries[(1, 1)] is zero  # SSPage stores the entries it is given
+    page2, _ = page_from_json(page_to_json(page))
+    assert page2.entries == {(0, 0): group_entry(Z2)}
 
 
 def test_chart_svg_deterministic_and_has_legend():

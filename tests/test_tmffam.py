@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from brauerkit import data_dir
+from brauerkit import data_dir, tmffam
 from brauerkit.abelian import FgAbGroup
 from brauerkit.kofam import SHIPPED_RINGS, EtaleRingDescriptor
 from brauerkit.record import replace
@@ -172,6 +172,20 @@ def test_pic_tmf_global_values():
     assert out[5].is_zero()
 
 
+def test_pic_tmf_global_hands_over_the_orders_deepest_first(monkeypatch):
+    # assemble_abutment_by_orders builds upward from its first entry, the
+    # deepest stage; the stages run (0,0), (1,0), (3,0), (5,2), (5,3), (7,2)
+    handed = {}
+
+    def capture(orders, witness):
+        handed[witness.witness_order] = list(orders)
+        return FgAbGroup.zero()
+
+    monkeypatch.setattr(tmffam, "assemble_abutment_by_orders", capture)
+    pic_tmf_global()
+    assert handed == {64: [2, 1, 4, 1, 4, 2], 9: [1, 3, 1, 1, 3, 1], 1: [1] * 6}
+
+
 def test_pic_tmf_global_locality_knobs(data):
     # the open 2-local differentials do not touch the 3-local answer
     base = pic_tmf_global()
@@ -201,8 +215,7 @@ def test_pic_tmf_r_integers():
 
 
 def test_pic_tmf_r_z_one_sixth():
-    r = EtaleRingDescriptor("Z[1/6]", Z2, FgAbGroup.zero(), (), Z2,
-                            FgAbGroup.zero(), inverted_primes=(2, 3))
+    r = EtaleRingDescriptor("Z[1/6]", Z2, FgAbGroup.zero(), (), inverted_primes=(2, 3))
     rep = pic_tmf_r(r)
     assert rep.h0_ideal_order == 1
     assert rep.sections_order == 24
@@ -210,8 +223,7 @@ def test_pic_tmf_r_z_one_sixth():
 
 
 def test_pic_tmf_r_pic_contributes():
-    r = EtaleRingDescriptor("toy", Z2, FgAbGroup.cyclic(5), (1,), Z2,
-                            FgAbGroup.zero())
+    r = EtaleRingDescriptor("toy", Z2, FgAbGroup.cyclic(5), (1,))
     rep = pic_tmf_r(r)
     assert rep.total_order == 5 * 576
 
