@@ -350,7 +350,10 @@ class FgAbGroup:
 
     @staticmethod
     def from_json(obj: dict) -> "FgAbGroup":
-        return FgAbGroup(int(obj.get("free_rank", 0)), tuple(int(d) for d in obj.get("factors", ())))
+        rank, factors = obj.get("free_rank", 0), obj.get("factors", [])
+        if type(factors) is not list or any(type(x) is not int for x in [rank, *factors]):
+            raise ValueError(f"a group's free_rank and factors must be integers, not {obj!r}")
+        return FgAbGroup(rank, tuple(factors))
 
 
 def _reduce_matrix(matrix, target: FgAbGroup):
@@ -402,11 +405,6 @@ class GroupHom:
     def identity(g: FgAbGroup) -> "GroupHom":
         return GroupHom(g, g, tuple(tuple(r) for r in _identity(g.num_generators)))
 
-    @staticmethod
-    def scalar(g: FgAbGroup, c: int) -> "GroupHom":
-        n = g.num_generators
-        return GroupHom(g, g, tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n)))
-
     # -- algebra -----------------------------------------------------------
 
     def compose(self, other: "GroupHom") -> "GroupHom":
@@ -414,25 +412,6 @@ class GroupHom:
         if other.target.num_generators != self.source.num_generators:
             raise ValueError("composition shape mismatch")
         return GroupHom(other.source, self.target, tuple(tuple(r) for r in _mat_mul(self.matrix, other.matrix)))
-
-    def add(self, other: "GroupHom") -> "GroupHom":
-        mat = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.matrix, other.matrix)]
-        return GroupHom(self.source, self.target, tuple(tuple(r) for r in mat))
-
-    def sub(self, other: "GroupHom") -> "GroupHom":
-        mat = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.matrix, other.matrix)]
-        return GroupHom(self.source, self.target, tuple(tuple(r) for r in mat))
-
-    def power(self, k: int) -> "GroupHom":
-        """self^k by repeated squaring: O(log k) compositions."""
-        out, square = GroupHom.identity(self.source), self
-        while k > 0:
-            if k & 1:
-                out = square.compose(out)
-            k >>= 1
-            if k:
-                square = square.compose(square)
-        return out
 
     def is_zero_hom(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.matrix)

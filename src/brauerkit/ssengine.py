@@ -398,6 +398,13 @@ def _rule_to_json(rule: DifferentialRule) -> dict:
     return out
 
 
+def _int_key(d: dict, key: str, default: int | None = None) -> int:
+    value = d[key] if default is None else d.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"page key {key!r} must be an integer, not {value!r}")
+    return value
+
+
 def _rule_from_json(d: dict) -> DifferentialRule:
     kind = d["kind"]
     hom = operator = None
@@ -407,7 +414,8 @@ def _rule_from_json(d: dict) -> DifferentialRule:
                        tuple(tuple(row) for row in d["matrix"]))
     if kind == "operator":
         operator = parse_operator(d["operator"], d["p"])
-    return DifferentialRule(d["r"], (d["s"], d["t"]), kind, hom=hom, operator=operator,
+    return DifferentialRule(_int_key(d, "r"), (_int_key(d, "s"), _int_key(d, "t")), kind,
+                            hom=hom, operator=operator,
                             surjective=d.get("surjective", False), name=d.get("name", ""),
                             provenance=d["provenance"], relabel=d.get("relabel", ""))
 
@@ -424,16 +432,23 @@ def page_to_json(page: SSPage, rules: Sequence[DifferentialRule] = ()) -> str:
 
 
 def page_from_json(text: str) -> tuple[SSPage, list[DifferentialRule]]:
+    """A page and its rules from JSON; `r`, `s`, `t` and `index` must be
+    integers and each (s, t) may carry one entry."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("a page file holds a JSON object")
     entries = {}
     for item in data["entries"]:
-        entries[(item["s"], item["t"])] = Entry(
+        pos = (_int_key(item, "s"), _int_key(item, "t"))
+        if pos in entries:
+            raise ValueError(f"entry position {pos} is listed twice")
+        entries[pos] = Entry(
             _entry_value_from_json(item["entry"]), item.get("label", ""),
-            item.get("index", 1), tuple(item.get("assumed", ())))
+            _int_key(item, "index", 1), tuple(item.get("assumed", ())))
     rules = [_rule_from_json(d) for d in data.get("rules", [])]
     # user JSON may list zero entries; no other page builder makes them
     nonzero = {pos: e for pos, e in entries.items() if not e.is_zero()}
-    return SSPage(data["r"], nonzero), rules
+    return SSPage(_int_key(data, "r"), nonzero), rules
 
 
 _LEGEND = [

@@ -28,6 +28,9 @@ from unittest import mock
 
 GOLDEN = Path(__file__).parent / "golden"
 PAGE = GOLDEN / "page.json"
+# chained matrix differentials: an entry with a matrix d_r both in and out,
+# and a zero matrix
+CHAIN_PAGE = GOLDEN / "page_chain.json"
 # a --ring descriptor file, read through EtaleRingDescriptor.from_json; its
 # Pic(R) is zero, so no extension by Pic(R) is resolved
 RING_FILE = GOLDEN / "ring_Zsqrtm7.json"
@@ -84,6 +87,7 @@ def _cases():
         yield f"lbr-mo_w{window}", ["lbr-mo", "--window", str(window)]
     yield "ss-run", ["ss-run", "--page", str(PAGE)]
     yield "ss-chart", ["ss-chart", "--page", str(PAGE)]
+    yield "ss-run_chain", ["ss-run", "--page", str(CHAIN_PAGE)]
 
 
 CASES = dict(_cases())
@@ -171,10 +175,29 @@ def _write_page() -> None:
     PAGE.write_text(page_to_json(page, rules) + "\n")
 
 
+def _write_chain_page() -> None:
+    from brauerkit.abelian import FgAbGroup, GroupHom
+    from brauerkit.ssengine import DifferentialRule, Entry, SSPage, page_to_json
+    z, z2 = FgAbGroup.free(1), FgAbGroup.cyclic(2)
+    page = SSPage(3, {(0, 0): Entry(z, label="x"), (3, 2): Entry(z), (6, 4): Entry(z2),
+                      (1, 0): Entry(z, label="y"), (4, 2): Entry(z)})
+    rules = [
+        DifferentialRule(3, (0, 0), "matrix", hom=GroupHom(z, z, ((2,),)),
+                         provenance="fixture: Z -> Z by 2"),
+        DifferentialRule(3, (3, 2), "matrix", hom=GroupHom(z, z2, ((1,),)),
+                         provenance="fixture: Z -> Z/2 by 1, after Z -> Z by 2"),
+        DifferentialRule(3, (1, 0), "matrix", hom=GroupHom(z, z, ((0,),)),
+                         provenance="fixture: the zero map Z -> Z"),
+    ]
+    CHAIN_PAGE.write_text(page_to_json(page, rules) + "\n")
+
+
 def main() -> int:
     GOLDEN.mkdir(exist_ok=True)
     if not PAGE.exists():
         _write_page()
+    if not CHAIN_PAGE.exists():
+        _write_chain_page()
     for name, argv in CASES.items():
         code, out = cli_output(argv)
         if code != 0:

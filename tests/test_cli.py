@@ -164,6 +164,58 @@ def test_ss_chart_svg(capsys, page_file):
     assert out.startswith("<svg") and "legend:" in out
 
 
+def _edited_page(page_file, edit):
+    doc = json.loads(page_file.read_text())
+    doc = edit(doc) or doc
+    page_file.write_text(json.dumps(doc))
+    return str(page_file)
+
+
+def _assert_refused(capsys, page, message):
+    for verb in ("ss-run", "ss-chart"):
+        assert main([verb, "--page", page]) == 2, verb
+        out = capsys.readouterr()
+        assert out.out == "" and message in out.err, (verb, out.err)
+
+
+def test_exit_2_on_a_position_listed_twice(capsys, page_file):
+    z4 = {"kind": "group", "group": {"free_rank": 0, "factors": [4]}}
+    page = _edited_page(page_file, lambda d: d["entries"].append(dict(d["entries"][0], entry=z4)))
+    _assert_refused(capsys, page, "(0, 0) is listed twice")
+
+
+@pytest.mark.parametrize("key, value", [("s", "0"), ("t", "1"), ("index", "x"), ("t", True),
+                                        ("index", 1.0)])
+def test_exit_2_on_a_non_integer_entry_key(capsys, page_file, key, value):
+    page = _edited_page(page_file, lambda d: d["entries"][1].update({key: value}))
+    _assert_refused(capsys, page, f"page key {key!r} must be an integer")
+
+
+@pytest.mark.parametrize("key", ["r", "s", "t"])
+def test_exit_2_on_a_non_integer_rule_key(capsys, page_file, key):
+    page = _edited_page(page_file, lambda d: d["rules"][0].update({key: "2"}))
+    _assert_refused(capsys, page, f"page key {key!r} must be an integer")
+
+
+@pytest.mark.parametrize("value", ["3", 3.0, True])
+def test_exit_2_on_a_non_integer_page_number(capsys, page_file, value):
+    page = _edited_page(page_file, lambda d: d.update(r=value))
+    _assert_refused(capsys, page, "page key 'r' must be an integer")
+
+
+def test_exit_2_on_a_page_file_that_is_not_an_object(capsys, page_file):
+    page = _edited_page(page_file, lambda d: [d])
+    _assert_refused(capsys, page, "a page file holds a JSON object")
+
+
+@pytest.mark.parametrize("group", [{"free_rank": True}, {"free_rank": 1.0},
+                                   {"factors": [2.5]}, {"factors": ["2"]}, {"factors": 2}])
+def test_exit_2_on_a_non_integer_group_in_a_page(capsys, page_file, group):
+    entry = {"kind": "group", "group": group}
+    page = _edited_page(page_file, lambda d: d["entries"][0].update(entry=entry))
+    _assert_refused(capsys, page, "free_rank and factors must be integers")
+
+
 # ---------------------------------------------------------------------------
 # exit codes, determinism, data-file records
 # ---------------------------------------------------------------------------
@@ -224,6 +276,19 @@ def _ring_with_pic(tmp_path, order):
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(ring))
     return str(path)
+
+
+@pytest.mark.parametrize("units", [{"free_rank": 1, "factors": [2.5]},
+                                   {"free_rank": True, "factors": [2]},
+                                   {"free_rank": 1, "factors": [True]}])
+def test_exit_2_on_a_non_integer_group_in_a_ring_file(capsys, tmp_path, units):
+    from brauerkit.kofam import SHIPPED_RINGS
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(dict(SHIPPED_RINGS["Z"].to_json(), units=units)))
+    for verb in ("pic-ko", "pic-tmf"):
+        assert main([verb, "--ring", str(path)]) == 2, verb
+        out = capsys.readouterr()
+        assert out.out == "" and "free_rank and factors must be integers" in out.err, verb
 
 
 def test_exit_2_on_an_extension_with_too_many_candidates(capsys, tmp_path):

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import cyccoh_oracle as oracle
+from brauerkit import abelian
 from brauerkit.abelian import FgAbGroup, GroupHom
-from brauerkit.cyccoh import CyclicModule, _norm, cohomology_row, group_cohomology, sign, trivial
+from brauerkit.cyccoh import CyclicModule, cohomology_row, group_cohomology, sign, trivial
 from brauerkit.errors import NotAnAction
 
 
@@ -50,47 +52,28 @@ def test_row_zero_module():
 
 
 def test_not_an_action_rejected():
-    with pytest.raises(NotAnAction):
-        CyclicModule(Z, GroupHom.scalar(Z, 2), 2)
+    with pytest.raises(NotAnAction, match="sigma must act by 1 or -1"):
+        CyclicModule(Z, 2, 2)
+    # 2 squares to 1 on Z/3, and True and 1.0 equal 1, yet only the ints 1 and -1 are taken
+    for group, sigma in ((FgAbGroup.cyclic(3), 2), (Z, True), (Z, 1.0)):
+        with pytest.raises(NotAnAction, match="sigma must act by 1 or -1"):
+            CyclicModule(group, sigma, 2)
 
 
 def test_c3_permutation_action():
-    # C_3 permuting the coordinates of Z^3 cyclically is the regular
-    # representation: invariants are the diagonal and higher cohomology dies.
+    # the oracle takes any sigma: C_3 permuting the coordinates of Z^3
+    # cyclically is the regular representation, whose invariants are the
+    # diagonal and whose higher cohomology dies
     g = FgAbGroup.free(3)
     sigma = GroupHom(g, g, ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
-    m = CyclicModule(g, sigma, 3)
-    assert group_cohomology(m, 0).same_structure(Z)
-    assert group_cohomology(m, 1).is_zero()
-    assert group_cohomology(m, 2).is_zero()
+    m = oracle.CyclicModule(g, sigma, 3)
+    assert oracle.group_cohomology(m, 0).same_structure(Z)
+    assert oracle.group_cohomology(m, 1).is_zero()
+    assert oracle.group_cohomology(m, 2).is_zero()
     # the augmentation quotient Z with trivial action has H^2 = Z/3
-    assert group_cohomology(trivial(Z, 3), 2).same_structure(FgAbGroup.cyclic(3))
-
-
-def test_power_and_norm_match_products_one_factor_at_a_time():
-    # the step-by-step products are the oracle for squaring and doubling
-    rng = random.Random(17)
-    checked = 0
-    while checked < 20:
-        g = FgAbGroup.from_orders([rng.choice([0, 2, 3, 4, 6]) for _ in range(rng.randint(1, 2))])
-        k = g.num_generators
-        try:
-            h = GroupHom(g, g, tuple(tuple(rng.randint(-3, 5) for _ in range(k)) for _ in range(k)))
-        except ValueError:  # the matrix does not respect the relations
-            continue
-        powers = [GroupHom.identity(g)]
-        for _ in range(36):
-            powers.append(h.compose(powers[-1]))
-        assert all(h.power(e).matrix == q.matrix for e, q in enumerate(powers))
-        order = next((e for e in range(1, 13) if powers[e].matrix == powers[0].matrix), None)
-        if order is None:
-            continue
-        for n in range(order, 37, order):
-            norm = GroupHom(g, g, ((0,) * g.num_generators,) * g.num_generators)
-            for q in powers[:n]:
-                norm = norm.add(q)
-            assert _norm(CyclicModule(g, h, n)).matrix == norm.matrix, (g, h.matrix, n)
-        checked += 1
+    assert oracle.group_cohomology(oracle.trivial(Z, 3), 2).same_structure(FgAbGroup.cyclic(3))
+    with pytest.raises(NotAnAction, match="sigma\\^2 is not the identity"):
+        oracle.CyclicModule(g, sigma, 2)
 
 
 def random_c2_module(rng):
@@ -141,3 +124,46 @@ def test_cohomology_row_matches_degree_by_degree():
                         assert action is sign and n % 2, (seed, orders, n)
                 want = [group_cohomology(m, s) for s in range(s_max + 1)]
                 assert cohomology_row(m, s_max) == want, (seed, action.__name__, orders, n, s_max)
+
+
+
+def test_closed_form_matches_resolution_oracle():
+    # trivial and sign actions of C_0 ... C_8 on up to three cyclic summands,
+    # the zero group included: the same group in each degree and in each row,
+    # or the same refusal
+    seed = int(os.environ.get("COHOMOLOGY_ROW_DIFFERENTIAL_SEED", "20261019"))
+    rng = random.Random(seed)
+    for fast, slow in ((trivial, oracle.trivial), (sign, oracle.sign)):
+        for n in range(9):
+            for _ in range(6):
+                orders = [rng.choice((0, 1, 2, 3, 4, 6, 8, 9, 12)) for _ in range(rng.randint(0, 3))]
+                group = FgAbGroup.from_orders(orders)
+                where = (seed, fast.__name__, orders, n)
+                try:
+                    want = oracle.cohomology_row(slow(group, n), 6)
+                except NotAnAction as exc:
+                    with pytest.raises(NotAnAction) as got:
+                        fast(group, n)
+                    assert str(got.value) == str(exc), where
+                    continue
+                m = fast(group, n)
+                assert [group_cohomology(m, s) for s in range(7)] == want, where
+                for s_max in range(7):
+                    assert cohomology_row(m, s_max) == want[:s_max + 1], where + (s_max,)
+                with pytest.raises(ValueError):
+                    group_cohomology(m, -1)
+                with pytest.raises(ValueError):
+                    cohomology_row(m, -1)
+
+
+def test_rows_run_no_smith_form(monkeypatch):
+    calls = []
+    snf = abelian._snf_ext
+    monkeypatch.setattr(abelian, "_snf_ext", lambda *a, **k: calls.append(1) or snf(*a, **k))
+    oracle.cohomology_row(oracle.sign(Z), 2)
+    assert calls, "the spy sees the resolution's Smith forms"
+    calls.clear()
+    for action in (trivial, sign):
+        for orders in ([0], [2, 4], [0, 2, 6], [3, 9]):
+            cohomology_row(action(FgAbGroup.from_orders(orders)), 6)
+    assert calls == []
