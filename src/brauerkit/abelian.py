@@ -12,6 +12,7 @@ import itertools
 from collections.abc import Iterable, Sequence
 from math import gcd
 
+from . import take
 from .errors import AmbiguousExtension, NoExtension
 from .record import record
 
@@ -350,10 +351,7 @@ class FgAbGroup:
 
     @staticmethod
     def from_json(obj: dict) -> "FgAbGroup":
-        rank, factors = obj.get("free_rank", 0), obj.get("factors", [])
-        if type(factors) is not list or any(type(x) is not int for x in [rank, *factors]):
-            raise ValueError(f"a group's free_rank and factors must be integers, not {obj!r}")
-        return FgAbGroup(rank, tuple(factors))
+        return FgAbGroup(take(obj, "free_rank", "int", 0), tuple(take(obj, "factors", "[int]", ())))
 
 
 def _reduce_matrix(matrix, target: FgAbGroup):

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from . import data_dir
+from . import data_dir, take
 from .errors import (
     AmbiguousExtension,
     NoExtension,
@@ -66,48 +66,36 @@ def _poly_str(poly) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _int_matrix(value) -> list:
-    """A JSON matrix as rows of equal length with integer entries."""
-    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
-        raise ValueError("the matrix must be a list of rows")
-    if len({len(row) for row in value}) > 1:
-        raise ValueError("the matrix rows must have equal length")
-    if any(type(x) is not int for row in value for x in row):
-        raise ValueError("the matrix entries must be integers")
-    return value
-
-
-def _int_list(text: str, flag: str, accept, what: str) -> list:
-    """A JSON list of integers (not bools) that `accept` admits."""
-    value = json.loads(text)
-    if not (isinstance(value, list) and all(type(x) is int and accept(x) for x in value)):
-        raise ValueError(f"{flag} must be a JSON list of {what}")
-    return value
+def _json_flag(flag: str, text: str, kind):
+    """The JSON value given to `flag`, which must be of type `kind`."""
+    return take({flag: json.loads(text)}, flag, kind)
 
 
 def _primes(text: str) -> list:
     """--primes: a JSON list of distinct primes below `_MR_EXACT_BELOW`, the
     bound under which `_is_prime` is exact."""
     from .abelian import _MR_EXACT_BELOW, _is_prime
-    primes = _int_list(text, "--primes", lambda p: p < _MR_EXACT_BELOW and _is_prime(p),
-                       f"primes below {_MR_EXACT_BELOW}")
-    if len(set(primes)) != len(primes):
-        raise ValueError("--primes must not list a prime twice")
+    primes = _json_flag("--primes", text, "[int]")
+    if len(set(primes)) != len(primes) or not all(
+            p < _MR_EXACT_BELOW and _is_prime(p) for p in primes):
+        raise ValueError(f"--primes must list distinct primes below {_MR_EXACT_BELOW}")
     return primes
 
 
-@contextlib.contextmanager
-def _user_json(what: str):
-    """A key missing from user-supplied JSON is bad input, not a missing fact."""
+def _user_file(path: str) -> str:
+    """The text of a file named on the command line; an unreadable path is an input error."""
     try:
-        yield
-    except KeyError as exc:
-        raise ValueError(f"{what} lacks the key {exc.args[0]!r}") from None
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _cmd_snf(args) -> dict:
     from .abelian import smith_normal_form
-    matrix = _int_matrix(json.loads(args.matrix))
+    matrix = _json_flag("--matrix", args.matrix, "[[int]]")
+    if len({len(row) for row in matrix}) > 1:
+        raise ValueError("the --matrix rows must have equal length")
     u, d, v = smith_normal_form(matrix)
     return {
         "U": u, "D": d, "V": v,
@@ -118,8 +106,7 @@ def _cmd_snf(args) -> dict:
 def _cmd_cohomology(args) -> dict:
     from .abelian import FgAbGroup
     from .cyccoh import group_cohomology, sign, trivial
-    orders = _int_list(args.orders, "--orders", lambda d: d >= 0, "non-negative integers")
-    group = FgAbGroup.from_orders(orders)
+    group = FgAbGroup.from_orders(_json_flag("--orders", args.orders, "[int]"))
     module = (sign if args.action == "sign" else trivial)(group, args.n)
     value = group_cohomology(module, args.s)
     return {"group": str(value), "structure": value.to_json(),
@@ -159,8 +146,7 @@ def _cmd_cech(args) -> dict:
 
 def _cmd_br_number_ring(args) -> dict:
     from .numbrauer import brauer_localized_integers, places_from_json
-    with _user_json("--places"):
-        places = places_from_json(args.places)
+    places = places_from_json(args.places)
     desc = brauer_localized_integers(places)
     return {"group": str(desc), "descriptor": desc.to_json(),
             "places": [{"kind": p.kind, "label": p.label} for p in places]}
@@ -179,8 +165,7 @@ def _cmd_h1_qz(args) -> dict:
 
 def _cmd_br_laurent(args) -> dict:
     from .numbrauer import brauer_laurent, places_from_json
-    with _user_json("--places"):
-        places = places_from_json(args.places)
+    places = places_from_json(args.places)
     primes = _primes(args.primes)
     desc = brauer_laurent(places, primes)
     return {"group": str(desc), "descriptor": desc.to_json(),
@@ -194,8 +179,7 @@ def _load_ring(spec: str):
         return SHIPPED_RINGS[spec]
     if not os.path.exists(spec):
         raise NoFact(f"no shipped ring or descriptor file named {spec!r}")
-    with open(spec) as fh, _user_json(f"ring descriptor {spec}"):
-        return EtaleRingDescriptor.from_json(json.load(fh))
+    return EtaleRingDescriptor.from_json(json.loads(_user_file(spec)))
 
 
 def _cmd_pic_ko(args) -> dict:
@@ -303,16 +287,14 @@ def _cmd_lbr_mo(args) -> dict:
 
 def _cmd_ss_run(args) -> dict:
     from .ssengine import page_from_json, page_to_json, turn_page
-    with open(args.page) as fh, _user_json(f"page file {args.page}"):
-        page, rules = page_from_json(fh.read())
+    page, rules = page_from_json(_user_file(args.page))
     nxt = turn_page(page, rules)
     return json.loads(page_to_json(nxt))
 
 
 def _cmd_ss_chart(args) -> str:
     from .ssengine import chart_svg, page_from_json
-    with open(args.page) as fh, _user_json(f"page file {args.page}"):
-        page, _ = page_from_json(fh.read())
+    page, _ = page_from_json(_user_file(args.page))
     return chart_svg(page)
 
 
@@ -399,14 +381,6 @@ def _parse_args(argv):
     return build_parser().parse_args(argv)
 
 
-def _emit(text: str, output) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
@@ -423,11 +397,18 @@ def main(argv=None) -> int:
     except (ValueError, json.JSONDecodeError, NotAnAction) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if isinstance(report, str):  # SVG artifact
-        _emit(report, args.output)
+    if not isinstance(report, str):  # an SVG artifact is written as it is
+        report["data_files"] = data_file_versions()
+        report = json.dumps(report, sort_keys=True, indent=1) + "\n"
+    if not args.output:
+        sys.stdout.write(report)
         return 0
-    report["data_files"] = data_file_versions()
-    _emit(json.dumps(report, sort_keys=True, indent=1) + "\n", args.output)
+    try:
+        with open(args.output, "w") as fh:
+            fh.write(report)
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return EXIT_PARSE
     return 0
 
 

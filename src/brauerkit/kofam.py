@@ -14,7 +14,7 @@ class of order 8 (order 4 when d = 0) resolves all extensions.
 
 from __future__ import annotations
 
-
+from . import take
 from .abelian import ExtensionWitness, FgAbGroup, GroupHom, resolve_extension
 from .cyccoh import cohomology_row, group_cohomology, sign, trivial
 from .numbrauer import DivisibleGroupDescriptor
@@ -64,12 +64,12 @@ class EtaleRingDescriptor:
     @classmethod
     def from_json(cls, data: dict) -> "EtaleRingDescriptor":
         return cls(
-            data["name"],
-            FgAbGroup.from_json(data["units"]),
-            FgAbGroup.from_json(data["pic"]),
-            tuple(data.get("residue_field_degrees_at_2", ())),
-            data.get("connected", True),
-            tuple(data.get("inverted_primes", ())),
+            take(data, "name", "string"),
+            FgAbGroup.from_json(take(data, "units", "object")),
+            FgAbGroup.from_json(take(data, "pic", "object")),
+            tuple(take(data, "residue_field_degrees_at_2", "[int]", ())),
+            take(data, "connected", "bool", True),
+            tuple(take(data, "inverted_primes", "[int]", ())),
         )
 
 

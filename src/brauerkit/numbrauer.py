@@ -11,8 +11,9 @@ ring splits as Br of the base plus that H^1.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
+from . import take
 from .abelian import FgAbGroup, _valuation
 from .record import record
 
@@ -40,21 +41,21 @@ class PlaceSpec:
 
 
 def places_from_json(text: str) -> list[PlaceSpec]:
+    """Places from a JSON list of objects with a string `kind` and optional
+    string `label`, or from an object holding that list under `places`."""
     data = json.loads(text)
-    items = data["places"] if isinstance(data, dict) else data
-    if not isinstance(items, list):
-        raise ValueError("places must be a JSON list of place objects")
-    named = set()  # unlabelled real and complex places may repeat; named ones may not
-    for item in items:
-        if not (isinstance(item, dict) and isinstance(item.get("kind"), str)):
-            raise ValueError(f"place {item!r} is not an object with a string 'kind'")
-        if not isinstance(item.get("label", ""), str):
-            raise ValueError(f"place {item!r} has a 'label' that is not a string")
-        key = (item["kind"], item.get("label", ""))
-        if key[1] and key in named:
-            raise ValueError(f"place {item!r} is listed twice")
-        named.add(key)
-    return [PlaceSpec(item["kind"], item.get("label", "")) for item in items]
+    places = []
+    for i, item in enumerate(take(data if type(data) is dict else {"places": data},
+                                  "places", "[object]")):
+        try:
+            places.append(PlaceSpec(take(item, "kind", "string"), take(item, "label", "string", "")))
+        except ValueError as exc:
+            raise ValueError(f"place {i}: {exc}") from None
+    # unlabelled real and complex places may repeat; labelled ones may not
+    labelled = [(p.kind, p.label) for p in places if p.label]
+    if len(set(labelled)) != len(labelled):
+        raise ValueError("a labelled place is listed twice")
+    return places
 
 
 @record
@@ -125,16 +126,6 @@ class DivisibleGroupDescriptor:
         if self.infinite_f2_basis:
             out["infinite_f2_basis"] = self.infinite_f2_basis
         return out
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "DivisibleGroupDescriptor":
-        return cls(
-            data.get("qz_copies", 0),
-            tuple(data.get("qpzp_primes", ())),
-            FgAbGroup.from_json(data["finite_part"]) if "finite_part" in data else FgAbGroup.zero(),
-            data.get("infinite_f2", False),
-            data.get("infinite_f2_basis", ""),
-        )
 
     @classmethod
     def zero(cls) -> "DivisibleGroupDescriptor":

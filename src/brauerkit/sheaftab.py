@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 
-from . import data_dir
+from . import data_dir, take
 from .abelian import ExtensionWitness, FgAbGroup, resolve_extension
 from .charp import TruncatedCharPModule, operator_cokernel_basis, operator_kernel, parse_operator
 from .errors import AmbiguousExtension, NoFact
@@ -133,25 +133,27 @@ def sheaf_to_json(f: SheafSymbol) -> dict:
 
 
 def sheaf_from_json(data: dict) -> SheafSymbol:
-    t = data["type"]
+    t = take(data, "type", "string")
     if t == "constant":
-        return Constant(FgAbGroup.from_json(data["group"]))
+        return Constant(FgAbGroup.from_json(take(data, "group", "object")))
     if t == "closed_push":
-        return ClosedPush(data["point"], FgAbGroup.from_json(data["group"]),
-                          data["residue_site"])
+        return ClosedPush(take(data, "point", "string"), FgAbGroup.from_json(take(data, "group", "object")),
+                          take(data, "residue_site", "string"))
     if t == "quasi_coherent":
-        return QuasiCoherent(data["name"])
+        return QuasiCoherent(take(data, "name", "string"))
     if t == "kstar_vshriek":
         return KStarVShriek()
     if t == "r1jgm":
         return R1jGm()
     if t == "direct_sum":
-        return DirectSum(tuple(sheaf_from_json(g) for g in data["summands"]))
+        return DirectSum(tuple(sheaf_from_json(g) for g in take(data, "summands", "[object]")))
     if t == "extension":
-        w = data.get("witness")
-        witness = ExtensionWitness(w["order"], w.get("generates_quotient", False)) if w else None
-        return SheafExtension(sheaf_from_json(data["sub"]), sheaf_from_json(data["quot"]),
-                              data.get("nontrivial", False), witness)
+        w = take(data, "witness", "object", {})
+        witness = ExtensionWitness(
+            take(w, "order", "int"), take(w, "generates_quotient", "bool", False)) if w else None
+        return SheafExtension(sheaf_from_json(take(data, "sub", "object")),
+                              sheaf_from_json(take(data, "quot", "object")),
+                              take(data, "nontrivial", "bool", False), witness)
     raise ValueError(f"unknown sheaf symbol type {t!r}")
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 
+from . import take
 from .abelian import (
     ExtensionWitness,
     FgAbGroup,
@@ -131,7 +132,7 @@ class DifferentialRule:
         if self.kind == "operator" and self.operator is None:
             raise ValueError("operator rules need a SemilinearOperator")
         if self.kind == "unresolved" and not self.name:
-            raise ValueError("unresolved rules must be named")
+            raise ValueError("unresolved rules need a 'name'")
         if not self.provenance:
             raise ValueError("every rule carries provenance")
 
@@ -373,11 +374,15 @@ def _entry_value_to_json(v: EntryValue) -> dict:
 
 
 def _entry_value_from_json(d: dict) -> EntryValue:
-    if d["kind"] == "group":
-        return FgAbGroup.from_json(d["group"])
-    if d["kind"] == "charp":
-        return CharPRef(d["name"], TruncatedCharPModule(d["p"], tuple(d["window"]), d["laurent"]))
-    return sheaf_from_json(d["sheaf"])
+    kind = take(d, "kind", "string")
+    if kind == "group":
+        return FgAbGroup.from_json(take(d, "group", "object"))
+    if kind == "charp":
+        return CharPRef(take(d, "name", "string"), TruncatedCharPModule(
+            take(d, "p", "int"), tuple(take(d, "window", "[int]")), take(d, "laurent", "bool")))
+    if kind == "sheaf":
+        return sheaf_from_json(take(d, "sheaf", "object"))
+    raise ValueError(f"'kind' must be group, charp or sheaf, not {kind!r}")
 
 
 def _rule_to_json(rule: DifferentialRule) -> dict:
@@ -398,26 +403,21 @@ def _rule_to_json(rule: DifferentialRule) -> dict:
     return out
 
 
-def _int_key(d: dict, key: str, default: int | None = None) -> int:
-    value = d[key] if default is None else d.get(key, default)
-    if type(value) is not int:
-        raise ValueError(f"page key {key!r} must be an integer, not {value!r}")
-    return value
-
-
 def _rule_from_json(d: dict) -> DifferentialRule:
-    kind = d["kind"]
+    kind = take(d, "kind", "string")
     hom = operator = None
     if kind == "matrix":
-        hom = GroupHom(FgAbGroup.from_json(d["source_group"]),
-                       FgAbGroup.from_json(d["target_group"]),
-                       tuple(tuple(row) for row in d["matrix"]))
+        hom = GroupHom(FgAbGroup.from_json(take(d, "source_group", "object")),
+                       FgAbGroup.from_json(take(d, "target_group", "object")),
+                       tuple(tuple(row) for row in take(d, "matrix", "[[int]]")))
     if kind == "operator":
-        operator = parse_operator(d["operator"], d["p"])
-    return DifferentialRule(_int_key(d, "r"), (_int_key(d, "s"), _int_key(d, "t")), kind,
+        operator = parse_operator(take(d, "operator", "string"), take(d, "p", "int"))
+    return DifferentialRule(take(d, "r", "int"), (take(d, "s", "int"), take(d, "t", "int")), kind,
                             hom=hom, operator=operator,
-                            surjective=d.get("surjective", False), name=d.get("name", ""),
-                            provenance=d["provenance"], relabel=d.get("relabel", ""))
+                            surjective=take(d, "surjective", "bool", False),
+                            name=take(d, "name", "string", ""),
+                            provenance=take(d, "provenance", "string"),
+                            relabel=take(d, "relabel", "string", ""))
 
 
 def page_to_json(page: SSPage, rules: Sequence[DifferentialRule] = ()) -> str:
@@ -432,23 +432,24 @@ def page_to_json(page: SSPage, rules: Sequence[DifferentialRule] = ()) -> str:
 
 
 def page_from_json(text: str) -> tuple[SSPage, list[DifferentialRule]]:
-    """A page and its rules from JSON; `r`, `s`, `t` and `index` must be
-    integers and each (s, t) may carry one entry."""
+    """A page and its rules from JSON, each key read with its type by
+    `take`; an entry's index is positive and each (s, t) carries one entry."""
     data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("a page file holds a JSON object")
     entries = {}
-    for item in data["entries"]:
-        pos = (_int_key(item, "s"), _int_key(item, "t"))
+    for item in take(data, "entries", "[object]"):
+        pos = (take(item, "s", "int"), take(item, "t", "int"))
         if pos in entries:
             raise ValueError(f"entry position {pos} is listed twice")
+        index = take(item, "index", "int", 1)
+        if index < 1:
+            raise ValueError(f"'index' must be positive, not {index}")
         entries[pos] = Entry(
-            _entry_value_from_json(item["entry"]), item.get("label", ""),
-            _int_key(item, "index", 1), tuple(item.get("assumed", ())))
-    rules = [_rule_from_json(d) for d in data.get("rules", [])]
+            _entry_value_from_json(take(item, "entry", "object")), take(item, "label", "string", ""),
+            index, tuple(take(item, "assumed", "[string]", ())))
+    rules = [_rule_from_json(d) for d in take(data, "rules", "[object]", ())]
     # user JSON may list zero entries; no other page builder makes them
     nonzero = {pos: e for pos, e in entries.items() if not e.is_zero()}
-    return SSPage(_int_key(data, "r"), nonzero), rules
+    return SSPage(take(data, "r", "int"), nonzero), rules
 
 
 _LEGEND = [

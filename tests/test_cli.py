@@ -188,24 +188,24 @@ def test_exit_2_on_a_position_listed_twice(capsys, page_file):
                                         ("index", 1.0)])
 def test_exit_2_on_a_non_integer_entry_key(capsys, page_file, key, value):
     page = _edited_page(page_file, lambda d: d["entries"][1].update({key: value}))
-    _assert_refused(capsys, page, f"page key {key!r} must be an integer")
+    _assert_refused(capsys, page, f"{key!r} must be of type int")
 
 
 @pytest.mark.parametrize("key", ["r", "s", "t"])
 def test_exit_2_on_a_non_integer_rule_key(capsys, page_file, key):
     page = _edited_page(page_file, lambda d: d["rules"][0].update({key: "2"}))
-    _assert_refused(capsys, page, f"page key {key!r} must be an integer")
+    _assert_refused(capsys, page, f"{key!r} must be of type int")
 
 
 @pytest.mark.parametrize("value", ["3", 3.0, True])
 def test_exit_2_on_a_non_integer_page_number(capsys, page_file, value):
     page = _edited_page(page_file, lambda d: d.update(r=value))
-    _assert_refused(capsys, page, "page key 'r' must be an integer")
+    _assert_refused(capsys, page, "'r' must be of type int")
 
 
 def test_exit_2_on_a_page_file_that_is_not_an_object(capsys, page_file):
     page = _edited_page(page_file, lambda d: [d])
-    _assert_refused(capsys, page, "a page file holds a JSON object")
+    _assert_refused(capsys, page, "expected a JSON object")
 
 
 @pytest.mark.parametrize("group", [{"free_rank": True}, {"free_rank": 1.0},
@@ -213,7 +213,7 @@ def test_exit_2_on_a_page_file_that_is_not_an_object(capsys, page_file):
 def test_exit_2_on_a_non_integer_group_in_a_page(capsys, page_file, group):
     entry = {"kind": "group", "group": group}
     page = _edited_page(page_file, lambda d: d["entries"][0].update(entry=entry))
-    _assert_refused(capsys, page, "free_rank and factors must be integers")
+    _assert_refused(capsys, page, "must be of type")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,7 @@ def test_exit_2_on_a_non_integer_group_in_a_ring_file(capsys, tmp_path, units):
     for verb in ("pic-ko", "pic-tmf"):
         assert main([verb, "--ring", str(path)]) == 2, verb
         out = capsys.readouterr()
-        assert out.out == "" and "free_rank and factors must be integers" in out.err, verb
+        assert out.out == "" and "must be of type" in out.err, verb
 
 
 def test_exit_2_on_an_extension_with_too_many_candidates(capsys, tmp_path):

@@ -45,8 +45,6 @@ ALLOWED = {
     "ssengine.column_filtration":
         "ROADMAP direction 4: column 0 read from turned pages",
     "ssengine._check_stable": "ROADMAP direction 4: the stability check of column_filtration",
-    "numbrauer.DivisibleGroupDescriptor.from_json":
-        "other half of a reached (de)serializer: to_json writes every Brauer report",
     "ssengine._rule_to_json":
         "other half of a reached (de)serializer: ss-run reads rules with _rule_from_json",
     "kofam.EtaleRingDescriptor.to_json":
