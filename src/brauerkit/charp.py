@@ -35,6 +35,8 @@ class TruncatedCharPModule:
     def __post_init__(self):
         if self.p not in (2, 3):
             raise ValueError("only characteristics 2 and 3 are supported")
+        if len(self.window) != 2:
+            raise ValueError(f"'window' must be two degrees [lo, hi], not {list(self.window)}")
         lo, hi = self.window
         if not (lo <= 0 <= hi):
             raise ValueError("window must contain degree 0")
@@ -85,6 +87,8 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:j(?:\^(-?\d+))?\*?)?x(?:\^(\d+))?$")
 
 def parse_operator(text: str, p: int) -> SemilinearOperator:
     """Parse strings like "x + j*x^2" or "x - x^3" into an operator."""
+    if p not in (2, 3):
+        raise ValueError("only characteristics 2 and 3 are supported")
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty operator")

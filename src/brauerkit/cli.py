@@ -33,8 +33,7 @@ EXIT_PARSE = 2
 EXIT_NOFACT = 3
 EXIT_AMBIGUOUS = 4
 
-_NOFACT_ERRORS = (NoFact, NotStabilized, UnmatchedRule, WindowTooSmall, NoExtension,
-                  FileNotFoundError)
+_NOFACT_ERRORS = (NoFact, NotStabilized, UnmatchedRule, WindowTooSmall, NoExtension, OSError)
 
 
 def data_file_versions() -> dict:
@@ -207,12 +206,6 @@ def _cmd_lbr_ko(args) -> dict:
     }
 
 
-def _tmf_citations(data) -> list:
-    cites = [item["citation"] for item in data.column0]
-    cites += [rule["citation"] for rule in data.special_rules]
-    return sorted(set(cites))
-
-
 def _cmd_pic_tmf(args) -> dict:
     from .tmffam import TmfPageData, pic_tmf_global, pic_tmf_r, run_pic_tmf
     data = TmfPageData.load()
@@ -226,7 +219,7 @@ def _cmd_pic_tmf(args) -> dict:
             "sections_order": rep.sections_order,
             "total_order": rep.total_order,
             "notes": list(rep.notes),
-            "citations": _tmf_citations(data),
+            "citations": list(data.citations),
         }
     column = run_pic_tmf(data)
     local = pic_tmf_global(data=data)
@@ -236,7 +229,7 @@ def _cmd_pic_tmf(args) -> dict:
                     for g in column.stages],
         "gr_above_7": 0,
         "local_groups": {str(p): str(g) for p, g in local.items()},
-        "citations": _tmf_citations(data),
+        "citations": list(data.citations),
     }
 
 
@@ -245,7 +238,7 @@ def _cmd_pic_tmf_c4inv(args) -> dict:
     data = TmfPageData.load()
     group = pic_tmf_c4inv(data=data)
     return {"group": str(group), "structure": group.to_json(),
-            "citations": [data.c4inv["citation"]]}
+            "citations": [data.c4inv_citation]}
 
 
 def _cmd_lbr_tmf(args) -> dict:
@@ -263,7 +256,7 @@ def _cmd_lbr_tmf(args) -> dict:
         "kernel_order_bound": rep.kernel_order_bound,
         "br_pi0_zero": rep.br_pi0_zero,
         "assumed": list(rep.assumed),
-        "citations": _tmf_citations(data),
+        "citations": list(data.citations),
     }
 
 
@@ -281,7 +274,7 @@ def _cmd_lbr_mo(args) -> dict:
         "cokernel_order_bound": rep.cokernel_order_bound,
         "injection_distinct": rep.injection_distinct,
         "assumed": list(rep.assumed),
-        "citations": [data.lbr_mo["citation"]],
+        "citations": [data.lbr_mo_citation],
     }
 
 

@@ -182,39 +182,35 @@ def sheaf_display(f: SheafSymbol) -> str:
 
 
 class FactTable:
-    """Immutable store of cohomology facts keyed by (sheaf, site, degree)."""
+    """Cohomology facts by (sheaf, site, degree): a sheaf symbol for `ker(...)`, else a group."""
 
-    def __init__(self, entries: list[dict]):
-        self._facts: dict[tuple[str, str, int], dict] = {}
+    def __init__(self, entries: list):
+        self._groups: dict[tuple[str, str, int], FgAbGroup] = {}
+        self._kernels: dict[tuple[str, str, int], SheafSymbol] = {}
         for e in entries:
-            for key in ("sheaf", "site", "degree", "value", "citation"):
-                if key not in e:
-                    raise ValueError(f"fact entry missing {key!r}: {e}")
-            self._facts[(e["sheaf"], e["site"], e["degree"])] = e
+            key = (take(e, "sheaf", "string"), take(e, "site", "string"), take(e, "degree", "int"))
+            take(e, "citation", "string")
+            value = take(e, "value", "int" if e.get("value") == 0 else "object")
+            if key[0].startswith("ker("):
+                self._kernels[key] = sheaf_from_json(take(value, "symbol", "object"))
+            else:
+                self._groups[key] = FgAbGroup.from_json(value or {})
 
     @classmethod
     def load(cls) -> "FactTable":
         with open(os.path.join(data_dir(), "sheaf_facts.json")) as fh:
             return cls(json.load(fh))
 
-    def lookup(self, sheaf: str, site: str, degree: int):
+    def lookup(self, sheaf: str, site: str, degree: int) -> FgAbGroup | None:
         """Group-valued fact, or None if absent."""
-        e = self._facts.get((sheaf, site, degree))
-        if e is None:
-            return None
-        v = e["value"]
-        if v == 0:
-            return FgAbGroup.zero()
-        if isinstance(v, dict) and "symbol" not in v:
-            return FgAbGroup.from_json(v)
-        return v
+        return self._groups.get((sheaf, site, degree))
 
     def kernel_sheaf(self, operator_text: str, sheaf_name: str) -> SheafSymbol:
         """Sheaf-level kernel of a semilinear operator, from the fact table."""
-        e = self._facts.get((f"ker({operator_text} | {sheaf_name})", "A1", 0))
-        if e is None:
+        symbol = self._kernels.get((f"ker({operator_text} | {sheaf_name})", "A1", 0))
+        if symbol is None:
             raise NoFact(f"no kernel fact for {operator_text} on {sheaf_name}")
-        return sheaf_from_json(e["value"]["symbol"])
+        return symbol
 
 
 _DEFAULT_TABLE: FactTable | None = None

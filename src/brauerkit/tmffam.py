@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 
-from . import data_dir
+from . import data_dir, take
 from .abelian import ExtensionWitness, FgAbGroup, _valuation, resolve_extension
 from .charp import parse_operator
 from .errors import NoFact
@@ -43,60 +43,72 @@ UNRESOLVED_NAMES = ("d13_row5", "d25_row5", "d23_row7", "d9_lbr_row6")
 OPEN_AT_STAGE = {(5, 2): ("d13_row5", "d25_row5"), (7, 2): ("d23_row7",)}
 
 
-def _source(item: dict) -> tuple[int, int, int]:
-    return item["s"], item["t"], item.get("local", 0)
-
-
 @record
 class TmfPageData:
-    column0: tuple[dict, ...]
-    special_rules: tuple[dict, ...]
+    # (s, local, entry, text of the operator rule out of its (s, t, local) or None)
+    column0: tuple[tuple[int, int, SheafSymbol, str | None], ...]
     unresolved: dict[str, str]
-    pic_witness_order: int
-    c4inv: dict
-    lbr_mo: dict
+    pic_witness: ExtensionWitness  # the suspension class; an order of 0 would hang _valuation
+    c4inv: tuple[FgAbGroup, FgAbGroup, bool]  # H^0(u_*Q), the k_* sections, split
+    lbr_mo: tuple[int, str, tuple[int, ...]]  # 2-local kernel order, its footnote, O/(2,j) rows
+    citations: tuple[str, ...]  # of the column-0 entries and the rules, sorted
+    c4inv_citation: str
+    lbr_mo_citation: str
 
     def __post_init__(self):
-        for item in self.column0:
-            if not item.get("citation"):
-                raise ValueError(f"column-0 entry at ({item['s']},{item['t']}) lacks a citation")
-        for rule in self.special_rules:
-            if not rule.get("citation"):
-                raise ValueError(f"rule {rule.get('name')} lacks a citation")
-        d11 = next((r for r in self.special_rules if r["name"] == "d11_77"), None)
-        if d11 is None:
-            raise ValueError("the fixed-zero d11 on row 7 must be present")
-        if d11["kind"] != "zero":
-            raise ValueError("d11 on row 7 is fixed to zero")
         if set(self.unresolved) != set(UNRESOLVED_NAMES):
             raise ValueError(f"unresolved set must be exactly {UNRESOLVED_NAMES}")
-        # operator rules must parse, at most one leaves each column-0 source,
-        # and no two chain into each other (distinct page numbers with
-        # distinct sources keeps d∘d = 0 vacuous)
-        positions, operator_sources = set(), set()
-        for rule in self.special_rules:
-            key = (rule["r"],) + _source(rule)
-            if key in positions:
-                raise ValueError(f"duplicate rule at {key}")
-            positions.add(key)
-            if rule["kind"] == "operator":
-                parse_operator(rule["operator"], rule["p"])
-                if _source(rule) in operator_sources:
-                    raise ValueError(f"two operator rules out of {_source(rule)}")
-                operator_sources.add(_source(rule))
+        for name, value in self.unresolved.items():
+            if value not in ("zero", "iso"):
+                raise ValueError(f"{name!r} must be \"zero\" or \"iso\", not {json.dumps(value)}")
 
     @classmethod
     def load(cls) -> "TmfPageData":
+        """Read and check data/tmf_pages.json.  Operator rules must parse, at most one
+        leaves each source, and no two rules share (r, s, t, local): d∘d = 0 is vacuous."""
+        def cited(obj: dict, what: str) -> str:
+            if not take(obj, "citation", "string"):
+                raise ValueError(f"{what} lacks a citation")
+            return obj["citation"]
+
         with open(os.path.join(data_dir(), "tmf_pages.json")) as fh:
             raw = json.load(fh)
-        return cls(
-            tuple(raw["column0"]),
-            tuple(raw["special_rules"]),
-            dict(raw["unresolved"]),
-            raw["pic_witness"]["order"],
-            raw["c4inv"],
-            raw["lbr_mo"],
-        )
+        positions, operators, kinds, citations = set(), {}, {}, set()
+        for rule in take(raw, "special_rules", "[object]"):
+            name, kind = take(rule, "name", "string"), take(rule, "kind", "string")
+            kinds.setdefault(name, kind)
+            citations.add(cited(rule, f"rule {name}"))
+            source = (take(rule, "s", "int"), take(rule, "t", "int"), take(rule, "local", "int", 0))
+            key = (take(rule, "r", "int"),) + source
+            if key in positions:
+                raise ValueError(f"duplicate rule at {key}")
+            positions.add(key)
+            if kind == "operator":
+                if source in operators:
+                    raise ValueError(f"two operator rules out of {source}")
+                operators[source] = str(parse_operator(take(rule, "operator", "string"),
+                                                       take(rule, "p", "int")))
+        if "d11_77" not in kinds:
+            raise ValueError("the fixed-zero d11 on row 7 must be present")
+        if kinds["d11_77"] != "zero":
+            raise ValueError("d11 on row 7 is fixed to zero")
+        column0 = []
+        for item in take(raw, "column0", "[object]"):
+            s, t = take(item, "s", "int"), take(item, "t", "int")
+            local = take(item, "local", "int", 0)
+            citations.add(cited(item, f"column-0 entry at ({s},{t})"))
+            column0.append((s, local, sheaf_from_json(take(item, "entry", "object")),
+                            operators.get((s, t, local))))
+        c4inv, lbr_mo = take(raw, "c4inv", "object"), take(raw, "lbr_mo", "object")
+        return cls(tuple(column0), dict(take(raw, "unresolved", "object")),
+                   ExtensionWitness(take(take(raw, "pic_witness", "object"), "order", "int"), True),
+                   (FgAbGroup.from_json(take(c4inv, "h0_u_q", "object")),
+                    FgAbGroup.from_json(take(c4inv, "kstar_h0", "object")),
+                    take(c4inv, "split", "bool", False)),
+                   (take(lbr_mo, "two_local_kernel_order", "int"),
+                    take(lbr_mo, "kernel_footnote", "string"),
+                    tuple(take(lbr_mo, "rows_o2j", "[int]"))),
+                   tuple(sorted(citations)), cited(c4inv, "c4inv"), cited(lbr_mo, "lbr_mo"))
 
 
 # ---------------------------------------------------------------------------
@@ -138,22 +150,15 @@ def run_pic_tmf(data: TmfPageData | None = None) -> Column0Report:
     set to "iso" in `data.unresolved` kills its stage.
     """
     data = data or TmfPageData.load()
-    unresolved = data.unresolved
     table = default_fact_table()
-    operators = {_source(rule): rule for rule in data.special_rules
-                 if rule["kind"] == "operator"}
     stages: list[GrStage] = []
-    for item in data.column0:
-        s, local = item["s"], item.get("local", 0)
-        symbol = sheaf_from_json(item["entry"])
-        op = operators.get(_source(item))
-        if op is not None:
-            symbol = table.kernel_sheaf(
-                str(parse_operator(op["operator"], op["p"])), sheaf_display(symbol))
+    for s, local, symbol, operator in data.column0:
+        if operator is not None:
+            symbol = table.kernel_sheaf(operator, sheaf_display(symbol))
         open_here = OPEN_AT_STAGE.get((s, local), ())
-        killed = any(unresolved[n] == "iso" for n in open_here)
+        killed = any(data.unresolved[n] == "iso" for n in open_here)
         stages.append(GrStage(s, None if killed else symbol, local, exact=killed or not open_here,
-                              assumed=tuple(n for n in open_here if unresolved[n] != "iso")))
+                              assumed=tuple(n for n in open_here if data.unresolved[n] != "iso")))
     return Column0Report(tuple(sorted(stages, key=lambda g: (g.s, g.local))))
 
 
@@ -186,7 +191,7 @@ def pic_tmf_global(data: TmfPageData | None = None) -> dict[int, FgAbGroup]:
     out: dict[int, FgAbGroup] = {}
     for p in (2, 3, 5):
         orders = [_stage_section_order(g, p) for g in reversed(report.stages)]
-        witness = ExtensionWitness(p ** _valuation(data.pic_witness_order, p),
+        witness = ExtensionWitness(p ** _valuation(data.pic_witness.witness_order, p),
                                    maps_to_generator_of_quotient=True)
         out[p] = assemble_abutment_by_orders(orders, witness)
     return out
@@ -203,9 +208,8 @@ def pic_tmf_c4inv(data: TmfPageData | None = None) -> FgAbGroup:
     data = data or TmfPageData.load()
     if not brauer_laurent([PlaceSpec("real")], set()).is_zero():
         raise NoFact("Br of the Laurent base ring unexpectedly nonzero")
-    h0_q = FgAbGroup.from_json(data.c4inv["h0_u_q"])
-    kstar = FgAbGroup.from_json(data.c4inv["kstar_h0"])
-    if not data.c4inv.get("split", False):
+    h0_q, kstar, split = data.c4inv
+    if not split:
         return resolve_extension(kstar, h0_q,
                                  ExtensionWitness(h0_q.order(), True))
     return kstar.direct_sum(h0_q)
@@ -338,8 +342,8 @@ def lbr_m_o(window: int = 32, data: TmfPageData | None = None) -> LbrMOReport:
     """
     three, basis = _lbr_common(window)
     data = data or TmfPageData.load()
+    kernel_order, footnote, rows = data.lbr_mo
     # cokernel bound: each O/(2,j) row contributes sections of order 2
-    rows = data.lbr_mo["rows_o2j"]
     per_row = cohomology_order(QuasiCoherent("O/(2,j)"), 0, "A1")
     cokernel_bound = per_row ** len(rows)
     generator_map = tuple((g, g) for g in basis)
@@ -347,8 +351,8 @@ def lbr_m_o(window: int = 32, data: TmfPageData | None = None) -> LbrMOReport:
     assumed = ("d9_lbr_row6",) if data.unresolved["d9_lbr_row6"] == "zero" else ()
     return LbrMOReport(
         window=window,
-        two_local_kernel_order=data.lbr_mo["two_local_kernel_order"],
-        kernel_footnote=data.lbr_mo["kernel_footnote"],
+        two_local_kernel_order=kernel_order,
+        kernel_footnote=footnote,
         two_local_basis=basis,
         three_local=three,
         iso_after_inverting_2=True,

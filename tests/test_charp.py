@@ -80,6 +80,19 @@ def test_parse_rejects_zero_exponent_and_other_variables():
         parse_operator("x + j*z^2", 2)
 
 
+@pytest.mark.parametrize("p", [0, 5])
+def test_parse_refuses_other_characteristics_before_the_exponents(p):
+    # p = 5 once read as "exponent 2 is not a power of 5", p = 0 as ZeroDivisionError
+    with pytest.raises(ValueError, match="only characteristics 2 and 3 are supported"):
+        parse_operator("x + j*x^2", p)
+
+
+def test_module_window_is_two_degrees():
+    for window in ((0,), (), (0, 4, 8)):
+        with pytest.raises(ValueError, match="'window' must be two degrees"):
+            TruncatedCharPModule(2, window)
+
+
 def test_operator_str_roundtrip():
     op = parse_operator("x + j*x^2", 2)
     assert parse_operator(str(op), 2).terms == op.terms

@@ -1,11 +1,16 @@
 """The JSON boundary: every malformed page file, ring descriptor, `--places`
-list and JSON flag is an input error (exit 2) that names the key it broke.
+list, JSON flag and curated data file is an input error (exit 2) that names
+the key it broke.
 
 For each key of the golden page files, of the golden ring descriptor and of
 a `--places` list, each value of another JSON type is put in its place, and
 separately the key is dropped; `cli.main` runs in process on the result.
-The seeded part makes 1 to 3 substitutions per document at once; it reads
-JSON_BOUNDARY_SEED when it is set.
+The curated data files get the same treatment in a copy of the data
+directory that `BRAUERKIT_DATA` points at: every key of `tmf_pages.json`,
+and every key of one fact of each value shape in `sheaf_facts.json`, read
+by the TMF and KO verbs that load the file.  The seeded parts make 1 to 3
+substitutions per document at once; they read JSON_BOUNDARY_SEED when it is
+set.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import random
 
 import pytest
 
+import brauerkit.sheaftab as sheaftab
+from brauerkit import data_dir
 from brauerkit.cli import main
 from golden_corpus import CASES, CHAIN_PAGE, PAGE, RING_FILE
 
@@ -66,18 +73,21 @@ def _edited(doc, edits):
     return doc
 
 
-def _run(name, doc, tmp_path):
-    """Exit code, stdout and stderr of the verb that reads the document `name`."""
-    if name == "places":
-        argv = ["br-number-ring", "--places", json.dumps(doc)]
-    else:
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(doc))
-        argv = ["pic-ko", "--ring", str(path)] if name == "ring" else ["ss-run", "--page", str(path)]
+def _main(argv):
+    """Exit code, stdout and stderr of `cli.main(argv)` in process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _run(name, doc, tmp_path):
+    """Exit code, stdout and stderr of the verb that reads the document `name`."""
+    if name == "places":
+        return _main(["br-number-ring", "--places", json.dumps(doc)])
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return _main(["pic-ko", "--ring", str(path)] if name == "ring" else ["ss-run", "--page", str(path)])
 
 
 def _refusal_naming(result, keys) -> str | None:
@@ -124,17 +134,26 @@ def test_each_required_key_is_named_when_dropped(name, tmp_path):
     assert failures == []
 
 
+def _seeded_edits(rng, doc, paths):
+    """1 to 3 substitutions of a value of another JSON type, none inside another."""
+    chosen = []
+    for path in rng.sample(paths, rng.randint(1, 3)):
+        if not any(path[:len(p)] == p or p[:len(path)] == path for p, _ in chosen):
+            wrong = [v for v in WRONG if _json_type(v) != _json_type(_at(doc, path))]
+            chosen.append((path, rng.choice(wrong)))
+    return chosen
+
+
+def _seed() -> int:
+    return int(os.environ.get("JSON_BOUNDARY_SEED", "20261019"))
+
+
 def test_seeded_nested_substitutions(tmp_path):
-    rng = random.Random(int(os.environ.get("JSON_BOUNDARY_SEED", "20261019")))
+    rng = random.Random(_seed())
     failures = []
     for _ in range(60):
         for name, doc in DOCS.items():
-            paths = list(_key_paths(doc))
-            chosen = []
-            for path in rng.sample(paths, rng.randint(1, 3)):
-                if not any(path[:len(p)] == p or p[:len(path)] == path for p, _ in chosen):
-                    wrong = [v for v in WRONG if _json_type(v) != _json_type(_at(doc, path))]
-                    chosen.append((path, rng.choice(wrong)))
+            chosen = _seeded_edits(rng, doc, list(_key_paths(doc)))
             problem = _refusal_naming(_run(name, _edited(doc, chosen), tmp_path),
                                       [path[-1] for path, _ in chosen])
             if problem:
@@ -235,3 +254,147 @@ def test_output_into_a_missing_directory(capsys, tmp_path):
     for verb, argv in sorted(first.items()):
         err = _assert_refused(capsys, argv + ["--output", target], target)
         assert err.startswith("error: cannot write"), verb
+
+
+# ---------------------------------------------------------------------------
+# the curated data files, through BRAUERKIT_DATA
+# ---------------------------------------------------------------------------
+
+
+def _shipped(name):
+    with open(os.path.join(data_dir(), name)) as fh:
+        return json.load(fh)
+
+
+CURATED = {name: _shipped(name) for name in ("tmf_pages.json", "sheaf_facts.json")}
+# one fact of each value shape: 0, a group, and the sheaf symbol of a kernel
+FACT_SHAPES = {("Z/2", "SpecZ", 1), ("O/(2,j)", "A1", 0),
+               ("ker(x + x^2 | ext!(O/(2,j); O/(2,j)))", "A1", 0)}
+CURATED_PATHS = {
+    "tmf_pages.json": list(_key_paths(CURATED["tmf_pages.json"])),
+    "sheaf_facts.json": [(i,) + path for i, fact in enumerate(CURATED["sheaf_facts.json"])
+                         if (fact["sheaf"], fact["site"], fact["degree"]) in FACT_SHAPES
+                         for path in _key_paths(fact)],
+}
+# the verbs that load each file (pic-ko loads neither, pic-tmf-c4inv no fact)
+CURATED_VERBS = {
+    "tmf_pages.json": (["pic-tmf"], ["pic-tmf-c4inv"], ["lbr-tmf", "--window", "8"],
+                       ["lbr-mo", "--window", "8"]),
+    "sheaf_facts.json": (["pic-tmf"], ["lbr-tmf", "--window", "8"], ["lbr-mo", "--window", "8"],
+                         ["lbr-ko"]),
+}
+# keys the loaders do not read, and keys with a default that may be dropped
+UNREAD = {"window", "s_max", "t_max", "surjective"}
+DEFAULTED = {"local", "split", "free_rank", "factors", "nontrivial"}
+
+
+def _accepted(path, value) -> bool:
+    """Whether the edit leaves a well-formed data file: an unread key, a
+    dropped key with a default, or {} (the zero group) as a fact's value."""
+    return (path[-1] in UNREAD or path == ("pic_witness", "citation")
+            or (value is _DROP and path[-1] in DEFAULTED) or (path[-1] == "value" and value == {}))
+
+
+@pytest.fixture
+def curated(tmp_path, monkeypatch):
+    """`run(name, doc, argv)`: exit code, stdout and stderr of `argv` with
+    BRAUERKIT_DATA at a copy of the curated data whose file `name` is `doc`."""
+    monkeypatch.setenv("BRAUERKIT_DATA", str(tmp_path))
+    monkeypatch.setattr(sheaftab, "_DEFAULT_TABLE", None)
+    shipped = {name: json.dumps(doc) for name, doc in CURATED.items()}
+
+    def run(name, doc, argv):
+        for file, text in shipped.items():
+            (tmp_path / file).write_text(json.dumps(doc) if file == name else text)
+        sheaftab._DEFAULT_TABLE = None  # the table of the previous run came from other data
+        return _main(argv)
+    return run
+
+
+def _curated_problem(result, edits) -> str | None:
+    """None when `result` is what the edits call for: any exit but 1 for
+    accepted edits, otherwise exit 2 naming a key that was broken."""
+    code, out, err = result
+    broken = [path[-1] for path, value in edits if not _accepted(path, value)]
+    if broken:
+        return _refusal_naming(result, broken)
+    return None if code in (0, 2, 3) and (out == "") == (code != 0) else f"exit {code}: {err}"
+
+
+@pytest.mark.parametrize("name", sorted(CURATED))
+def test_each_curated_key_refuses_other_json_types_and_its_absence(name, curated):
+    doc, verbs, failures = CURATED[name], CURATED_VERBS[name], []
+    cases = [[(path, value)] for path in CURATED_PATHS[name]
+             for value in (*WRONG, _DROP) if _json_type(value) != _json_type(_at(doc, path))]
+    for i, edits in enumerate(cases):
+        problem = _curated_problem(curated(name, _edited(doc, edits), verbs[i % len(verbs)]), edits)
+        if problem:
+            failures.append(f"{edits}: {problem}")
+    assert failures == []
+
+
+def test_seeded_curated_substitutions(curated):
+    rng, failures = random.Random(_seed()), []
+    for _ in range(60):
+        for name, doc in CURATED.items():
+            edits = _seeded_edits(rng, doc, CURATED_PATHS[name])
+            argv = rng.choice(CURATED_VERBS[name])
+            problem = _curated_problem(curated(name, _edited(doc, edits), argv), edits)
+            if problem:
+                failures.append(f"{name} {argv} {edits}: {problem}")
+    assert failures == []
+
+
+@pytest.mark.parametrize("name, edit, argv, needle", [
+    ("tmf_pages.json", lambda d: d["column0"][0].pop("s"), ["pic-tmf"], "'s'"),
+    ("tmf_pages.json", lambda d: d["special_rules"][0].update(p="2"), ["pic-tmf"], "'p'"),
+    ("sheaf_facts.json", lambda d: next(f for f in d if f["sheaf"] == "ker(x + j*x^2 | O/2)")
+     ["value"].pop("symbol"), ["pic-tmf"], "'symbol'"),
+    ("tmf_pages.json", lambda d: d["lbr_mo"].update(rows_o2j=3), ["lbr-mo"], "'rows_o2j'"),
+    ("tmf_pages.json", lambda d: d["unresolved"].update(d23_row7="Iso"), ["pic-tmf"], "'d23_row7'"),
+    ("tmf_pages.json", lambda d: d["unresolved"].update(d23_row7="Iso"), ["lbr-tmf"], "'d23_row7'"),
+    ("tmf_pages.json", lambda d: d["special_rules"][0].update(p=5), ["pic-tmf"],
+     "only characteristics 2 and 3 are supported"),
+], ids=["column0-entry-without-s", "operator-p-a-string", "kernel-fact-without-symbol",
+        "rows_o2j-an-int", "d23_row7-Iso-pic-tmf", "d23_row7-Iso-lbr-tmf", "operator-p-5"])
+def test_malformed_curated_data(curated, name, edit, argv, needle):
+    # each once ended in a traceback (exit 1), or for "Iso" in two reports
+    # that disagree on whether d23_row7 is assumed zero
+    doc = copy.deepcopy(CURATED[name])
+    edit(doc)
+    code, out, err = curated(name, doc, argv)
+    assert (code, out) == (2, "") and needle in err, err
+    assert "not a power" not in err
+
+
+@pytest.mark.parametrize("directory", [False, True], ids=["missing", "a-directory"])
+@pytest.mark.parametrize("name, argv", [("tmf_pages.json", ["pic-tmf-c4inv"]),
+                                        ("sheaf_facts.json", ["lbr-ko"])])
+def test_unreadable_curated_file(curated, tmp_path, name, argv, directory):
+    assert curated(name, CURATED[name], argv)[0] == 0
+    (tmp_path / name).unlink()
+    if directory:
+        (tmp_path / name).mkdir()
+    sheaftab._DEFAULT_TABLE = None
+    code, out, err = _main(argv)
+    assert (code, out) == (3, "") and name in err
+
+
+def test_charp_entry_window_of_one_degree(capsys, tmp_path):
+    # once "not enough values to unpack (expected 2, got 1)"
+    charp = {"kind": "charp", "name": "M", "p": 2, "window": [0], "laurent": False}
+    page = _page_with(tmp_path, PAGE, lambda d: d["entries"].append({"s": 9, "t": 9, "entry": charp}))
+    err = _assert_refused(capsys, ["ss-run", "--page", page], "'window'")
+    assert "unpack" not in err
+
+
+@pytest.mark.parametrize("p", [5, 0])
+def test_operator_rule_of_another_characteristic(capsys, tmp_path, p):
+    # p = 5 was refused as "exponent 2 is not a power of 5", p = 0 ended in
+    # ZeroDivisionError
+    def edit(doc):
+        next(r for r in doc["rules"] if r["kind"] == "operator").update(p=p)
+
+    page = _page_with(tmp_path, PAGE, edit)
+    err = _assert_refused(capsys, ["ss-run", "--page", page], "only characteristics 2 and 3")
+    assert "not a power" not in err

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 
 import pytest
@@ -37,10 +38,12 @@ def data():
 # ---------------------------------------------------------------------------
 
 
-def test_data_citations_present(data):
-    for item in data.column0:
+def test_data_citations_present():
+    with open(os.path.join(data_dir(), "tmf_pages.json")) as fh:
+        raw = json.load(fh)
+    for item in raw["column0"]:
         assert item["citation"]
-    for rule in data.special_rules:
+    for rule in raw["special_rules"]:
         assert rule["citation"]
 
 
@@ -85,6 +88,26 @@ def test_data_rejects_two_operator_rules_from_one_source(tmp_path, monkeypatch):
 
     with pytest.raises(ValueError, match=r"two operator rules out of \(5, 5, 2\)"):
         _edited_data(tmp_path, monkeypatch, edit)
+
+
+def test_data_rejects_a_witness_order_below_one(tmp_path, monkeypatch):
+    # an order of 0 once sent pic_tmf_global's _valuation into an endless loop
+    with pytest.raises(ValueError, match="witness order must be positive"):
+        _edited_data(tmp_path, monkeypatch, lambda raw: raw["pic_witness"].update(order=0))
+
+
+def test_replaced_unresolved_values_are_checked(data):
+    with pytest.raises(ValueError, match="'d23_row7' must be \"zero\" or \"iso\""):
+        replace(data, unresolved={**data.unresolved, "d23_row7": "Iso"})
+
+
+def test_data_is_read_into_typed_values(data):
+    by_s = {(s, local): (symbol, operator) for s, local, symbol, operator in data.column0}
+    assert by_s[3, 2] == (QuasiCoherent("O/2"), "x + j*x^2")
+    assert by_s[7, 2] == (QuasiCoherent("O/(2,j)"), None)
+    assert data.c4inv == (FgAbGroup.cyclic(8), Z2, True)
+    assert data.lbr_mo[0] == 8 and data.lbr_mo[2] == (6, 18, 30)
+    assert data.citations == tuple(sorted(set(data.citations))) and len(data.citations) == 10
 
 
 # ---------------------------------------------------------------------------
