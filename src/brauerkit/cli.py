@@ -1,6 +1,12 @@
 """Command-line front end: parse flags, dispatch to the library drivers,
 emit deterministic JSON reports and SVG charts.
 
+A well-formed command, a verb followed only by that verb's flags, each given
+once and in full, is read straight from `_VERBS` without importing argparse;
+anything else (help, abbreviations, `--flag=value`, a repeated flag, a value
+that starts with "-", a bad value, a missing or unknown flag) goes to the
+argparse parser, so help, usage and error output are argparse's own.
+
 Every JSON report carries the short digests of the curated data files it
 could have consumed, so a run is reproducible against a pinned data
 directory (overridable through the BRAUERKIT_DATA environment variable).
@@ -10,13 +16,10 @@ computation stays undecided, 4 when an extension problem is ambiguous.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import hashlib
-import io
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import data_dir, take
 from .errors import (
@@ -35,6 +38,14 @@ EXIT_AMBIGUOUS = 4
 
 _NOFACT_ERRORS = (NoFact, NotStabilized, UnmatchedRule, WindowTooSmall, NoExtension, OSError)
 
+try:  # the builtin SHA-256 loads without OpenSSL, which hashlib loads
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 def data_file_versions() -> dict:
     """Short content digests of the curated data files in force."""
@@ -46,7 +57,7 @@ def data_file_versions() -> dict:
     out = {}
     for name in sorted(n for n in names if n.endswith(".json")):
         with open(os.path.join(directory, name), "rb") as fh:
-            out[name] = hashlib.sha256(fh.read()).hexdigest()[:12]
+            out[name] = sha256(fh.read()).hexdigest()[:12]
     return out
 
 
@@ -343,15 +354,14 @@ _VERBS = {
 }
 
 
-def build_parser(verb=None) -> argparse.ArgumentParser:
-    """The parser with every verb's subparser, or with only that of `verb`."""
+def build_parser():
+    """The argparse parser with every verb's subparser."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="brauerkit",
         description="Picard and Brauer group computations for KO, TMF and number rings.")
     sub = parser.add_subparsers(dest="verb", required=True)
     for name, (handler, help_text, arguments) in _VERBS.items():
-        if verb is not None and name != verb:
-            continue
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--output", help="write the report to this path instead of stdout")
@@ -360,23 +370,46 @@ def build_parser(verb=None) -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv):
-    """Read `argv` with the subparser of the verb it names alone; if there is
-    no such verb, or that parse fails or asks for help, the full parser reads
-    it again, so that help, usage and error output stay the full parser's."""
-    if argv and argv[0] in _VERBS:
+def _fast_args(argv):
+    """The namespace `build_parser` would make of `argv`, read from `_VERBS`
+    when `argv` is a verb followed by its flags, each once and in full, with a
+    value not starting with "-" after each one that is not a store_true flag;
+    None for anything else, including what argparse would refuse."""
+    if not argv or argv[0] not in _VERBS:
+        return None
+    handler, _, arguments = _VERBS[argv[0]]
+    options = {"--output": {}, **dict(arguments)}
+    given, rest = {}, iter(argv[1:])
+    for flag in rest:
+        spec = options.get(flag)
+        if spec is None or flag in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(rest, "-")
+        if text.startswith("-"):
+            return None
         try:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                return build_parser(argv[0]).parse_args(argv)
-        except SystemExit:
-            pass
-    return build_parser().parse_args(argv)
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    values = {"verb": argv[0], "handler": handler}
+    for flag, spec in options.items():
+        if spec.get("required") and flag not in given:
+            return None
+        default = spec.get("default", False if spec.get("action") == "store_true" else None)
+        values[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        args = _fast_args(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code else 0
     try:

@@ -189,7 +189,8 @@ class FactTable:
         self._kernels: dict[tuple[str, str, int], SheafSymbol] = {}
         for e in entries:
             key = (take(e, "sheaf", "string"), take(e, "site", "string"), take(e, "degree", "int"))
-            take(e, "citation", "string")
+            if not take(e, "citation", "string"):
+                raise ValueError(f"fact {key} lacks a citation")
             value = take(e, "value", "int" if e.get("value") == 0 else "object")
             if key[0].startswith("ker("):
                 self._kernels[key] = sheaf_from_json(take(value, "symbol", "object"))

@@ -459,10 +459,7 @@ def test_other_key_errors_surface_as_tracebacks():
     def bug(args):
         raise KeyError("internal")
 
-    args = cli.build_parser().parse_args(["lbr-ko"])
-    args.handler = bug
-    with mock.patch.object(cli, "build_parser") as fake:
-        fake.return_value = mock.Mock(parse_args=lambda argv: args)
+    with mock.patch.dict(cli._VERBS, {"lbr-ko": (bug, "", [])}):
         with pytest.raises(KeyError):
             cli.main(["lbr-ko"])
 
@@ -482,12 +479,8 @@ def test_exit_4_on_ambiguity(capsys, tmp_path):
     def boom(args):
         raise AmbiguousExtension("cannot decide")
 
-    parser = cli.build_parser()
-    args = parser.parse_args(["lbr-ko"])
-    args.handler = boom
     import unittest.mock as mock
-    with mock.patch.object(cli, "build_parser") as fake:
-        fake.return_value = mock.Mock(parse_args=lambda argv: args)
+    with mock.patch.dict(cli._VERBS, {"lbr-ko": (boom, "", [])}):
         assert cli.main(["lbr-ko"]) == 4
 
 
@@ -551,11 +544,110 @@ def test_help_usage_and_errors_are_the_full_parsers(name, monkeypatch):
                                                                     want))
 
 
-def test_one_subparser_reads_what_the_full_parser_reads():
-    from brauerkit.cli import build_parser
-    for argv in CASES.values():
-        assert vars(build_parser(argv[0]).parse_args(argv)) == vars(
-            build_parser().parse_args(argv)), argv
+def _full_namespace(parser, argv):
+    """vars() of the full parser's namespace for `argv`, or None when it exits."""
+    import contextlib
+    import io
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _flag_shape(verb, arguments):
+    """`verb` followed by each of `arguments` with a value the full parser accepts."""
+    argv = [verb]
+    for flag, options in arguments:
+        argv.append(flag)
+        if options.get("action") != "store_true":
+            argv.append(str(options["choices"][-1]) if "choices" in options
+                        else "7" if options.get("type") is int else "v")
+    return argv
+
+
+def _flag_shapes():
+    """Per verb: its required flags alone, and all its flags with --output in
+    the order of `_VERBS` and reversed."""
+    from brauerkit.cli import _VERBS
+    for verb, (_, _, arguments) in _VERBS.items():
+        every = arguments + [("--output", {})]
+        yield _flag_shape(verb, [a for a in arguments if a[1].get("required")])
+        yield _flag_shape(verb, every)
+        yield _flag_shape(verb, every[::-1])
+
+
+# argv the fast path leaves to the full parser, which reads some of them
+# (a negative value, a repeated flag) and refuses the rest
+DECLINED = [
+    ["lbr-tmf", "--win", "8"],
+    ["lbr-tmf", "--window=8"],
+    ["lbr-tmf", "-h"],
+    ["lbr-tmf", "--window", "-5"],
+    ["lbr-tmf", "--window", "8", "--window", "16"],
+    ["lbr-ko", "--bogus", "1"],
+    ["lbr-tmf", "--window"],
+    ["cohomology", "--orders", "[2]", "--s", "1", "--n", "x"],
+    ["artin-schreier", "--p", "5", "--op", "x"],
+    ["lbr-tmf", "--window", "8", "stray"],
+]
+
+
+def test_fast_path_reads_what_the_full_parser_reads():
+    from brauerkit.cli import _fast_args, build_parser
+    parser = build_parser()
+    for argv in list(CASES.values()) + list(_flag_shapes()):
+        fast = _fast_args(argv)
+        assert fast is not None, argv
+        assert vars(fast) == _full_namespace(parser, argv), argv
+
+
+def test_fast_path_declines_help_usage_errors_and_inexact_flags():
+    from brauerkit.cli import _fast_args
+    for argv in list(USAGE_CASES.values()) + DECLINED:
+        assert _fast_args(argv) is None, argv
+
+
+def _mutated(rng, argv):
+    """`argv` after one to three edits: a flag abbreviated or joined to its
+    value by "=", a flag repeated, a value made negative or empty, or a value
+    dropped."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 3)):
+        flags = [i for i, a in enumerate(argv) if a.startswith("--")]
+        if not flags:
+            break
+        i = rng.choice(flags)
+        valued = i + 1 < len(argv) and not argv[i + 1].startswith("--")
+        edit = rng.choice(("abbreviate", "equals", "repeat", "negative", "empty", "drop"))
+        if edit == "abbreviate" and len(argv[i]) > 3:
+            argv[i] = argv[i][:rng.randint(3, len(argv[i]) - 1)]
+        elif edit == "repeat":
+            argv += argv[i:i + 1 + valued]
+        elif edit == "equals" and valued:
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif edit == "negative" and valued:
+            argv[i + 1] = "-" + argv[i + 1]
+        elif edit == "empty" and valued:
+            argv[i + 1] = ""
+        elif edit == "drop" and valued:
+            del argv[i + 1]
+    return argv
+
+
+def test_seeded_argv_mutations_agree_with_the_full_parser_or_decline():
+    import random
+    from brauerkit.cli import _fast_args, build_parser
+    rng = random.Random(int(os.environ.get("ARGV_DIFFERENTIAL_SEED", "20261019")))
+    parser, golden, failures, declined = build_parser(), list(CASES.values()), [], 0
+    for _ in range(600):
+        argv = _mutated(rng, rng.choice(golden))
+        fast, full = _fast_args(argv), _full_namespace(parser, argv)
+        declined += fast is None
+        if fast is not None and vars(fast) != full:
+            failures.append(argv)
+    assert failures == []
+    assert 0 < declined < 600  # the edits reach both sides of the fast path
 
 
 def test_data_file_digests_list_the_json_files(tmp_path, monkeypatch):
@@ -571,8 +663,10 @@ def test_data_file_digests_list_the_json_files(tmp_path, monkeypatch):
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-# modules no report may load, and the layers each lighter verb must do without
-NEVER = {"typing", "pathlib", "dataclasses", "inspect"}
+# modules no well-formed report may load, and the layers each lighter verb
+# must do without
+NEVER = {"typing", "pathlib", "dataclasses", "inspect", "argparse", "gettext", "locale",
+         "hashlib", "_hashlib", "contextlib"}
 HEAVY = {"brauerkit.charp", "brauerkit.sheaftab", "brauerkit.ssengine", "brauerkit.kofam",
          "brauerkit.tmffam"}
 # the KO layers, which a TMF verb loads only to read a --ring
@@ -596,17 +690,30 @@ GUARD = {
 }
 
 
-@pytest.mark.parametrize("verb", sorted(GUARD))
-def test_a_report_loads_only_its_verbs_layers(verb):
-    # -S: a site-packages hook may import typing or pathlib before brauerkit runs
-    args, absent = GUARD[verb]
+def _loaded(argv):
+    """The modules a `brauerkit` process imports to answer `argv`.  The child
+    starts the way the installed `brauerkit` script does, not through
+    `python -m`, whose runpy imports contextlib before the CLI runs; -S keeps
+    a site-packages hook from importing typing or pathlib first."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    child = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "brauerkit.cli",
-                            verb, *args], capture_output=True, text=True, env=env, timeout=60)
+    child = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c",
+                            "import sys; from brauerkit.cli import main; sys.exit(main())",
+                            *argv], capture_output=True, text=True, env=env, timeout=60)
     assert child.returncode == 0, child.stderr
     loaded = {line.rsplit("|", 1)[1].strip() for line in child.stderr.splitlines()
               if line.startswith("import time:") and "|" in line}
-    assert "brauerkit.errors" in loaded  # -m runs the cli itself as __main__
+    assert "brauerkit.cli" in loaded
+    return loaded
+
+
+@pytest.mark.parametrize("verb", sorted(GUARD))
+def test_a_report_loads_only_its_verbs_layers(verb):
+    args, absent = GUARD[verb]
+    loaded = _loaded([verb, *args])
     assert not loaded & (NEVER | absent), sorted(loaded & (NEVER | absent))
     if verb in ("artin-schreier", "cech"):
         assert "brauerkit.charp" in loaded
+
+
+def test_help_is_argparses():
+    assert "argparse" in _loaded(["--help"])

@@ -355,11 +355,14 @@ def test_seeded_curated_substitutions(curated):
     ("tmf_pages.json", lambda d: d["unresolved"].update(d23_row7="Iso"), ["lbr-tmf"], "'d23_row7'"),
     ("tmf_pages.json", lambda d: d["special_rules"][0].update(p=5), ["pic-tmf"],
      "only characteristics 2 and 3 are supported"),
+    ("sheaf_facts.json", lambda d: d[0].update(citation=""), ["lbr-ko"], "lacks a citation"),
 ], ids=["column0-entry-without-s", "operator-p-a-string", "kernel-fact-without-symbol",
-        "rows_o2j-an-int", "d23_row7-Iso-pic-tmf", "d23_row7-Iso-lbr-tmf", "operator-p-5"])
+        "rows_o2j-an-int", "d23_row7-Iso-pic-tmf", "d23_row7-Iso-lbr-tmf", "operator-p-5",
+        "fact-with-an-empty-citation"])
 def test_malformed_curated_data(curated, name, edit, argv, needle):
-    # each once ended in a traceback (exit 1), or for "Iso" in two reports
-    # that disagree on whether d23_row7 is assumed zero
+    # each once ended in a traceback (exit 1), for "Iso" in two reports that
+    # disagree on whether d23_row7 is assumed zero, or for an empty fact
+    # citation in exit 0
     doc = copy.deepcopy(CURATED[name])
     edit(doc)
     code, out, err = curated(name, doc, argv)

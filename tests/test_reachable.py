@@ -2,7 +2,8 @@
 corpus, or is on `ALLOWED` with the reason it exists; and every field of a
 `@record` class is read somewhere, or is on `ALLOWED_FIELDS`.
 
-The corpus (`golden_corpus.CASES` and `column_dump`) runs in a fresh
+The corpus (`golden_corpus.CASES`, one of its `USAGE_CASES`, which only the
+argparse parser reads, and `column_dump`) runs in a fresh
 interpreter under `sys.setprofile`, so code that runs at import time, and
 the fact table that a process loads once, count exactly when a report
 needs them.  Run this file directly to print the names the corpus reaches.
@@ -105,9 +106,10 @@ def reached() -> list:
 
     sys.setprofile(hook)
     try:
-        from golden_corpus import CASES, cli_output, column_dump
+        from golden_corpus import CASES, USAGE_CASES, cli_output, column_dump, usage_output
         for argv in CASES.values():
             cli_output(argv)
+        usage_output(USAGE_CASES["snf_no_matrix"])
         column_dump()
     finally:
         sys.setprofile(None)
