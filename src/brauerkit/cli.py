@@ -7,9 +7,12 @@ anything else (help, abbreviations, `--flag=value`, a repeated flag, a value
 that starts with "-", a bad value, a missing or unknown flag) goes to the
 argparse parser, so help, usage and error output are argparse's own.
 
-Every JSON report carries the short digests of the curated data files it
-could have consumed, so a run is reproducible against a pinned data
-directory (overridable through the BRAUERKIT_DATA environment variable).
+A verb that runs a driver reports that driver's record: the report's keys
+are the record's fields plus `citations` and `data_files`, and every group
+in it is written as its display string.  Every JSON report carries the
+short digests of the curated data files it could have consumed, so a run
+is reproducible against a pinned data directory (overridable through the
+BRAUERKIT_DATA environment variable).
 Exit codes: 2 for parse/input errors, 3 when a needed fact is missing or a
 computation stays undecided, 4 when an extension problem is ambiguous.
 """
@@ -61,6 +64,21 @@ def data_file_versions() -> dict:
     return out
 
 
+# the values a report writes as their display string, named rather than
+# imported so that writing a report loads no layer its verb did not
+_DISPLAYED = {("brauerkit.abelian", "FgAbGroup"),
+              ("brauerkit.numbrauer", "DivisibleGroupDescriptor")}
+
+
+def _display(value) -> str:
+    """The `default` of the report's `json.dumps`: a group as its display
+    string; anything else, a record included, is a TypeError."""
+    cls = type(value)
+    if (cls.__module__, cls.__qualname__) not in _DISPLAYED:
+        raise TypeError(f"a report cannot hold a {cls.__qualname__}: {value!r}")
+    return str(value)
+
+
 def _monomial(degree: int, coeff: int) -> str:
     base = "1" if degree == 0 else ("j" if degree == 1 else f"j^{degree}")
     return base if coeff == 1 else f"{coeff}*{base}"
@@ -71,7 +89,7 @@ def _poly_str(poly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# verb handlers (each returns a JSON-serializable report dict and imports
+# verb handlers (each returns a report dict for `main` to write and imports
 # only the layers its verb runs)
 # ---------------------------------------------------------------------------
 
@@ -102,15 +120,12 @@ def _user_file(path: str) -> str:
 
 
 def _cmd_snf(args) -> dict:
-    from .abelian import smith_normal_form
+    from .abelian import _diag, smith_normal_form
     matrix = _json_flag("--matrix", args.matrix, "[[int]]")
     if len({len(row) for row in matrix}) > 1:
         raise ValueError("the --matrix rows must have equal length")
     u, d, v = smith_normal_form(matrix)
-    return {
-        "U": u, "D": d, "V": v,
-        "diagonal": [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))],
-    }
+    return {"U": u, "D": d, "V": v, "diagonal": _diag(d)}
 
 
 def _cmd_cohomology(args) -> dict:
@@ -119,8 +134,7 @@ def _cmd_cohomology(args) -> dict:
     group = FgAbGroup.from_orders(_json_flag("--orders", args.orders, "[int]"))
     module = (sign if args.action == "sign" else trivial)(group, args.n)
     value = group_cohomology(module, args.s)
-    return {"group": str(value), "structure": value.to_json(),
-            "s": args.s, "action": args.action}
+    return {"group": value, "structure": value.to_json(), "s": args.s, "action": args.action}
 
 
 def _cmd_artin_schreier(args) -> dict:
@@ -146,31 +160,24 @@ def _cmd_artin_schreier(args) -> dict:
 
 def _cmd_cech(args) -> dict:
     from .charp import punctured_affine_cohomology
-    got = punctured_affine_cohomology(args.n_vars, args.window)
-    return {
-        "n_vars": got.n_vars, "degree": got.degree, "window": got.window,
-        "basis": [list(v) for v in got.basis],
-        "affine": got.affine, "note": got.note,
-    }
+    return {**vars(punctured_affine_cohomology(args.n_vars, args.window))}
 
 
 def _cmd_br_number_ring(args) -> dict:
     from .numbrauer import brauer_localized_integers, places_from_json
     places = places_from_json(args.places)
     desc = brauer_localized_integers(places)
-    return {"group": str(desc), "descriptor": desc.to_json(),
+    return {"group": desc, "descriptor": desc.to_json(),
             "places": [{"kind": p.kind, "label": p.label} for p in places]}
 
 
 def _cmd_h1_qz(args) -> dict:
     from .numbrauer import h1_qz_report
     primes = _primes(args.primes)
-    rep = h1_qz_report(primes)
-    out = {"primes": sorted(primes), "computed": str(rep.computed),
-           "discrepancy": rep.discrepancy, "note": rep.note}
-    if rep.stated is not None:
-        out["stated"] = str(rep.stated)
-    return out
+    report = {**vars(h1_qz_report(primes)), "primes": sorted(primes)}
+    if report["stated"] is None:
+        del report["stated"]
+    return report
 
 
 def _cmd_br_laurent(args) -> dict:
@@ -178,7 +185,7 @@ def _cmd_br_laurent(args) -> dict:
     places = places_from_json(args.places)
     primes = _primes(args.primes)
     desc = brauer_laurent(places, primes)
-    return {"group": str(desc), "descriptor": desc.to_json(),
+    return {"group": desc, "descriptor": desc.to_json(),
             "inverted_primes": sorted(primes)}
 
 
@@ -196,51 +203,28 @@ def _cmd_pic_ko(args) -> dict:
     from .kofam import pic_ko
     r = _load_ring(args.ring)
     res = pic_ko(r, d3_21=args.d3_21)
-    return {
-        "ring": r.name,
-        "group": str(res.group), "structure": res.group.to_json(),
-        "graded": [{"s": s, "group": str(g)} for s, g in res.graded],
-        "sections": str(res.sections),
-        "witness_order": res.witness_order,
-        "notes": list(res.notes),
-    }
+    return {**vars(res), "ring": r.name, "structure": res.group.to_json(),
+            "graded": [{"s": s, "group": g} for s, g in res.graded]}
 
 
 def _cmd_lbr_ko(args) -> dict:
     from .kofam import lbr_ko
     rep = lbr_ko()
-    return {
-        "group": str(rep.lbr), "structure": rep.lbr.to_json(),
-        "exact": rep.exact,
-        "terms": [{"name": name, "value": str(v)} for name, v in rep.terms],
-        "notes": list(rep.notes),
-    }
+    return {"group": rep.lbr, "structure": rep.lbr.to_json(), "exact": rep.exact,
+            "terms": [{"name": name, "value": v} for name, v in rep.terms], "notes": rep.notes}
 
 
 def _cmd_pic_tmf(args) -> dict:
     from .tmffam import TmfPageData, pic_tmf_global, pic_tmf_r, run_pic_tmf
     data = TmfPageData.load()
     if args.ring:
-        rep = pic_tmf_r(_load_ring(args.ring), data)
-        return {
-            "ring": rep.ring,
-            "pic_r": str(rep.pic_r),
-            "quotient": str(rep.quotient),
-            "h0_ideal_order": rep.h0_ideal_order,
-            "sections_order": rep.sections_order,
-            "total_order": rep.total_order,
-            "notes": list(rep.notes),
-            "citations": list(data.citations),
-        }
-    column = run_pic_tmf(data)
-    local = pic_tmf_global(data=data)
+        return {**vars(pic_tmf_r(_load_ring(args.ring), data)), "citations": data.citations}
     return {
         "column0": [{"s": g.s, "local": g.local, "value": g.display(),
-                     "exact": g.exact, "assumed": list(g.assumed)}
-                    for g in column.stages],
+                     "exact": g.exact, "assumed": g.assumed} for g in run_pic_tmf(data)],
         "gr_above_7": 0,
-        "local_groups": {str(p): str(g) for p, g in local.items()},
-        "citations": list(data.citations),
+        "local_groups": pic_tmf_global(data=data),  # JSON writes the primes as strings
+        "citations": data.citations,
     }
 
 
@@ -248,45 +232,22 @@ def _cmd_pic_tmf_c4inv(args) -> dict:
     from .tmffam import TmfPageData, pic_tmf_c4inv
     data = TmfPageData.load()
     group = pic_tmf_c4inv(data=data)
-    return {"group": str(group), "structure": group.to_json(),
+    return {"group": group, "structure": group.to_json(),
             "citations": [data.c4inv_citation]}
 
 
 def _cmd_lbr_tmf(args) -> dict:
     from .tmffam import TmfPageData, lbr_tmf
     data = TmfPageData.load()
-    rep = lbr_tmf(args.window, data=data)
-    return {
-        "window": rep.window,
-        "three_torsion": str(rep.three_torsion),
-        "p_gt_3_torsion": str(rep.p_gt_3_torsion),
-        "two_local_basis": list(rep.two_local_basis),
-        "certified_prefix": rep.certified_prefix,
-        "split_surjection": rep.split_surjection,
-        "kernel_finite": rep.kernel_finite,
-        "kernel_order_bound": rep.kernel_order_bound,
-        "br_pi0_zero": rep.br_pi0_zero,
-        "assumed": list(rep.assumed),
-        "citations": list(data.citations),
-    }
+    return {**vars(lbr_tmf(args.window, data=data)), "citations": data.citations}
 
 
 def _cmd_lbr_mo(args) -> dict:
     from .tmffam import TmfPageData, lbr_m_o
     data = TmfPageData.load()
-    rep = lbr_m_o(args.window, data=data)
-    return {
-        "window": rep.window,
-        "two_local_kernel_order": rep.two_local_kernel_order,
-        "kernel_footnote": rep.kernel_footnote,
-        "two_local_basis": list(rep.two_local_basis),
-        "three_local": str(rep.three_local),
-        "iso_after_inverting_2": rep.iso_after_inverting_2,
-        "cokernel_order_bound": rep.cokernel_order_bound,
-        "injection_distinct": rep.injection_distinct,
-        "assumed": list(rep.assumed),
-        "citations": [data.lbr_mo_citation],
-    }
+    report = {**vars(lbr_m_o(args.window, data=data)), "citations": [data.lbr_mo_citation]}
+    del report["generator_map"]  # read by the benchmark, not shown
+    return report
 
 
 def _cmd_ss_run(args) -> dict:
@@ -420,12 +381,12 @@ def main(argv=None) -> int:
     except _NOFACT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOFACT
-    except (ValueError, json.JSONDecodeError, NotAnAction) as exc:
+    except (ValueError, NotAnAction) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if not isinstance(report, str):  # an SVG artifact is written as it is
         report["data_files"] = data_file_versions()
-        report = json.dumps(report, sort_keys=True, indent=1) + "\n"
+        report = json.dumps(report, sort_keys=True, indent=1, default=_display) + "\n"
     if not args.output:
         sys.stdout.write(report)
         return 0

@@ -100,8 +100,10 @@ class TmfPageData:
             column0.append((s, local, sheaf_from_json(take(item, "entry", "object")),
                             operators.get((s, t, local))))
         c4inv, lbr_mo = take(raw, "c4inv", "object"), take(raw, "lbr_mo", "object")
+        pic_witness = take(raw, "pic_witness", "object")
+        cited(pic_witness, "pic_witness")
         return cls(tuple(column0), dict(take(raw, "unresolved", "object")),
-                   ExtensionWitness(take(take(raw, "pic_witness", "object"), "order", "int"), True),
+                   ExtensionWitness(take(pic_witness, "order", "int"), True),
                    (FgAbGroup.from_json(take(c4inv, "h0_u_q", "object")),
                     FgAbGroup.from_json(take(c4inv, "kstar_h0", "object")),
                     take(c4inv, "split", "bool", False)),
@@ -135,13 +137,9 @@ class GrStage:
         return body
 
 
-@record
-class Column0Report:
-    stages: tuple[GrStage, ...]
-
-
-def run_pic_tmf(data: TmfPageData | None = None) -> Column0Report:
-    """The column-0 filtration of the Picard sheaf of TMF over the j-line.
+def run_pic_tmf(data: TmfPageData | None = None) -> tuple[GrStage, ...]:
+    """The column-0 filtration of the Picard sheaf of TMF over the j-line, as
+    its stages sorted by (s, local).
 
     gr^0 = Z/2, gr^1 = R^1j_*G_m, gr^3 = k_*v_!Z/2, gr^5 = b_*Z/3 plus (a
     subgroup of) the extension A of a_*Z/2 by O/(2,j), gr^7 ⊆ O/(2,j), and
@@ -159,7 +157,7 @@ def run_pic_tmf(data: TmfPageData | None = None) -> Column0Report:
         killed = any(data.unresolved[n] == "iso" for n in open_here)
         stages.append(GrStage(s, None if killed else symbol, local, exact=killed or not open_here,
                               assumed=tuple(n for n in open_here if data.unresolved[n] != "iso")))
-    return Column0Report(tuple(sorted(stages, key=lambda g: (g.s, g.local))))
+    return tuple(sorted(stages, key=lambda g: (g.s, g.local)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +185,10 @@ def pic_tmf_global(data: TmfPageData | None = None) -> dict[int, FgAbGroup]:
     descending s.
     """
     data = data or TmfPageData.load()
-    report = run_pic_tmf(data)
+    stages = run_pic_tmf(data)
     out: dict[int, FgAbGroup] = {}
     for p in (2, 3, 5):
-        orders = [_stage_section_order(g, p) for g in reversed(report.stages)]
+        orders = [_stage_section_order(g, p) for g in reversed(stages)]
         witness = ExtensionWitness(p ** _valuation(data.pic_witness.witness_order, p),
                                    maps_to_generator_of_quotient=True)
         out[p] = assemble_abutment_by_orders(orders, witness)
@@ -240,14 +238,14 @@ def pic_tmf_r(r, data: TmfPageData | None = None) -> PicTmfRReport:
     quotient = resolve_extension(gr1_sections, FgAbGroup.cyclic(2),
                                  ExtensionWitness(24, True))
     notes: list[str] = []
-    report = run_pic_tmf(data)
+    stages = run_pic_tmf(data)
     h0_ideal = 1
     for p, support in ((2, "the (2,j)-supported pieces vanish"),
                        (3, "the (3,j)-supported piece vanishes")):
         if p in r.inverted_primes:
             notes.append(f"{p} is invertible in R: {support}")
             continue
-        for g in report.stages:
+        for g in stages:
             if g.s >= 3:
                 h0_ideal *= _stage_section_order(g, p)
     sections_order = h0_ideal * quotient.order()

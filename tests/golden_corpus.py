@@ -140,7 +140,7 @@ def column_dump() -> str:
             "config": config,
             "column0": [{"s": g.s, "local": g.local, "display": g.display(),
                          "exact": g.exact, "assumed": list(g.assumed)}
-                        for g in run_pic_tmf(data).stages],
+                        for g in run_pic_tmf(data)],
             "global": {str(p): str(g) for p, g in pic_tmf_global(data).items()},
             "lbr_tmf_assumed": list(lbr_tmf(8, data).assumed),
             "lbr_mo_assumed": list(lbr_m_o(8, data).assumed),

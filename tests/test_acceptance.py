@@ -264,9 +264,9 @@ def test_criterion_6_punctured_a1_is_affine():
 
 
 def test_criterion_7_run_pic_tmf_items_0_to_7():
-    report = run_pic_tmf()
+    stages = run_pic_tmf()
     rows = {}
-    for g in report.stages:
+    for g in stages:
         rows.setdefault(g.s, []).append(g)
     assert set(rows) == {0, 1, 3, 5, 7}  # gr^{>7} = 0 and gr^2=gr^4=gr^6=0
     assert rows[0][0].display().startswith("Z/2")

@@ -464,6 +464,18 @@ def test_other_key_errors_surface_as_tracebacks():
             cli.main(["lbr-ko"])
 
 
+def test_a_record_in_a_report_is_a_type_error():
+    # the report encoder writes groups as strings and refuses anything else,
+    # so a record never reaches stdout as its repr
+    script = ("import sys; from brauerkit import cli; from brauerkit.numbrauer import PlaceSpec; "
+              "cli._VERBS['lbr-ko'] = (lambda args: {'place': PlaceSpec('real')}, '', []); "
+              "sys.exit(cli.main(['lbr-ko']))")
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert (child.returncode, child.stdout) == (1, "")
+    assert "TypeError: a report cannot hold a PlaceSpec" in child.stderr, child.stderr
+
+
 def test_exit_3_on_missing_fact(capsys):
     # no shipped ring by that name and no such file
     assert main(["pic-ko", "--ring", "no-such-ring"]) == 3

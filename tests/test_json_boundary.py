@@ -291,8 +291,7 @@ DEFAULTED = {"local", "split", "free_rank", "factors", "nontrivial"}
 def _accepted(path, value) -> bool:
     """Whether the edit leaves a well-formed data file: an unread key, a
     dropped key with a default, or {} (the zero group) as a fact's value."""
-    return (path[-1] in UNREAD or path == ("pic_witness", "citation")
-            or (value is _DROP and path[-1] in DEFAULTED) or (path[-1] == "value" and value == {}))
+    return (path[-1] in UNREAD or (value is _DROP and path[-1] in DEFAULTED) or (path[-1] == "value" and value == {}))
 
 
 @pytest.fixture
@@ -356,13 +355,17 @@ def test_seeded_curated_substitutions(curated):
     ("tmf_pages.json", lambda d: d["special_rules"][0].update(p=5), ["pic-tmf"],
      "only characteristics 2 and 3 are supported"),
     ("sheaf_facts.json", lambda d: d[0].update(citation=""), ["lbr-ko"], "lacks a citation"),
+    ("tmf_pages.json", lambda d: d["pic_witness"].update(citation=""), ["pic-tmf"],
+     "pic_witness lacks a citation"),
+    ("tmf_pages.json", lambda d: d["pic_witness"].pop("citation"), ["pic-tmf"], "'citation'"),
 ], ids=["column0-entry-without-s", "operator-p-a-string", "kernel-fact-without-symbol",
         "rows_o2j-an-int", "d23_row7-Iso-pic-tmf", "d23_row7-Iso-lbr-tmf", "operator-p-5",
-        "fact-with-an-empty-citation"])
+        "fact-with-an-empty-citation", "pic-witness-with-an-empty-citation",
+        "pic-witness-without-a-citation"])
 def test_malformed_curated_data(curated, name, edit, argv, needle):
     # each once ended in a traceback (exit 1), for "Iso" in two reports that
     # disagree on whether d23_row7 is assumed zero, or for an empty fact
-    # citation in exit 0
+    # citation or an empty or missing pic_witness citation in exit 0
     doc = copy.deepcopy(CURATED[name])
     edit(doc)
     code, out, err = curated(name, doc, argv)

@@ -10,7 +10,9 @@ needs them.  Run this file directly to print the names the corpus reaches.
 
 A field counts as read when `src/` or `bench/` reads an attribute of that
 name outside its own class's `to_json`, `from_json` and `__post_init__`,
-which only carry a field through or check it.
+which only carry a field through or check it, or when a golden report
+(`tests/golden/*.out`) shows a top-level key of that name: the CLI writes a
+driver's record through `vars()`, which reads no attribute.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCH = SRC.parent / "bench"
+GOLDEN = SRC.parent / "tests" / "golden"
 
 ALLOWED = {
     "kofam.ku_additive_pages":
@@ -152,13 +155,24 @@ def attribute_reads() -> set:
     return reads
 
 
+def report_keys() -> set:
+    """The top-level keys of the golden JSON reports; an SVG chart has none."""
+    keys = set()
+    for path in GOLDEN.glob("*.out"):
+        text = path.read_text()
+        if text.startswith("{"):
+            keys.update(json.loads(text))
+    return keys
+
+
 def unread_fields() -> list:
-    """`module.Class.field` for each record field that nothing reads."""
-    reads = attribute_reads()
+    """`module.Class.field` for each record field that nothing reads and no
+    report shows."""
+    reads, shown = attribute_reads(), report_keys()
     out = []
     for (module, cls), fields in record_fields().items():
         for field in fields:
-            if not any(attr == field and not (m == module and c == cls and f in _CARRIERS)
+            if field not in shown and not any(attr == field and not (m == module and c == cls and f in _CARRIERS)
                        for attr, m, c, f in reads):
                 out.append(f"{module}.{cls}.{field}")
     return sorted(out)

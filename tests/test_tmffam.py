@@ -116,9 +116,9 @@ def test_data_is_read_into_typed_values(data):
 
 
 def test_run_pic_tmf_stages(data):
-    report = run_pic_tmf(data)
+    stages = run_pic_tmf(data)
     by_s = {}
-    for g in report.stages:
+    for g in stages:
         by_s.setdefault(g.s, []).append(g)
     assert set(by_s) == {0, 1, 3, 5, 7}
     # gr^0 = Z/2, gr^1 = R^1j_*G_m
@@ -138,8 +138,8 @@ def test_run_pic_tmf_stages(data):
 
 
 def test_run_pic_tmf_nothing_above_row_7(data):
-    report = run_pic_tmf(data)
-    assert max(g.s for g in report.stages) == 7
+    stages = run_pic_tmf(data)
+    assert max(g.s for g in stages) == 7
 
 
 def _set_open(data, **values):
@@ -148,14 +148,14 @@ def _set_open(data, **values):
 
 
 def test_run_pic_tmf_iso_config_kills_row_7(data):
-    report = run_pic_tmf(_set_open(data, d23_row7="iso"))
-    seven = [g for g in report.stages if g.s == 7][0]
+    stages = run_pic_tmf(_set_open(data, d23_row7="iso"))
+    seven = [g for g in stages if g.s == 7][0]
     assert seven.symbol is None and seven.exact
 
 
 def test_run_pic_tmf_assumed_markers(data):
-    report = run_pic_tmf(data)
-    five = [g for g in report.stages if g.s == 5 and g.local == 2][0]
+    stages = run_pic_tmf(data)
+    five = [g for g in stages if g.s == 5 and g.local == 2][0]
     assert set(five.assumed) == {"d13_row5", "d25_row5"}
     assert not five.exact
     assert "assuming" in five.display()
@@ -163,11 +163,11 @@ def test_run_pic_tmf_assumed_markers(data):
 
 def test_run_pic_tmf_reads_defaults_from_the_data(tmp_path, monkeypatch):
     edited = _edited_data(tmp_path, monkeypatch, lambda raw: raw["unresolved"].update(d23_row7="iso"))
-    seven = [g for g in run_pic_tmf(edited).stages if g.s == 7][0]
+    seven = [g for g in run_pic_tmf(edited) if g.s == 7][0]
     assert seven.symbol is None and seven.exact
     assert lbr_tmf(16, data=edited).assumed == ("d13_row5", "d25_row5")
     # a copy of the record with another value overrides the file's default
-    seven = [g for g in run_pic_tmf(_set_open(edited, d23_row7="zero")).stages if g.s == 7][0]
+    seven = [g for g in run_pic_tmf(_set_open(edited, d23_row7="zero")) if g.s == 7][0]
     assert seven.assumed == ("d23_row7",)
 
 
@@ -176,10 +176,10 @@ def test_run_pic_tmf_row_without_an_operator_rule_stays_unkerneled(tmp_path, mon
         raw["special_rules"] = [r for r in raw["special_rules"] if r["name"] != "d3_33"]
         raw["column0"].append({**raw["column0"][-1], "s": 9, "t": 9})
 
-    report = run_pic_tmf(_edited_data(tmp_path, monkeypatch, edit))
-    three = [g for g in report.stages if g.s == 3][0]
+    stages = run_pic_tmf(_edited_data(tmp_path, monkeypatch, edit))
+    three = [g for g in stages if g.s == 3][0]
     assert three.symbol == QuasiCoherent("O/2") and three.exact
-    nine = [g for g in report.stages if g.s == 9][0]
+    nine = [g for g in stages if g.s == 9][0]
     assert nine.symbol == QuasiCoherent("O/(2,j)") and nine.exact and not nine.assumed
 
 
