@@ -51,7 +51,11 @@ class ClosedPush(SheafSymbol):
 
     point: str
     group: FgAbGroup
-    residue_site: str  # "SpecF2", "SpecF3", or "SpecZ"
+    residue_site: str
+
+    def __post_init__(self):
+        if self.residue_site not in ("SpecF2", "SpecF3", "SpecZ"):
+            raise ValueError(f"unknown residue site {self.residue_site!r}")
 
 
 _QC_NAMES = ("O", "O/2", "O/(2,j)", "O/(3,j)", "omega2")

@@ -19,7 +19,6 @@ import os
 
 from . import data_dir, take
 from .abelian import ExtensionWitness, FgAbGroup, _valuation, resolve_extension
-from .charp import parse_operator
 from .errors import NoFact
 from .numbrauer import PlaceSpec, brauer_laurent, brauer_localized_integers
 from .record import record
@@ -30,12 +29,12 @@ from .sheaftab import (
     SheafSymbol,
     cohomology,
     cohomology_order,
-    default_fact_table,
     kstar_vshriek_h1_basis,
     sheaf_display,
     sheaf_from_json,
 )
-from .ssengine import assemble_abutment_by_orders
+from .ssengine import (DifferentialRule, Entry, _operator_kernel_entry, _rule_from_json,
+                       assemble_abutment_by_orders)
 
 UNRESOLVED_NAMES = ("d13_row5", "d25_row5", "d23_row7", "d9_lbr_row6")
 
@@ -45,8 +44,8 @@ OPEN_AT_STAGE = {(5, 2): ("d13_row5", "d25_row5"), (7, 2): ("d23_row7",)}
 
 @record
 class TmfPageData:
-    # (s, local, entry, text of the operator rule out of its (s, t, local) or None)
-    column0: tuple[tuple[int, int, SheafSymbol, str | None], ...]
+    # (s, local, entry, the operator rule out of its (s, t, local) or None)
+    column0: tuple[tuple[int, int, SheafSymbol, DifferentialRule | None], ...]
     unresolved: dict[str, str]
     pic_witness: ExtensionWitness  # the suspension class; an order of 0 would hang _valuation
     c4inv: tuple[FgAbGroup, FgAbGroup, bool]  # H^0(u_*Q), the k_* sections, split
@@ -64,8 +63,9 @@ class TmfPageData:
 
     @classmethod
     def load(cls) -> "TmfPageData":
-        """Read and check data/tmf_pages.json.  Operator rules must parse, at most one
-        leaves each source, and no two rules share (r, s, t, local): d∘d = 0 is vacuous."""
+        """Read and check data/tmf_pages.json.  Rules are read by `ssengine._rule_from_json`;
+        only operator and zero rules apply, at most one operator rule leaves each source,
+        and no two rules share (r, s, t, local): d∘d = 0 is vacuous."""
         def cited(obj: dict, what: str) -> str:
             if not take(obj, "citation", "string"):
                 raise ValueError(f"{what} lacks a citation")
@@ -73,25 +73,27 @@ class TmfPageData:
 
         with open(os.path.join(data_dir(), "tmf_pages.json")) as fh:
             raw = json.load(fh)
-        positions, operators, kinds, citations = set(), {}, {}, set()
-        for rule in take(raw, "special_rules", "[object]"):
-            name, kind = take(rule, "name", "string"), take(rule, "kind", "string")
-            kinds.setdefault(name, kind)
-            citations.add(cited(rule, f"rule {name}"))
-            source = (take(rule, "s", "int"), take(rule, "t", "int"), take(rule, "local", "int", 0))
-            key = (take(rule, "r", "int"),) + source
+        positions, operators, names, citations = set(), {}, set(), set()
+        for obj in take(raw, "special_rules", "[object]"):
+            name = take(obj, "name", "string")
+            rule = _rule_from_json({**obj, "provenance": cited(obj, f"rule {name}")})
+            citations.add(rule.provenance)
+            if name == "d11_77" and rule.kind != "zero":
+                raise ValueError("d11 on row 7 is fixed to zero")
+            if rule.kind not in ("operator", "zero"):
+                raise ValueError(f"rule {name}: 'kind' must be operator or zero, not {rule.kind!r}")
+            names.add(name)
+            source = rule.source + (take(obj, "local", "int", 0),)
+            key = (rule.r,) + source
             if key in positions:
                 raise ValueError(f"duplicate rule at {key}")
             positions.add(key)
-            if kind == "operator":
+            if rule.kind == "operator":
                 if source in operators:
                     raise ValueError(f"two operator rules out of {source}")
-                operators[source] = str(parse_operator(take(rule, "operator", "string"),
-                                                       take(rule, "p", "int")))
-        if "d11_77" not in kinds:
+                operators[source] = rule
+        if "d11_77" not in names:
             raise ValueError("the fixed-zero d11 on row 7 must be present")
-        if kinds["d11_77"] != "zero":
-            raise ValueError("d11 on row 7 is fixed to zero")
         column0 = []
         for item in take(raw, "column0", "[object]"):
             s, t = take(item, "s", "int"), take(item, "t", "int")
@@ -137,7 +139,7 @@ class GrStage:
         return body
 
 
-def run_pic_tmf(data: TmfPageData | None = None) -> tuple[GrStage, ...]:
+def run_pic_tmf(data: TmfPageData) -> tuple[GrStage, ...]:
     """The column-0 filtration of the Picard sheaf of TMF over the j-line, as
     its stages sorted by (s, local).
 
@@ -147,12 +149,10 @@ def run_pic_tmf(data: TmfPageData | None = None) -> tuple[GrStage, ...]:
     the row-5 and row-7 pieces only; each affected stage is marked, and one
     set to "iso" in `data.unresolved` kills its stage.
     """
-    data = data or TmfPageData.load()
-    table = default_fact_table()
     stages: list[GrStage] = []
-    for s, local, symbol, operator in data.column0:
-        if operator is not None:
-            symbol = table.kernel_sheaf(operator, sheaf_display(symbol))
+    for s, local, symbol, rule in data.column0:
+        if rule is not None:
+            symbol = _operator_kernel_entry(Entry(symbol), rule).value
         open_here = OPEN_AT_STAGE.get((s, local), ())
         killed = any(data.unresolved[n] == "iso" for n in open_here)
         stages.append(GrStage(s, None if killed else symbol, local, exact=killed or not open_here,
@@ -167,14 +167,12 @@ def run_pic_tmf(data: TmfPageData | None = None) -> tuple[GrStage, ...]:
 
 def _stage_section_order(stage: GrStage, p: int) -> int:
     """p-part of the order of H^0(A1; gr^s)."""
-    if stage.symbol is None:
-        return 1
-    if stage.local and stage.local != p:
+    if stage.symbol is None or stage.local not in (0, p):
         return 1
     return p ** _valuation(cohomology_order(stage.symbol, 0, "A1"), p)
 
 
-def pic_tmf_global(data: TmfPageData | None = None) -> dict[int, FgAbGroup]:
+def pic_tmf_global(data: TmfPageData) -> dict[int, FgAbGroup]:
     """Pic(TMF) localized at 2, 3 and 5, assembled from the column-0
     global-section orders with the order-576 suspension witness.
 
@@ -184,7 +182,6 @@ def pic_tmf_global(data: TmfPageData | None = None) -> dict[int, FgAbGroup]:
     assembly starts from the deepest stage, so the orders go in by
     descending s.
     """
-    data = data or TmfPageData.load()
     stages = run_pic_tmf(data)
     out: dict[int, FgAbGroup] = {}
     for p in (2, 3, 5):
@@ -195,7 +192,7 @@ def pic_tmf_global(data: TmfPageData | None = None) -> dict[int, FgAbGroup]:
     return out
 
 
-def pic_tmf_c4inv(data: TmfPageData | None = None) -> FgAbGroup:
+def pic_tmf_c4inv(data: TmfPageData) -> FgAbGroup:
     """Pic of TMF with the modular form c4 inverted: Z/2 ⊕ Z/8.
 
     Over the punctured j-line the Brauer and Picard obstructions of the base
@@ -203,7 +200,6 @@ def pic_tmf_c4inv(data: TmfPageData | None = None) -> FgAbGroup:
     0), the quotient sheaf contributes global sections Z/8, the k_* piece a
     Z/2, and the suspension class splits the extension.
     """
-    data = data or TmfPageData.load()
     if not brauer_laurent([PlaceSpec("real")], set()).is_zero():
         raise NoFact("Br of the Laurent base ring unexpectedly nonzero")
     h0_q, kstar, split = data.c4inv
@@ -224,14 +220,13 @@ class PicTmfRReport:
     notes: tuple[str, ...] = ()
 
 
-def pic_tmf_r(r, data: TmfPageData | None = None) -> PicTmfRReport:
+def pic_tmf_r(r, data: TmfPageData) -> PicTmfRReport:
     """The two exact sequences computing Pic(TMF_R) for étale R over Z, given
     as a `kofam.EtaleRingDescriptor`:
     0 → Pic(R) → Pic(TMF_R) → H^0(A^1_R; pi_0 pic) → 0 and
     0 → H^0(A^1_R; I) → H^0(A^1_R; pi_0 pic) → Z/24 → 0,
     where I is the filtration-positive part supported at (2,j) and (3,j).
     """
-    data = data or TmfPageData.load()
     # the quotient: gr^1 sections Z/12 extended by gr^0 = Z/2 with the
     # order-24 witness (the 24-periodicity of the suspension over R)
     gr1_sections = cohomology(R1jGm(), 0, "A1").group()

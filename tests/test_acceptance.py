@@ -32,6 +32,7 @@ from brauerkit.kofam import (
 from brauerkit.numbrauer import PlaceSpec, brauer_laurent, brauer_localized_integers
 from brauerkit.ssengine import Entry, assemble_abutment
 from brauerkit.tmffam import (
+    TmfPageData,
     lbr_m_o,
     lbr_tmf,
     pic_tmf_c4inv,
@@ -264,7 +265,7 @@ def test_criterion_6_punctured_a1_is_affine():
 
 
 def test_criterion_7_run_pic_tmf_items_0_to_7():
-    stages = run_pic_tmf()
+    stages = run_pic_tmf(TmfPageData.load())
     rows = {}
     for g in stages:
         rows.setdefault(g.s, []).append(g)
@@ -284,13 +285,13 @@ def test_criterion_7_run_pic_tmf_items_0_to_7():
 
 
 def test_criterion_8_pic_tmf_global():
-    out = pic_tmf_global()
+    out = pic_tmf_global(TmfPageData.load())
     assert out[2].same_structure(FgAbGroup.cyclic(64))
     assert out[3].same_structure(FgAbGroup.cyclic(9))
 
 
 def test_criterion_8_pic_tmf_c4inv():
-    assert pic_tmf_c4inv().same_structure(FgAbGroup.from_orders([2, 8]))
+    assert pic_tmf_c4inv(TmfPageData.load()).same_structure(FgAbGroup.from_orders([2, 8]))
 
 
 # ---------------------------------------------------------------------------

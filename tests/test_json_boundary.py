@@ -284,8 +284,8 @@ CURATED_VERBS = {
                          ["lbr-ko"]),
 }
 # keys the loaders do not read, and keys with a default that may be dropped
-UNREAD = {"window", "s_max", "t_max", "surjective"}
-DEFAULTED = {"local", "split", "free_rank", "factors", "nontrivial"}
+UNREAD = {"window", "s_max", "t_max"}
+DEFAULTED = {"local", "split", "free_rank", "factors", "nontrivial", "surjective"}
 
 
 def _accepted(path, value) -> bool:
@@ -371,6 +371,27 @@ def test_malformed_curated_data(curated, name, edit, argv, needle):
     code, out, err = curated(name, doc, argv)
     assert (code, out) == (2, "") and needle in err, err
     assert "not a power" not in err
+
+
+def _kernel_at_3_on_spec_f5(d):
+    fact = next(f for f in d if f["sheaf"] == "ker(x + 2*x^3 | O/(3,j))")
+    fact["value"]["symbol"]["residue_site"] = "SpecF5"
+
+
+@pytest.mark.parametrize("argv", [["pic-tmf"], ["lbr-tmf", "--window", "8"],
+                                  ["lbr-mo", "--window", "8"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("name, edit, value", [
+    *(("tmf_pages.json", lambda d, i=i: d["special_rules"][i].update(kind="Operator"), "Operator")
+      for i in range(4)),
+    ("sheaf_facts.json", _kernel_at_3_on_spec_f5, "SpecF5"),
+], ids=[*(f"rule-{i}-kind-Operator" for i in range(4)), "kernel-residue-site-SpecF5"])
+def test_curated_values_the_drivers_cannot_apply(curated, name, edit, value, argv):
+    # "Operator" on d9_55 once dropped the differential and pic-tmf reported the
+    # 3-local gr^5 as O/(3,j); SpecF5 left every report as it was, with exit 0
+    doc = copy.deepcopy(CURATED[name])
+    edit(doc)
+    code, out, err = curated(name, doc, argv)
+    assert (code, out) == (2, "") and f"'{value}'" in err, err
 
 
 @pytest.mark.parametrize("directory", [False, True], ids=["missing", "a-directory"])

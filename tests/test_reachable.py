@@ -50,7 +50,8 @@ ALLOWED = {
         "ROADMAP direction 4: column 0 read from turned pages",
     "ssengine._check_stable": "ROADMAP direction 4: the stability check of column_filtration",
     "ssengine._rule_to_json":
-        "other half of a reached (de)serializer: ss-run reads rules with _rule_from_json",
+        "other half of a reached (de)serializer: ss-run and TmfPageData.load read rules "
+        "with _rule_from_json",
     "kofam.EtaleRingDescriptor.to_json":
         "other half of a (de)serializer: from_json reads --ring descriptor files",
     "abelian._lr_positive":

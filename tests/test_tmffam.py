@@ -81,6 +81,14 @@ def test_data_rejects_nonzero_d11(tmp_path, monkeypatch):
         _edited_data(tmp_path, monkeypatch, edit)
 
 
+def test_data_rejects_a_kind_the_drivers_do_not_apply(tmp_path, monkeypatch):
+    def edit(raw):
+        next(r for r in raw["special_rules"] if r["name"] == "d9_55")["kind"] = "iso"
+
+    with pytest.raises(ValueError, match="rule d9_55: 'kind' must be operator or zero, not 'iso'"):
+        _edited_data(tmp_path, monkeypatch, edit)
+
+
 def test_data_rejects_two_operator_rules_from_one_source(tmp_path, monkeypatch):
     def edit(raw):
         rule = next(r for r in raw["special_rules"] if r["name"] == "d5_55")
@@ -102,8 +110,9 @@ def test_replaced_unresolved_values_are_checked(data):
 
 
 def test_data_is_read_into_typed_values(data):
-    by_s = {(s, local): (symbol, operator) for s, local, symbol, operator in data.column0}
-    assert by_s[3, 2] == (QuasiCoherent("O/2"), "x + j*x^2")
+    by_s = {(s, local): (symbol, rule) for s, local, symbol, rule in data.column0}
+    symbol, rule = by_s[3, 2]
+    assert symbol == QuasiCoherent("O/2") and str(rule.operator) == "x + j*x^2"
     assert by_s[7, 2] == (QuasiCoherent("O/(2,j)"), None)
     assert data.c4inv == (FgAbGroup.cyclic(8), Z2, True)
     assert data.lbr_mo[0] == 8 and data.lbr_mo[2] == (6, 18, 30)
@@ -188,14 +197,14 @@ def test_run_pic_tmf_row_without_an_operator_rule_stays_unkerneled(tmp_path, mon
 # ---------------------------------------------------------------------------
 
 
-def test_pic_tmf_global_values():
-    out = pic_tmf_global()
+def test_pic_tmf_global_values(data):
+    out = pic_tmf_global(data)
     assert out[2].same_structure(FgAbGroup.cyclic(64))
     assert out[3].same_structure(FgAbGroup.cyclic(9))
     assert out[5].is_zero()
 
 
-def test_pic_tmf_global_hands_over_the_orders_deepest_first(monkeypatch):
+def test_pic_tmf_global_hands_over_the_orders_deepest_first(monkeypatch, data):
     # assemble_abutment_by_orders builds upward from its first entry, the
     # deepest stage; the stages run (0,0), (1,0), (3,0), (5,2), (5,3), (7,2)
     handed = {}
@@ -205,13 +214,13 @@ def test_pic_tmf_global_hands_over_the_orders_deepest_first(monkeypatch):
         return FgAbGroup.zero()
 
     monkeypatch.setattr(tmffam, "assemble_abutment_by_orders", capture)
-    pic_tmf_global()
+    pic_tmf_global(data)
     assert handed == {64: [2, 1, 4, 1, 4, 2], 9: [1, 3, 1, 1, 3, 1], 1: [1] * 6}
 
 
 def test_pic_tmf_global_locality_knobs(data):
     # the open 2-local differentials do not touch the 3-local answer
-    base = pic_tmf_global()
+    base = pic_tmf_global(data)
     for name in ("d13_row5", "d25_row5", "d23_row7"):
         tweaked = pic_tmf_global(_set_open(data, **{name: "iso"}))
         assert tweaked[3].same_structure(base[3])
@@ -221,33 +230,33 @@ def test_pic_tmf_global_locality_knobs(data):
     assert all_iso[3].same_structure(base[3])
 
 
-def test_pic_tmf_c4inv():
-    got = pic_tmf_c4inv()
+def test_pic_tmf_c4inv(data):
+    got = pic_tmf_c4inv(data)
     assert got.same_structure(FgAbGroup.from_orders([2, 8]))
 
 
-def test_pic_tmf_r_integers():
-    rep = pic_tmf_r(SHIPPED_RINGS["Z"])
+def test_pic_tmf_r_integers(data):
+    rep = pic_tmf_r(SHIPPED_RINGS["Z"], data)
     assert rep.quotient.same_structure(FgAbGroup.cyclic(24))
     assert rep.h0_ideal_order == 24
     assert rep.sections_order == 576
     assert rep.total_order == 576
     # consistency with the assembled global groups
-    out = pic_tmf_global()
+    out = pic_tmf_global(data)
     assert rep.total_order == out[2].order() * out[3].order()
 
 
-def test_pic_tmf_r_z_one_sixth():
+def test_pic_tmf_r_z_one_sixth(data):
     r = EtaleRingDescriptor("Z[1/6]", Z2, FgAbGroup.zero(), (), inverted_primes=(2, 3))
-    rep = pic_tmf_r(r)
+    rep = pic_tmf_r(r, data)
     assert rep.h0_ideal_order == 1
     assert rep.sections_order == 24
     assert len(rep.notes) == 2
 
 
-def test_pic_tmf_r_pic_contributes():
+def test_pic_tmf_r_pic_contributes(data):
     r = EtaleRingDescriptor("toy", Z2, FgAbGroup.cyclic(5), (1,))
-    rep = pic_tmf_r(r)
+    rep = pic_tmf_r(r, data)
     assert rep.total_order == 5 * 576
 
 
