@@ -202,13 +202,18 @@ def _dominance_region(op: SemilinearOperator) -> tuple[int, int]:
 
 
 def _check_window(op: SemilinearOperator, m: TruncatedCharPModule) -> None:
-    """Refuse a module of another characteristic, and raise WindowTooSmall
-    unless the window holds the whole (nonempty) kernel support region."""
+    """Refuse a module of another characteristic, and a negative power of j
+    on a polynomial module; raise WindowTooSmall unless the window holds the
+    whole (nonempty) kernel support region."""
     if op.p != m.p:
         raise ValueError("operator and module characteristics differ")
     lo, hi = m.window
     rlo, rhi = _dominance_region(op)
     if not m.laurent:
+        for term in op.terms:
+            if term[1] < 0:
+                raise ValueError(f"operator term '{SemilinearOperator(op.p, (term,))}' has a "
+                                 "negative power of j, outside a polynomial module")
         rlo = max(rlo, 0)
     if rlo <= rhi and (rlo < lo or rhi > hi):
         raise WindowTooSmall(f"kernel support region [{rlo},{rhi}] exceeds window [{lo},{hi}]")

@@ -10,8 +10,8 @@ Cohomology is evaluated by a small rule set backed by a versioned fact table
   R4  quasi-coherent sheaves on affines have no higher cohomology;
   R5  the Artin-Schreier kernel sheaf k_*v_!Z/2 has H^0 = 0 and H^1 an
       infinite F_2-space with truncated monomial basis, both via `charp`;
-  R6  extensions assemble through the long exact sequence, but only when
-      vanishing (or a witness) decides the connecting maps.
+  R6  extensions assemble through the long exact sequence when vanishing (or a
+      witness) decides the connecting maps; a short exact one gives the order.
 
 Whenever no rule applies the answer is Unknown(reason) — never a guess.
 """
@@ -297,7 +297,7 @@ def _coh(f: SheafSymbol, s: int, base: str) -> Value:
     if isinstance(f, R1jGm):
         return _coh(canonical_r1jgm(), s, base)
     if isinstance(f, SheafExtension):  # R6
-        return _extension_cohomology(f, s, base)
+        return _extension_cohomology(f, s, base)[0]
     raise TypeError(f"not a sheaf symbol: {f!r}")
 
 
@@ -350,68 +350,51 @@ def _value_zero(v: Value) -> bool | None:
     return None if isinstance(v, Unknown) else v.is_zero()
 
 
-def _term(terms: dict, g: SheafSymbol, d: int, base: str) -> Value:
-    """H^d(base; g), evaluated at most once for each `terms` dict."""
-    if (g, d) not in terms:
-        terms[g, d] = _coh(g, d, base)
-    return terms[g, d]
-
-
-def _extension_cohomology(f: SheafExtension, s: int, base: str,
-                          terms: dict | None = None) -> Value:
-    """H^s(base; F) by R6; the cohomology of sub and quot it evaluates is
-    kept in `terms`, keyed by (symbol, degree)."""
-    terms = {} if terms is None else terms
+def _extension_cohomology(f: SheafExtension, s: int, base: str) -> tuple[Value, int | None]:
+    """H^s(base; F) by R6, and |H^s(sub)|·|H^s(quot)| where the value may
+    not be a finite group but the long exact sequence is short exact on
+    finite groups (H^{s-1}(quot) = H^{s+1}(sub) = 0); else None."""
+    stalk = None
     # an extension concentrated at one closed point is the pushforward of the
     # resolved extension of stalks (pushforward along a closed immersion is
-    # exact), so compute it on the residue site
-    if (isinstance(f.sub, ClosedPush) and isinstance(f.quot, ClosedPush)
-            and f.sub.point == f.quot.point
-            and f.sub.residue_site == f.quot.residue_site
-            and f.witness is not None
+    # exact), so compute it on the residue site; if that stays undecided, the
+    # outer terms below still decide the order
+    if (isinstance(f.sub, ClosedPush) and isinstance(f.quot, ClosedPush) and f.witness is not None
+            and (f.sub.point, f.sub.residue_site) == (f.quot.point, f.quot.residue_site)
             and f.sub.group.is_finite() and f.quot.group.is_finite()):
         try:
             resolved = resolve_extension(f.sub.group, f.quot.group, f.witness)
+            stalk = _coh(ClosedPush(f.sub.point, resolved, f.sub.residue_site), s, base)
         except AmbiguousExtension:
-            return Unknown("witness does not pin down the stalk extension", rule="R6")
-        return _coh(ClosedPush(f.sub.point, resolved, f.sub.residue_site), s, base)
-    a_s = _term(terms, f.sub, s, base)
-    b_s = _term(terms, f.quot, s, base)
-    if _value_zero(a_s) and _value_zero(b_s):
-        return FgAbGroup.zero()
-    if _value_zero(b_s):
+            stalk = Unknown("witness does not pin down the stalk extension", rule="R6")
+        if isinstance(stalk, FgAbGroup):
+            return stalk, None
+    a_s, b_s = _coh(f.sub, s, base), _coh(f.quot, s, base)
+    if stalk is None and _value_zero(a_s) and _value_zero(b_s):
+        return FgAbGroup.zero(), None
+    if stalk is None and _value_zero(b_s):
         # ... -> H^{s-1}(quot) -> H^s(sub) -> H^s(F) -> 0
-        if s == 0 or _value_zero(_term(terms, f.quot, s - 1, base)):
-            return a_s
-        return Unknown("connecting map into the sub-term undecided", rule="R6")
-    if _value_zero(a_s):
+        if s == 0 or _value_zero(_coh(f.quot, s - 1, base)):
+            return a_s, None
+        return Unknown("connecting map into the sub-term undecided", rule="R6"), None
+    if stalk is None and _value_zero(a_s):
         # 0 -> H^s(F) -> H^s(quot) -> H^{s+1}(sub)
-        if _value_zero(_term(terms, f.sub, s + 1, base)):
-            return b_s
-        return Unknown("connecting map out of the quotient-term undecided", rule="R6")
-    why = _not_short_exact(f, s, base, terms)
-    if why is not None:
-        return Unknown(why, rule="R6")
-    if f.witness is None:
-        return Unknown("short exact but no witness to resolve the extension", rule="R6")
+        if _value_zero(_coh(f.sub, s + 1, base)):
+            return b_s, None
+        return Unknown("connecting map out of the quotient-term undecided", rule="R6"), None
+    if not ((s == 0 or _value_zero(_coh(f.quot, s - 1, base)))
+            and _value_zero(_coh(f.sub, s + 1, base))):
+        return stalk or Unknown("long exact sequence does not collapse", rule="R6"), None
+    if not all(isinstance(v, FgAbGroup) and v.is_finite() for v in (a_s, b_s)):
+        return stalk or Unknown("short exact with an infinite term", rule="R6"), None
+    order = a_s.order() * b_s.order()
+    if stalk is not None or f.witness is None:
+        return stalk or Unknown("short exact but no witness to resolve the extension",
+                                rule="R6"), order
     try:
-        return resolve_extension(a_s, b_s, f.witness)
+        return resolve_extension(a_s, b_s, f.witness), order
     except AmbiguousExtension:
-        return Unknown("witness does not pin down the extension", rule="R6")
-
-
-def _not_short_exact(f: SheafExtension, s: int, base: str, terms: dict) -> str | None:
-    """None if the long exact sequence of 0 -> sub -> F -> quot -> 0 collapses
-    to 0 -> H^s(sub) -> H^s(F) -> H^s(quot) -> 0 of finite groups, that is if
-    H^{s-1}(quot) and H^{s+1}(sub) vanish and H^s(sub), H^s(quot) are
-    finite; else why not.  Reads and fills `terms` as `_term` does."""
-    if not ((s == 0 or _value_zero(_term(terms, f.quot, s - 1, base)))
-            and _value_zero(_term(terms, f.sub, s + 1, base))):
-        return "long exact sequence does not collapse"
-    if not all(isinstance(v, FgAbGroup) and v.is_finite()
-               for v in (_term(terms, f.sub, s, base), _term(terms, f.quot, s, base))):
-        return "short exact with an infinite term"
-    return None
+        return Unknown("witness does not pin down the extension", rule="R6"), order
 
 
 def cohomology_order(f: SheafSymbol, s: int, base: str) -> int:
@@ -419,16 +402,13 @@ def cohomology_order(f: SheafSymbol, s: int, base: str) -> int:
 
     For an extension whose long exact sequence collapses to a short exact
     sequence of finite groups, the order is the product of the outer orders
-    regardless of the unresolved extension class.  Each H^d of sub and quot
-    is evaluated once for both answers.
+    regardless of the unresolved extension class.
     """
     default_fact_table()  # loaded even when no rule reads it: no data, no answer
-    extension, terms = isinstance(f, SheafExtension), {}
-    ans = _extension_cohomology(f, s, base, terms) if extension else _coh(f, s, base)
+    ans, order = (_extension_cohomology(f, s, base) if isinstance(f, SheafExtension)
+                  else (_coh(f, s, base), None))
     if isinstance(ans, FgAbGroup) and ans.is_finite():
         return ans.order()
-    if extension:
-        a_s, b_s = _term(terms, f.sub, s, base), _term(terms, f.quot, s, base)
-        if _not_short_exact(f, s, base, terms) is None:
-            return a_s.order() * b_s.order()
+    if order is not None:
+        return order
     raise NoFact(f"order of H^{s}({base}; {sheaf_display(f)}) is not decided")

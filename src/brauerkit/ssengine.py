@@ -403,7 +403,7 @@ def _rule_to_json(rule: DifferentialRule) -> dict:
     return out
 
 
-def _rule_from_json(d: dict) -> DifferentialRule:
+def _rule_from_json(d: dict, provenance_key: str = "provenance") -> DifferentialRule:
     kind = take(d, "kind", "string")
     hom = operator = None
     if kind == "matrix":
@@ -416,7 +416,7 @@ def _rule_from_json(d: dict) -> DifferentialRule:
                             hom=hom, operator=operator,
                             surjective=take(d, "surjective", "bool", False),
                             name=take(d, "name", "string", ""),
-                            provenance=take(d, "provenance", "string"),
+                            provenance=take(d, provenance_key, "string"),
                             relabel=take(d, "relabel", "string", ""))
 
 

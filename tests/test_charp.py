@@ -184,6 +184,20 @@ def test_window_too_small_raises(capsys):
     assert "exceeds window" in capsys.readouterr().err
 
 
+def test_polynomial_module_refuses_a_negative_power_of_j(capsys):
+    # j^-1*x + x^2 sends 1 to j^-1 + 1, outside F_2[j]; the cokernel was
+    # once reported as j, j^3, j^5, j^7
+    from brauerkit.cli import main
+    op = parse_operator("j^-1*x + x^2", 2)
+    for fn in (operator_kernel, operator_cokernel_basis):
+        with pytest.raises(ValueError, match=r"operator term 'j\^-1\*x' has a negative power of j"):
+            fn(op, TruncatedCharPModule(2, (0, 8)))
+        fn(op, TruncatedCharPModule(2, (-8, 8), laurent=True))
+    assert main(["artin-schreier", "--p", "2", "--op", "j^-1*x + x^2", "--window", "8",
+                 "--cokernel"]) == 2
+    assert "operator term 'j^-1*x' has a negative power of j" in capsys.readouterr().err
+
+
 def test_rank_nullity():
     from brauerkit.charp import _kernel_basis_fp, _operator_matrix
     for text, p, m in [("x + x^2", 2, TruncatedCharPModule(2, (0, 12))),

@@ -373,6 +373,16 @@ def test_malformed_curated_data(curated, name, edit, argv, needle):
     assert "not a power" not in err
 
 
+def test_a_missing_rule_key_is_named_beside_the_files_own_keys(curated):
+    # the rule was once read with a "provenance" key added, which the message listed
+    doc = copy.deepcopy(CURATED["tmf_pages.json"])
+    rule = next(r for r in doc["special_rules"] if r["name"] == "d9_55")
+    rule["kind"] = "matrix"
+    code, out, err = curated("tmf_pages.json", doc, ["pic-tmf"])
+    assert (code, out) == (2, "")
+    assert f"the key 'source_group' is missing beside the keys {sorted(rule)}" in err, err
+
+
 def _kernel_at_3_on_spec_f5(d):
     fact = next(f for f in d if f["sheaf"] == "ker(x + 2*x^3 | O/(3,j))")
     fact["value"]["symbol"]["residue_site"] = "SpecF5"

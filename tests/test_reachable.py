@@ -59,6 +59,8 @@ ALLOWED = {
     "abelian._contains": "reached only by user input: the containment test of _lr_positive",
     "record._eq": "value semantics: no report compares two records; tests/test_record.py does",
     "record._repr": "debugging aid: tests/test_record.py checks the Name(field=value) form",
+    "record._hash":
+        "value semantics: no report hashes a record; tests/test_record.py checks the hash",
     "record._frozen":
         "immutability guard: tests/test_record.py assigns and deletes fields, which no report does",
 }
