@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Sequence
-from math import gcd
+from math import gcd, prod
 
 from . import take
 from .errors import AmbiguousExtension, NoExtension
@@ -226,6 +226,10 @@ def _factorize(n: int) -> dict:
     return out
 
 
+# nonzero orders `from_orders` takes; its pairwise pass on 4,096 takes about 0.6 s
+FROM_ORDERS_BOUND = 4096
+
+
 @record
 class FgAbGroup:
     """A finitely generated abelian group in invariant-factor normal form."""
@@ -271,7 +275,8 @@ class FgAbGroup:
 
         Z/a ⊕ Z/b ≅ Z/gcd(a, b) ⊕ Z/lcm(a, b), so after pass i entry i
         divides every later entry and nothing is factored: the pairwise case
-        of Bernstein's coprime base (J. Algorithms 2005).
+        of Bernstein's coprime base (J. Algorithms 2005).  More than
+        FROM_ORDERS_BOUND nonzero orders raise ValueError.
         """
         free = 0
         factors = []
@@ -282,6 +287,8 @@ class FgAbGroup:
                 free += 1
             else:
                 factors.append(d)
+        if len(factors) > FROM_ORDERS_BOUND:
+            raise ValueError(f"{len(factors)} nonzero orders, over the bound of {FROM_ORDERS_BOUND}")
         for i, a in enumerate(factors):
             for j in range(i + 1, len(factors)):
                 g = gcd(a, factors[j])
@@ -524,29 +531,24 @@ class ExtensionWitness:
 
 @record
 class ExtensionTrace:
-    """Exhaustive search record certifying uniqueness."""
+    """Search record certifying uniqueness: the accepted groups, and each
+    type λ rejected at a prime p of the order as (p, λ, reason)."""
 
     order: int
     accepted: tuple[FgAbGroup, ...]
-    rejected: tuple[tuple[FgAbGroup, str], ...]
+    rejected: tuple[tuple[int, tuple[int, ...], str], ...]
 
 
-def _partitions(k: int):
+def _partitions(k: int, most: int | None = None):
+    """The partitions of k into parts of at most `most`, descending lexicographically."""
     if k == 0:
         yield ()
-        return
-    def rec(k, mx):
-        if k == 0:
-            yield ()
-            return
-        for first in range(min(k, mx), 0, -1):
-            for rest in rec(k - first, first):
-                yield (first,) + rest
-    yield from rec(k, k)
+    for first in range(min(k, most or k), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
 
 
-# abelian groups of one order that may be listed: 2^40 has 37,338, which
-# take about 0.8 s to build and test as extension candidates
+# abelian groups of one order an extension problem may range over; 2^40 has 37,338
 GROUPS_OF_ORDER_BOUND = 100_000
 
 
@@ -557,34 +559,6 @@ def _partition_count(k: int) -> int:
         for s in range(part, k + 1):
             ways[s] += ways[s - part]
     return ways[k]
-
-
-def abelian_groups_of_order(n: int) -> list[FgAbGroup]:
-    """All abelian groups of order n, deterministically ordered.
-
-    There are ∏ p(e) of them over the prime powers p^e of n; more than
-    GROUPS_OF_ORDER_BOUND raise ValueError before any is built.
-    """
-    if n < 1:
-        raise ValueError("order must be positive")
-    prime_powers = sorted(_factorize(n).items())
-    count = 1
-    for _, e in prime_powers:
-        count *= _partition_count(e)
-    if count > GROUPS_OF_ORDER_BOUND:
-        raise ValueError(f"order {n} has {count} abelian groups, "
-                         f"over the bound of {GROUPS_OF_ORDER_BOUND}")
-    per_prime = [[[p ** x for x in part] for part in _partitions(e)] for p, e in prime_powers]
-    out = []
-    for combo in itertools.product(*per_prime):
-        # slot i multiplies the i-th largest prime power of every prime
-        factors = [1] * max((len(block) for block in combo), default=0)
-        for block in combo:
-            for i, q in enumerate(block):
-                factors[i] *= q
-        out.append(FgAbGroup(0, tuple(reversed(factors))))
-    out.sort(key=lambda g: g.invariant_factors)
-    return out
 
 
 def _valuation(n: int, p: int) -> int:
@@ -636,14 +610,15 @@ def _generator_types(p: int, mu: tuple[int, ...], b: int, c: int) -> set:
     """Types of G ⊇ H of type μ with G/H ≅ Z/p^b generated by an e of order p^c.
 
     G = H ⊕ Ze / (p^b·e = h).  Up to Aut(H) (units on the cyclic summands
-    g_i, swaps of equal ones) h = Σ p^v_i·g_i with 0 ≤ v_i ≤ μ_i, so e has
-    order p^(b + max(μ_i − v_i)) and G = coker(diag(p^μ_i) | (p^v_i, −p^b)).
+    g_i, swaps of equal ones) h = Σ p^v_i·g_i with 0 ≤ v_i ≤ μ_i, ascending
+    along each run of equal μ_i, so e has order p^(b + max(μ_i − v_i)) and
+    G = coker(diag(p^μ_i) | (p^v_i, −p^b)).
     """
     k = len(mu)
     out = set()
-    for v in itertools.product(*(range(m + 1) for m in mu)):
-        if any(mu[i] == mu[i + 1] and v[i] > v[i + 1] for i in range(k - 1)):
-            continue
+    for images in itertools.product(*(itertools.combinations_with_replacement(range(m + 1), len(list(run)))
+                                      for m, run in itertools.groupby(mu))):
+        v = sum(images, ())
         if max((m - x for m, x in zip(mu, v)), default=0) != c - b:
             continue
         M = [[p ** m if j == i else 0 for j in range(k)] + [p ** x] for i, (m, x) in enumerate(zip(mu, v))]
@@ -652,64 +627,64 @@ def _generator_types(p: int, mu: tuple[int, ...], b: int, c: int) -> set:
     return out
 
 
-def _candidate_test(sub: FgAbGroup, quot: FgAbGroup | None, total: int,
-                    witness: ExtensionWitness | None):
-    """cand -> None if accepted, else the reason; per-prime set-up runs once."""
-    generator = witness is not None and witness.maps_to_generator_of_quotient
-    criteria = []
-    for p, e in sorted(_factorize(total).items()):
-        mu = _p_type(sub.invariant_factors, p)
-        if generator:
-            types = _generator_types(p, mu, e - sum(mu), _valuation(witness.witness_order, p))
-            criteria.append((p, types.__contains__))
-        elif quot is not None:
-            nu = _p_type(quot.invariant_factors, p)
-            criteria.append((p, lambda lam, mu=mu, nu=nu: _lr_positive(lam, mu, nu)))
-        else:
-            criteria.append((p, lambda lam, mu=mu: _contains(lam, mu)))
-
-    def rejection(cand: FgAbGroup) -> str | None:
-        if witness is not None and cand.exponent() % witness.witness_order:
-            return f"no element of order {witness.witness_order}"
-        if generator and quot is not None and not quot.is_cyclic():
-            raise ValueError("generator witness requires a cyclic quotient")
-        if not all(ok(_p_type(cand.invariant_factors, p)) for p, ok in criteria):
-            return "no subgroup with the required quotient"
-        return None
-
-    return rejection
-
-
 def _resolve(sub: FgAbGroup, quot: FgAbGroup | None, total: int,
              witness: ExtensionWitness | None):
     """The unique abelian group of order `total` extending quot (None: any
-    quotient of that order) by sub; the trace holds every candidate.
+    quotient of that order) by sub; the trace holds every type tried.
 
-    The constraints split over the primes p of `total`.  With λ, μ, ν the
-    types of the p-parts of candidate, sub and quot:
-    - an element of order w exists iff w divides the exponent;
+    The constraints split over the primes p of `total`: the groups that pass
+    are the products of the types λ ⊢ v_p(total) passing at each p.  With
+    λ, μ, ν the types of the p-parts of candidate, sub and quot:
+    - an element of order w exists iff λ_1 ≥ v_p(w) at every p;
     - H ≅ μ with G/H ≅ ν exists iff c^λ_{μν} > 0 (Green–Klein; Macdonald,
       *Symmetric Functions and Hall Polynomials*, ch. II (4.3));
     - with the quotient order only, H ≅ μ exists iff μ ⊆ λ (Birkhoff);
     - with a generator witness, λ is a type from `_generator_types`, over
       Aut(H)-classes of elements (Dutta–Prasad, J. Group Theory 14, 2011).
     """
-    rejection = _candidate_test(sub, quot, total, witness)
-    accepted, rejected = [], []
-    for cand in abelian_groups_of_order(total):
-        why = rejection(cand)
-        if why is None:
-            accepted.append(cand)
+    if total < 1:
+        raise ValueError("order must be positive")
+    prime_powers = sorted(_factorize(total).items())
+    count = prod(_partition_count(e) for _, e in prime_powers)
+    if count > GROUPS_OF_ORDER_BOUND:
+        raise ValueError(f"order {total} has {count} abelian groups, "
+                         f"over the bound of {GROUPS_OF_ORDER_BOUND}")
+    w = witness.witness_order if witness is not None else 1
+    if total % w:
+        raise NoExtension(f"no abelian group of order {total} satisfies the constraints")
+    generator = witness is not None and witness.maps_to_generator_of_quotient
+    if generator and quot is not None and not quot.is_cyclic():
+        raise ValueError("generator witness requires a cyclic quotient")
+    survivors, rejected = [], []
+    for p, e in prime_powers:
+        mu, c = _p_type(sub.invariant_factors, p), _valuation(w, p)
+        if generator:
+            passes = _generator_types(p, mu, e - sum(mu), c).__contains__
+        elif quot is not None:
+            nu = _p_type(quot.invariant_factors, p)
+            passes = lambda lam: _lr_positive(lam, mu, nu)
         else:
-            rejected.append((cand, why))
-    trace = ExtensionTrace(total, tuple(accepted), tuple(rejected))
+            passes = lambda lam: _contains(lam, mu)
+        kept = []
+        for lam in _partitions(e):
+            if lam[0] < c:
+                rejected.append((p, lam, f"no element of order {p ** c}"))
+            elif passes(lam):
+                kept.append([p ** x for x in lam])
+            else:
+                rejected.append((p, lam, "no subgroup with the required quotient"))
+        survivors.append(kept)
+    # slot i of a group multiplies the i-th largest prime power of every prime
+    groups = (FgAbGroup(0, tuple(map(prod, itertools.zip_longest(*blocks, fillvalue=1)))[::-1])
+              for blocks in itertools.product(*survivors))
+    accepted = sorted(groups, key=lambda g: g.invariant_factors)
     if not accepted:
         raise NoExtension(f"no abelian group of order {total} satisfies the constraints")
     if len(accepted) > 1:
         raise AmbiguousExtension(
             f"{len(accepted)} isomorphism classes satisfy the constraints: "
             + ", ".join(str(g) for g in accepted))
-    return accepted[0], trace
+    return accepted[0], ExtensionTrace(total, tuple(accepted), tuple(rejected))
 
 
 def resolve_extension(sub: FgAbGroup, quot: FgAbGroup,

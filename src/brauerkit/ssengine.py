@@ -462,9 +462,16 @@ _LEGEND = [
     ("✦", "extension of sheaves"),
 ]
 
+# grid cells a chart may draw: 10,000 make about 0.75 MB of SVG
+CHART_CELLS_BOUND = 10_000
+
 
 def chart_svg(page: SSPage) -> str:
-    """Deterministic SVG chart of a page in the (t-s, s)-plane."""
+    """Deterministic SVG chart of a page in the (t-s, s)-plane.
+
+    The grid spans the entries and the origin; more than CHART_CELLS_BOUND
+    cells raise ValueError before any line is built.
+    """
     if page.entries:
         xs = [t - s for (s, t) in page.entries]
         ys = [s for (s, _) in page.entries]
@@ -473,6 +480,10 @@ def chart_svg(page: SSPage) -> str:
     else:
         x0 = y0 = 0
         x1 = y1 = 1
+    cells = (x1 - x0 + 1) * (y1 - y0 + 1)
+    if cells > CHART_CELLS_BOUND:
+        raise ValueError(f"a chart spanning t-s in [{x0}, {x1}] and s in [{y0}, {y1}] has "
+                         f"{cells} cells, over the bound of {CHART_CELLS_BOUND}")
     cell = 90
     pad = 40
     width = (x1 - x0 + 1) * cell + 2 * pad

@@ -1,9 +1,17 @@
 """Brute-force extension resolution, kept as the oracle for `abelian._resolve`.
 
-It lists every element and every subgroup of each candidate group, so it
-is only usable for small orders.  `_resolve` has the signature and return
-value of `brauerkit.abelian._resolve`, so it can stand in for it under
-both public entry points.
+It lists every abelian group of the order (`abelian_groups_of_order`) and
+every element and every subgroup of each, so it is only usable for small
+orders.  `_resolve` has the signature of `brauerkit.abelian._resolve` and
+returns the same group, with the rejected candidates and their reasons in
+place of the trace, so it can stand in for it under both public entry
+points.
+
+For larger orders, `resolve_by_candidates` keeps the search `_resolve` made
+before it went prime by prime: every group of the order, each tested with
+the per-prime criteria.  `generator_types` is the enumeration
+`abelian._generator_types` made before it walked only the ascending
+witness images: every image, with the others skipped.
 """
 
 from __future__ import annotations
@@ -13,16 +21,66 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from brauerkit.abelian import (
-    ExtensionTrace,
+    GROUPS_OF_ORDER_BOUND,
     ExtensionWitness,
     FgAbGroup,
+    _contains,
     _diag,
+    _factorize,
     _from_columns,
+    _lr_positive,
+    _p_type,
+    _partition_count,
+    _partitions,
     _snf_ext,
     _subquotient,
-    abelian_groups_of_order,
+    _valuation,
 )
 from brauerkit.errors import AmbiguousExtension, NoExtension
+
+
+def abelian_groups_of_order(n: int) -> List[FgAbGroup]:
+    """All abelian groups of order n, deterministically ordered.
+
+    There are ∏ p(e) of them over the prime powers p^e of n; more than
+    GROUPS_OF_ORDER_BOUND raise ValueError before any is built.
+    """
+    if n < 1:
+        raise ValueError("order must be positive")
+    prime_powers = sorted(_factorize(n).items())
+    count = 1
+    for _, e in prime_powers:
+        count *= _partition_count(e)
+    if count > GROUPS_OF_ORDER_BOUND:
+        raise ValueError(f"order {n} has {count} abelian groups, "
+                         f"over the bound of {GROUPS_OF_ORDER_BOUND}")
+    per_prime = [[[p ** x for x in part] for part in _partitions(e)] for p, e in prime_powers]
+    out = []
+    for combo in itertools.product(*per_prime):
+        # slot i multiplies the i-th largest prime power of every prime
+        factors = [1] * max((len(block) for block in combo), default=0)
+        for block in combo:
+            for i, q in enumerate(block):
+                factors[i] *= q
+        out.append(FgAbGroup(0, tuple(reversed(factors))))
+    out.sort(key=lambda g: g.invariant_factors)
+    return out
+
+
+def generator_types(p: int, mu: Tuple[int, ...], b: int, c: int) -> set:
+    """`abelian._generator_types` by every witness image h = Σ p^v_i·g_i,
+    0 ≤ v_i ≤ μ_i, skipping those not ascending along a run of equal μ_i."""
+    k = len(mu)
+    out = set()
+    for v in itertools.product(*(range(m + 1) for m in mu)):
+        if any(mu[i] == mu[i + 1] and v[i] > v[i + 1] for i in range(k - 1)):
+            continue
+        if max((m - x for m, x in zip(mu, v)), default=0) != c - b:
+            continue
+        M = [[p ** m if j == i else 0 for j in range(k)] + [p ** x] for i, (m, x) in enumerate(zip(mu, v))]
+        M.append([0] * k + [-p ** b])
+        out.add(_p_type(_diag(_snf_ext(M)[1]), p))
+    return out
 
 
 def _element_order(vec, cyc) -> int:
@@ -126,8 +184,19 @@ def _candidate_matches(cand: FgAbGroup, sub: FgAbGroup, quot: Optional[FgAbGroup
     return False, "no subgroup with the required quotient"
 
 
+def _decide(total: int, accepted: Sequence[FgAbGroup]) -> FgAbGroup:
+    if not accepted:
+        raise NoExtension(f"no abelian group of order {total} satisfies the constraints")
+    if len(accepted) > 1:
+        raise AmbiguousExtension(
+            f"{len(accepted)} isomorphism classes satisfy the constraints: "
+            + ", ".join(str(g) for g in accepted))
+    return accepted[0]
+
+
 def _resolve(sub: FgAbGroup, quot: Optional[FgAbGroup], total: int,
              witness: Optional[ExtensionWitness]):
+    """The group and the rejected candidates, each with its reason."""
     accepted, rejected = [], []
     for cand in abelian_groups_of_order(total):
         ok, why = _candidate_matches(cand, sub, quot, witness)
@@ -135,12 +204,37 @@ def _resolve(sub: FgAbGroup, quot: Optional[FgAbGroup], total: int,
             accepted.append(cand)
         else:
             rejected.append((cand, why))
-    trace = ExtensionTrace(total, tuple(accepted), tuple(rejected))
-    if not accepted:
-        raise NoExtension(f"no abelian group of order {total} satisfies the constraints")
-    if len(accepted) > 1:
-        raise AmbiguousExtension(
-            f"{len(accepted)} isomorphism classes satisfy the constraints: "
-            + ", ".join(str(g) for g in accepted))
-    return accepted[0], trace
+    return _decide(total, accepted), tuple(rejected)
 
+
+def resolve_by_candidates(sub: FgAbGroup, quot: Optional[FgAbGroup], total: int,
+                          witness: Optional[ExtensionWitness]):
+    """`abelian._resolve` as it was before it went prime by prime: every group
+    of the order has the exponent test, then at each prime p of the order its
+    p-type λ must pass `abelian._resolve`'s criterion, with the generator
+    types from `generator_types`.  Returns what `_resolve` does; each
+    criterion is set up before any group is listed."""
+    generator = witness is not None and witness.maps_to_generator_of_quotient
+    criteria = []
+    for p, e in sorted(_factorize(total).items()):
+        mu = _p_type(sub.invariant_factors, p)
+        if generator:
+            types = generator_types(p, mu, e - sum(mu), _valuation(witness.witness_order, p))
+            criteria.append((p, types.__contains__))
+        elif quot is not None:
+            nu = _p_type(quot.invariant_factors, p)
+            criteria.append((p, lambda lam, mu=mu, nu=nu: _lr_positive(lam, mu, nu)))
+        else:
+            criteria.append((p, lambda lam, mu=mu: _contains(lam, mu)))
+    accepted, rejected = [], []
+    for cand in abelian_groups_of_order(total):
+        if witness is not None and cand.exponent() % witness.witness_order:
+            rejected.append((cand, f"no element of order {witness.witness_order}"))
+            continue
+        if generator and quot is not None and not quot.is_cyclic():
+            raise ValueError("generator witness requires a cyclic quotient")
+        if all(ok(_p_type(cand.invariant_factors, p)) for p, ok in criteria):
+            accepted.append(cand)
+        else:
+            rejected.append((cand, "no subgroup with the required quotient"))
+    return _decide(total, accepted), tuple(rejected)

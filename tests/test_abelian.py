@@ -11,7 +11,6 @@ from brauerkit.abelian import (
     ExtensionWitness,
     FgAbGroup,
     GroupHom,
-    abelian_groups_of_order,
     hom_cokernel,
     hom_kernel,
     homology,
@@ -20,6 +19,7 @@ from brauerkit.abelian import (
     smith_normal_form,
 )
 from brauerkit.errors import AmbiguousExtension, NoExtension
+from resolve_oracle import abelian_groups_of_order
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +337,12 @@ def test_resolve_by_order():
     assert g.same_structure(FgAbGroup.cyclic(16))
 
 
+def test_resolve_by_order_refuses_a_quotient_order_below_1():
+    for quot_order in (0, -2):
+        with pytest.raises(ValueError, match="^order must be positive$"):
+            resolve_extension_by_order(FgAbGroup.cyclic(2), quot_order, ExtensionWitness(2, True))
+
+
 def test_resolve_order_2_pow_20():
     sub = FgAbGroup.cyclic(2 ** 19)
     witness = ExtensionWitness(2 ** 20, maps_to_generator_of_quotient=True)
@@ -373,7 +379,8 @@ def test_resolve_mixed_2_pow_6_3_pow_4():
     quot = FgAbGroup.from_orders([8, 3])
     g, trace = abelian._resolve(sub, quot, 2 ** 6 * 3 ** 4, ExtensionWitness(2 ** 5 * 3 ** 3))
     assert g.same_structure(want)
-    assert len(trace.rejected) == len(abelian_groups_of_order(2 ** 6 * 3 ** 4)) - 1
+    # one type survives at each prime: p(6) - 1 + p(4) - 1 rejected
+    assert len(trace.rejected) == 10 + 4
     # exponent 2^4·3^2 keeps three types at each prime
     with pytest.raises(AmbiguousExtension, match="^9 isomorphism classes"):
         resolve_extension(sub, quot, ExtensionWitness(2 ** 4 * 3 ** 2))

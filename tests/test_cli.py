@@ -164,6 +164,22 @@ def test_ss_chart_svg(capsys, page_file):
     assert out.startswith("<svg") and "legend:" in out
 
 
+def test_exit_2_on_a_chart_over_the_cell_bound(capsys, tmp_path):
+    # one entry at (s, t): the grid spans t - s in [0, t - s] and s in [0, s]
+    def page(s, t):
+        path = tmp_path / f"page_{s}_{t}.json"
+        path.write_text(page_to_json(SSPage(2, {(s, t): Entry(FgAbGroup.cyclic(2))}), []))
+        return str(path)
+
+    code, out = run(capsys, "ss-chart", "--page", page(99, 198))
+    assert code == 0 and out.count("<rect") == 100 * 100
+    for s, cells in ((100, 101 * 101), (200, 201 * 201)):
+        assert main(["ss-chart", "--page", page(s, 2 * s)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and (f"t-s in [0, {s}] and s in [0, {s}] has {cells} cells, "
+                                  "over the bound of 10000") in out.err
+
+
 def _edited_page(page_file, edit):
     doc = json.loads(page_file.read_text())
     doc = edit(doc) or doc
@@ -248,6 +264,17 @@ def test_exit_2_on_non_integer_orders(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_exit_2_on_more_orders_than_the_bound(capsys):
+    start = time.perf_counter()
+    assert main(["cohomology", "--orders", json.dumps([2] * 4097), "--s", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == "" and "4097 nonzero orders, over the bound of 4096" in out.err
+    # copies of Z do not enter the pairwise pass
+    rep = run_json(capsys, "cohomology", "--orders", json.dumps([0] * 5000 + [2]), "--s", "0")
+    assert rep["group"] == "Z^5000 ⊕ Z/2"
+
+
 def test_exit_2_on_a_cech_basis_over_the_bound(capsys):
     # C(41, 4) = 101270 is the first n = 4 basis over the bound of 100000
     assert main(["cech", "--n-vars", "4", "--window", "41"]) == 2
@@ -295,6 +322,20 @@ def test_exit_2_on_an_extension_with_too_many_candidates(capsys, tmp_path):
     # Pic(R) = Z/2^48 against sections of order 8: p(51) = 239943 groups of order 2^51
     assert main(["pic-ko", "--ring", _ring_with_pic(tmp_path, 2 ** 48)]) == 2
     assert "239943 abelian groups, over the bound of 100000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("degrees,code", [([], 0), ([1], 3)])
+def test_pic_ko_with_many_2_torsion_units_exits_in_time(tmp_path, degrees, code):
+    # H^1 = (Z/2)^40 has 2^40 witness images, in 41 classes up to automorphism
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"name": "R", "units": {"factors": [2] * 40}, "pic": {},
+                                "residue_field_degrees_at_2": degrees}))
+    child = subprocess.run([sys.executable, "-m", "brauerkit.cli", "pic-ko", "--ring", str(path)],
+                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                           timeout=30)
+    assert child.returncode == code, child.stderr
+    if code:
+        assert f"no abelian group of order {2 ** 41} satisfies" in child.stderr
 
 
 def test_pic_ko_with_a_24_digit_prime_in_pic_needs_no_long_factoring(capsys, tmp_path):

@@ -46,6 +46,9 @@ ALLOWED = {
     "numbrauer.DivisibleGroupDescriptor.n_torsion":
         "paper check: test_acceptance.py compares it with the brute-force kernel count",
     "abelian.FgAbGroup.torsion": "paper check: the finite part of n_torsion",
+    "abelian.FgAbGroup.exponent":
+        "benchmark check: bench/workloads.py checks a resolved extension's exponent; cyccoh "
+        "reaches it only by user input, a sign action of odd n",
     "ssengine.column_filtration":
         "ROADMAP direction 4: column 0 read from turned pages",
     "ssengine._check_stable": "ROADMAP direction 4: the stability check of column_filtration",

@@ -1,13 +1,22 @@
-"""`abelian._resolve` against the brute-force oracle in `resolve_oracle`.
+"""`abelian._resolve` against the oracles in `resolve_oracle`.
 
 Every sub, quotient and witness with |G| <= 16 (witness orders: the
-divisors of |G|, 2|G| and 3|G|; generator flag on and off) goes through both public entry points twice, once with the
-oracle standing in for `_resolve`; the accepted group, the trace that
-`_resolve` hands the entry point, and the exception type and message (which
-names the candidates) must agree.  Where an exception takes the trace with
-it, the rejection reason of every candidate is compared instead.
+divisors of |G|, 2|G| and 3|G|; generator flag on and off) goes through
+both public entry points twice, once with the brute-force oracle standing
+in for `_resolve`; the accepted group, or the exception type and message
+(which names the candidates), must agree.  So must seeded problems whose
+order has two to four of the primes 2, 3, 5 and 7, against the
+candidate-by-candidate search, at the seed in RESOLVE_DIFFERENTIAL_SEED
+when it is set.  Each trace `_resolve` returns must hold every partition of
+v_p(|G|) exactly once at each prime p, as the p-type of an accepted group
+or as a rejected type, and the oracle must reject every candidate whose
+p-type was rejected.  The witness images `_generator_types` walks must give
+the types of the enumeration of every image.
 """
 
+import itertools
+import os
+import random
 from unittest import mock
 
 import pytest
@@ -17,11 +26,16 @@ from brauerkit import abelian
 from brauerkit.abelian import (
     ExtensionWitness,
     FgAbGroup,
-    abelian_groups_of_order,
+    _factorize,
+    _p_type,
+    _partitions,
     resolve_extension,
     resolve_extension_by_order,
 )
 from brauerkit.errors import BrauerkitError
+from resolve_oracle import abelian_groups_of_order
+
+RESOLVE = abelian._resolve
 
 
 def _outcome(call):
@@ -31,50 +45,54 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def _traced(call, resolve):
-    """The outcome of `call` with `resolve` standing in for `abelian._resolve`:
-    the (group, trace) it returned to the entry point, or the exception."""
+def _run(call, resolve):
+    """The outcome of `call` with `resolve` standing in for `abelian._resolve`,
+    and the arguments and value of each call of it that returned."""
     returned = []
 
     def spy(*args):
-        returned.append(resolve(*args))
-        return returned[-1]
+        value = resolve(*args)
+        returned.append((args, value))
+        return value
 
     with mock.patch.object(abelian, "_resolve", spy):
-        got = _outcome(call)
-    if isinstance(got, FgAbGroup):
-        assert got is returned[-1][0]
-        return returned[-1]
-    return got
+        return _outcome(call), returned
+
+
+def _check_trace(args, trace, rejected):
+    """Each prime's partitions are tried once, and the oracle's `rejected`
+    (candidate, reason) pairs hold every candidate of a rejected p-type."""
+    sub, quot, total, witness = args
+    assert trace.order == total
+    rejected = {cand for cand, _ in rejected}
+    for p, e in _factorize(total).items():
+        kept = {_p_type(g.invariant_factors, p) for g in trace.accepted}
+        tried = list(kept) + [lam for q, lam, _ in trace.rejected if q == p]
+        assert sorted(tried) == sorted(_partitions(e)), (p, trace)
+    for p, lam, _ in trace.rejected:
+        for cand in abelian_groups_of_order(total):
+            if _p_type(cand.invariant_factors, p) == lam:
+                assert cand in rejected, (args, p, lam, cand)
+
+
+def _agree(call, oracle):
+    got, traces = _run(call, RESOLVE)
+    want, answers = _run(call, oracle)
+    assert got == want
+    if traces:  # an entry point calls _resolve once, and both returned
+        (args, (_, trace)), = traces
+        (_, (_, rejected)), = answers
+        _check_trace(args, trace, rejected)
+
+
+def _check(sub, quot, witness, oracle=resolve_oracle._resolve):
+    _agree(lambda: resolve_extension(sub, quot, witness), oracle)
+    _agree(lambda: resolve_extension_by_order(sub, quot.order(), witness), oracle)
 
 
 def _witnesses(total):
     orders = [w for w in range(1, total + 1) if total % w == 0] + [2 * total, 3 * total]
     return [None] + [ExtensionWitness(w, flag) for w in orders for flag in (False, True)]
-
-
-def _reasons_agree(sub, quot, total, witness):
-    rejection = abelian._candidate_test(sub, quot, total, witness)
-    for cand in abelian_groups_of_order(total):
-        want = _outcome(lambda: resolve_oracle._candidate_matches(cand, sub, quot, witness))
-        if isinstance(want[0], bool):
-            want = None if want[0] else want[1]
-        assert _outcome(lambda: rejection(cand)) == want, (cand, sub, quot, witness)
-
-
-def _agree(call, sub, quot, total, witness):
-    got = _traced(call, abelian._resolve)
-    want = _traced(call, resolve_oracle._resolve)
-    assert got == want, (sub, quot, witness)
-    if not isinstance(got[0], FgAbGroup):  # an exception took the trace with it
-        _reasons_agree(sub, quot, total, witness)
-
-
-def _check(sub, quot, witness):
-    total = sub.order() * quot.order()
-    _agree(lambda: resolve_extension(sub, quot, witness), sub, quot, total, witness)
-    _agree(lambda: resolve_extension_by_order(sub, quot.order(), witness),
-           sub, None, total, witness)
 
 
 @pytest.mark.parametrize("total", range(1, 17))
@@ -92,3 +110,40 @@ def test_resolve_matches_brute_force_exhaustively(total):
 def test_resolve_matches_brute_force_on_benchmark_shapes(mu, b):
     sub = FgAbGroup.from_orders([2 ** m for m in mu])
     _check(sub, FgAbGroup.cyclic(2 ** b), ExtensionWitness(2 ** (mu[0] + b), True))
+
+
+def _random_problem(rng):
+    """A sub, quotient and witness whose order has 2 to 4 of the primes 2, 3,
+    5 and 7, with at most 2^6, 3^4, 5^2 and 7^2."""
+    primes = rng.sample([(2, 6), (3, 4), (5, 2), (7, 2)], rng.randrange(2, 5))
+    total = 1
+    for p, most in primes:
+        total *= p ** rng.randrange(1, most + 1)
+    divisors = [d for d in range(1, total + 1) if total % d == 0]
+    s = rng.choice(divisors)
+    sub = rng.choice(abelian_groups_of_order(s))
+    quot = rng.choice(abelian_groups_of_order(total // s))
+    if rng.random() < 0.5:  # a cyclic quotient is what a generator witness needs
+        quot = FgAbGroup.cyclic(total // s)
+    roll = rng.random()
+    if roll < 0.15:
+        return sub, quot, None
+    # large divisors decide most problems; a few do not divide the order
+    w = rng.choice(divisors[-4:]) if roll < 0.75 else rng.choice(divisors + [2 * total, 11 * total])
+    return sub, quot, ExtensionWitness(w, rng.random() < 0.5)
+
+
+def test_resolve_matches_the_candidate_search_on_seeded_multi_prime_problems():
+    rng = random.Random(int(os.environ.get("RESOLVE_DIFFERENTIAL_SEED", "20261019")))
+    for _ in range(400):
+        sub, quot, witness = _random_problem(rng)
+        _check(sub, quot, witness, resolve_oracle.resolve_by_candidates)
+
+
+def test_generator_types_match_the_enumeration_of_every_image():
+    for n in range(8):
+        for mu in _partitions(n):
+            for p, b in itertools.product((2, 3), range(4)):
+                for c in range(b + (mu[0] if mu else 0) + 2):
+                    want = resolve_oracle.generator_types(p, mu, b, c)
+                    assert abelian._generator_types(p, mu, b, c) == want, (p, mu, b, c)
