@@ -61,8 +61,8 @@ def _snf_ext(M: Sequence[Sequence[int]], u: bool = False, v: bool = False, uinv:
     A transform that is not tracked comes back as [].  The steps do not
     depend on what is tracked, so a tracked transform is the same whatever
     else is.  Callers track U and V (`smith_normal_form`), V
-    (`_kernel_columns`), Uinv (`_subquotient`), U (`hom_cokernel`) or
-    nothing (`_generator_types`).  The fifth slot is always None.
+    (`_kernel_columns`), Uinv or nothing (`_subquotient`), U (`hom_cokernel`)
+    or nothing (`cokernel`, `_generator_types`).  The fifth slot is always None.
 
     The steps are a contract, as `tests/golden/snf_*.out` and
     `bench/digests.json` pin the bytes of U and V; only a deliberate change
@@ -433,7 +433,8 @@ def _relation_columns(g: FgAbGroup) -> list[list[int]]:
     return cols
 
 
-def _subquotient(l_cols: Sequence[Sequence[int]], r_cols: Sequence[Sequence[int]], n: int):
+def _subquotient(l_cols: Sequence[Sequence[int]], r_cols: Sequence[Sequence[int]], n: int,
+                 gens: bool = True):
     """Structure of (lattice spanned by l_cols+r_cols) / (lattice of r_cols).
 
     Returns (group, generator_vectors) with one ambient column vector in Z^n
@@ -441,7 +442,8 @@ def _subquotient(l_cols: Sequence[Sequence[int]], r_cols: Sequence[Sequence[int]
     nonzero columns of L generate the quotient, and x in Z^k is a relation
     iff Lx lies in the lattice of R, i.e. iff x is the head of a kernel
     vector of [L | R]; one Smith form U*X*V = D of those relations X gives
-    the summands Z/d_j, generated by L times the columns of U⁻¹.
+    the summands Z/d_j, generated by L times the columns of U⁻¹.  With
+    `gens` false that Smith form tracks no transform and no vector is built.
     """
     l_cols = [c for c in l_cols if any(c)]
     k = len(l_cols)
@@ -449,8 +451,10 @@ def _subquotient(l_cols: Sequence[Sequence[int]], r_cols: Sequence[Sequence[int]
         return FgAbGroup.zero(), []
     r_cols = [c for c in r_cols if any(c)]
     rel = [c[:k] for c in _kernel_columns(_from_columns(l_cols + r_cols, n), k + len(r_cols))]
-    _, D, _, Uinv, _ = _snf_ext(_from_columns(rel, k), uinv=True)
+    _, D, _, Uinv, _ = _snf_ext(_from_columns(rel, k), uinv=gens)
     diag = _diag(D)
+    if not gens:
+        return FgAbGroup.from_orders(diag + [0] * (k - len(diag))), []
     entries = []
     for j in range(k):
         d = diag[j] if j < len(diag) else 0
@@ -505,12 +509,22 @@ def hom_cokernel(f: GroupHom):
     return group, proj
 
 
-def homology(f: GroupHom, g: GroupHom) -> FgAbGroup:
-    """ker(f)/im(g) for composable maps with f∘g = 0."""
-    if not f.compose(g).is_zero_hom():
-        raise ValueError("homology requires f∘g = 0")
-    denom = _transpose(g.matrix) + _relation_columns(f.source)
-    group, _ = _subquotient(_kernel_lift(f), denom, f.source.num_generators)
+def cokernel(f: GroupHom) -> FgAbGroup:
+    """The group of `hom_cokernel(f)` alone, from a Smith form that tracks no transform."""
+    nt = f.target.num_generators
+    cols = [c for c in _transpose(f.matrix) + _relation_columns(f.target) if any(c)]
+    diag = _diag(_snf_ext(_from_columns(cols, nt))[1]) if cols else []
+    return FgAbGroup.from_orders(diag + [0] * (nt - len(diag)))
+
+
+def homology(f: GroupHom, g: GroupHom | None = None) -> FgAbGroup:
+    """ker(f)/im(g) for composable maps with f∘g = 0, or ker(f) when g is None."""
+    denom = _relation_columns(f.source)
+    if g is not None:
+        if not f.compose(g).is_zero_hom():
+            raise ValueError("homology requires f∘g = 0")
+        denom = _transpose(g.matrix) + denom
+    group, _ = _subquotient(_kernel_lift(f), denom, f.source.num_generators, gens=False)
     return group
 
 

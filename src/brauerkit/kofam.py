@@ -80,8 +80,10 @@ def _g(*orders: int) -> FgAbGroup:
 SHIPPED_RINGS: dict[str, EtaleRingDescriptor] = {
     "Z": EtaleRingDescriptor(
         "Z", units=_g(2), pic=_g(), residue_field_degrees_at_2=(1,)),
+    # w = (1+√17)/2 in K = Q(√17); 17 ≡ 1 mod 8, so 2 splits and the residue
+    # degrees at 2 are (1, 1); the units are ±1, a fundamental unit and √17
     "Z[w][1/17]": EtaleRingDescriptor(
-        "Z[w][1/17]", units=FgAbGroup(1, (6,)), pic=_g(),
+        "Z[w][1/17]", units=FgAbGroup(2, (2,)), pic=_g(),
         residue_field_degrees_at_2=(1, 1), inverted_primes=(17,)),
     "Z[1/2,zeta4]": EtaleRingDescriptor(
         "Z[1/2,zeta4]", units=FgAbGroup(1, (4,)), pic=_g(),
@@ -114,19 +116,16 @@ def ku_additive_pages(r: EtaleRingDescriptor, s_max: int = 10,
     if not r.connected:
         raise ValueError("additive pages are built componentwise")
     entries: dict[tuple[int, int], Entry] = {}
-    # H^s(C_2; pi_t KU) depends only on t mod 4 (trivial or sign action)
-    rows = {k: cohomology_row(action(FgAbGroup.free(1)), s_max) if s_max >= 0 else []
+    # H^s(C_2; pi_t KU) depends only on t mod 4 (trivial or sign action): each
+    # row's nonzero groups and eta powers are found once; (s, t) holds eta^s beta^k, 4k = t - 2s
+    rows = {k: [(s, h, _power("η", s))
+                for s, h in enumerate(cohomology_row(action(FgAbGroup.free(1)), s_max))
+                if not h.is_zero()] if s_max >= 0 else []
             for k, action in ((0, trivial), (2, sign))}
     t_lo, t_hi = t_range
-    for t in range(t_lo, t_hi + 1):
-        if t % 2:
-            continue
-        for s, h in enumerate(rows[t % 4]):
-            if h.is_zero():
-                continue
-            k = _bott_power(s, t)
-            label = _class_label(s, k)
-            entries[(s, t)] = Entry(h, label)
+    for t in range(t_lo + t_lo % 2, t_hi + 1, 2):  # odd t carry nothing
+        for s, h, eta in rows[t % 4]:
+            entries[(s, t)] = Entry(h, eta + _power("β", (t - 2 * s) // 4) or "1", 1, ())
     e2 = SSPage(2, entries)
     e3 = turn_page(e2, [])  # d_2 vanishes: no odd rows
     rules = ku_additive_d3_rules(e3)
@@ -134,12 +133,8 @@ def ku_additive_pages(r: EtaleRingDescriptor, s_max: int = 10,
     return [e2, e3, e4]
 
 
-def _class_label(s: int, k: int | None) -> str:
-    if k is None:
-        return ""
-    eta = "" if s == 0 else ("η" if s == 1 else f"η^{s}")
-    beta = "" if k == 0 else ("β" if k == 1 else f"β^{k}")
-    return (eta + beta) or "1"
+def _power(symbol: str, n: int) -> str:
+    return "" if n == 0 else symbol if n == 1 else f"{symbol}^{n}"
 
 
 def ku_additive_d3_rules(e3: SSPage) -> list[DifferentialRule]:
@@ -149,21 +144,22 @@ def ku_additive_d3_rules(e3: SSPage) -> list[DifferentialRule]:
     surjection Z -> Z/2 with kernel 2Z (the index-two class) for s = 0.
     Composites vanish automatically because k drops parity.
     """
+    onto = GroupHom(FgAbGroup.free(1), FgAbGroup.cyclic(2), ((1,),))  # every s = 0 rule's hom
     rules = []
-    for (s, t) in sorted(e3.entries):
+    # fields by position: r, source, kind, hom, operator, surjective, name, provenance, relabel
+    for (s, t) in e3.entries:
         k = _bott_power(s, t)
         if k is None or k % 2 == 0:
             continue
         if s == 0:
-            hom = GroupHom(FgAbGroup.free(1), FgAbGroup.cyclic(2), ((1,),))
-            relabel = "2□" if k == 1 else f"2β^{k}"
             rules.append(DifferentialRule(
-                3, (s, t), "matrix", hom=hom, relabel=relabel,
-                provenance="Bott-pattern d3 on beta^k, k odd: surjection with kernel 2Z"))
+                3, (s, t), "matrix", onto, None, False, "",
+                "Bott-pattern d3 on beta^k, k odd: surjection with kernel 2Z",
+                "2□" if k == 1 else f"2β^{k}"))
         else:
             rules.append(DifferentialRule(
-                3, (s, t), "iso",
-                provenance="Bott-pattern d3 on eta^s beta^k, k odd: isomorphism"))
+                3, (s, t), "iso", None, None, False, "",
+                "Bott-pattern d3 on eta^s beta^k, k odd: isomorphism", ""))
     return rules
 
 

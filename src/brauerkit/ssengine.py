@@ -6,10 +6,10 @@ Entries are finitely generated abelian groups, symbolic sheaves, or
 truncated characteristic-p modules; differentials are declared as rules
 (zero, isomorphism, explicit matrix, semilinear operator, or unresolved)
 and `turn_page` replaces each entry by kernel-mod-image.  A turn recomputes
-only the entries its differentials touch, each matrix differential's
-cokernel once; every other entry passes through as the same immutable
+only the entries its differentials touch, with one computation per distinct
+hom per turn; every other entry passes through as the same immutable
 object, so beyond building the new page a turn's work grows with its
-differentials, not with the page.
+distinct differentials, not with the page.
 Everything absent from the sparse entry map is zero, and page-turning only
 ever shrinks entries, so stabilization of a column is decidable by
 inspecting which later differentials could still connect two nonzero
@@ -26,8 +26,7 @@ from .abelian import (
     ExtensionWitness,
     FgAbGroup,
     GroupHom,
-    hom_cokernel,
-    hom_kernel,
+    cokernel,
     homology,
     resolve_extension,
     resolve_extension_by_order,
@@ -156,16 +155,6 @@ def _validate_rules(page: SSPage, rules: Sequence[DifferentialRule]) -> None:
             raise ValueError(f"d∘d ≠ 0 at ({s},{t}) on page {rule.r}")
 
 
-_RuleIndex = dict[tuple[int, int], list[DifferentialRule]]  # rules by source
-
-
-def _rule_for(index: _RuleIndex, s: int, t: int) -> DifferentialRule | None:
-    found = index.get((s, t), ())
-    if len(found) > 1:
-        raise ValueError(f"multiple rules match ({s},{t})")
-    return found[0] if found else None
-
-
 def turn_page(page: SSPage, rules: Sequence[DifferentialRule]) -> SSPage:
     """Replace every entry by ker(outgoing d_r)/im(incoming d_r).
 
@@ -174,47 +163,53 @@ def turn_page(page: SSPage, rules: Sequence[DifferentialRule]) -> SSPage:
     entry would meet it first.  Any other entry, and a recomputed one that
     the turn leaves as it was, passes through as the same immutable
     `Entry`: beyond copying the entry map and building the page, a turn
-    costs time in proportion to its differentials.  A matrix rule's
-    cokernel is computed at most once, on first use; the source's index and
-    the target's image both read that one group.
+    costs time in proportion to its differentials.  A memo for the one call,
+    keyed by the hom records, computes each distinct hom's `cokernel` once
+    and its `homology` once per incoming hom, however many rules carry it.
     """
     _validate_rules(page, rules)
     default_fact_table()  # loaded even when no rule reads it: no data, no page
     r = page.r
-    index: _RuleIndex = {}
+    index: dict[tuple[int, int], DifferentialRule] = {}
+    repeated = set()  # sources of more than one rule: an error where the sweep meets them
     for rule in rules:
-        index.setdefault(rule.source, []).append(rule)
+        if rule.source in index:
+            repeated.add(rule.source)
+        index[rule.source] = rule
     entries = page.entries
     touched = set(index)  # every rule source is an entry: _validate_rules checked
     for s, t in index:
         if (s + r, t + r - 1) in entries:
             touched.add((s + r, t + r - 1))
     killed: set = set()
-    cokernels: dict[tuple[int, int], FgAbGroup] = {}
+    memo: dict = {}
     new_entries = dict(entries)
-    for s, t in sorted(touched):
-        out_rule = _rule_for(index, s, t)
-        in_rule = _rule_for(index, s - r, t - r + 1)
-        new = _evolve_entry(page, entries[s, t], (s, t), out_rule, in_rule, killed, cokernels)
+    for pos in sorted(touched):
+        src = (pos[0] - r, pos[1] - r + 1)
+        for s, t in (pos, src) if repeated else ():
+            if (s, t) in repeated:
+                raise ValueError(f"multiple rules match ({s},{t})")
+        new = _evolve_entry(page, entries[pos], pos, index.get(pos), index.get(src), killed, memo)
         if new is None or new.is_zero():
-            del new_entries[s, t]
+            del new_entries[pos]
         else:
-            new_entries[s, t] = new
+            new_entries[pos] = new
     for pos in killed:
         new_entries.pop(pos, None)
     return SSPage(r + 1, new_entries)
 
 
-def _cokernel(rule: DifferentialRule, cokernels: dict) -> FgAbGroup:
-    """Cokernel of a matrix rule's hom, computed on its first use in a turn."""
-    cok = cokernels.get(rule.source)
-    if cok is None:
-        cok, _ = hom_cokernel(rule.hom)
-        cokernels[rule.source] = cok
-    return cok
+def _once(memo: dict, fn, *args):
+    """fn(*args), computed on its first use in a turn: `memo` holds each
+    result by the function and its arguments, the hom records."""
+    key = (fn, *args)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = fn(*args)
+    return value
 
 
-def _evolve_entry(page, entry, pos, out_rule, in_rule, killed, cokernels):
+def _evolve_entry(page, entry, pos, out_rule, in_rule, killed, memo):
     s, t = pos
     assumed = entry.assumed
     # incoming differential
@@ -226,12 +221,12 @@ def _evolve_entry(page, entry, pos, out_rule, in_rule, killed, cokernels):
         in_rule = None  # a zero or unresolved d_r has no image
     # outgoing differential
     if out_rule is None or out_rule.kind == "zero":
-        return _mod_image(entry, in_rule, assumed, cokernels)
+        return _mod_image(entry, in_rule, assumed, memo)
     if out_rule.kind == "iso":
         killed.add(page.target_of(s, t))
         return None
     if out_rule.kind == "unresolved":
-        return _mod_image(entry, in_rule, assumed + (out_rule.name,), cokernels)
+        return _mod_image(entry, in_rule, assumed + (out_rule.name,), memo)
     if out_rule.kind == "operator":
         new = _operator_kernel_entry(entry, out_rule)
         if out_rule.surjective:
@@ -243,25 +238,21 @@ def _evolve_entry(page, entry, pos, out_rule, in_rule, killed, cokernels):
     hom = out_rule.hom
     if not hom.source.same_structure(entry.value):
         raise ValueError(f"rule at ({s},{t}) does not match the entry group")
-    if in_rule is not None:
-        value = homology(hom, in_rule.hom)
-    else:
-        value, _ = hom_kernel(hom)
+    value = _once(memo, homology, hom, in_rule and in_rule.hom)
     index = entry.index
     if hom.target.is_finite():  # times the order of the image
-        index *= hom.target.order() // _cokernel(out_rule, cokernels).order()
-    label = out_rule.relabel or entry.label
-    return Entry(value, label, index, assumed)
+        index *= hom.target.order() // _once(memo, cokernel, hom).order()
+    return Entry(value, out_rule.relabel or entry.label, index, assumed)
 
 
 def _mod_image(entry: Entry, in_rule: DifferentialRule | None, assumed: tuple[str, ...],
-               cokernels: dict) -> Entry:
+               memo: dict) -> Entry:
     """The entry modulo the image of an incoming matrix rule, if any."""
     if in_rule is None:
         return entry if assumed == entry.assumed else replace(entry, assumed=assumed)
     if not isinstance(entry.value, FgAbGroup):
         raise NoFact("matrix image hitting a non-group entry")
-    return Entry(_cokernel(in_rule, cokernels), entry.label, entry.index, assumed)
+    return Entry(_once(memo, cokernel, in_rule.hom), entry.label, entry.index, assumed)
 
 
 def _operator_kernel_entry(entry: Entry, rule: DifferentialRule) -> Entry:
@@ -269,10 +260,10 @@ def _operator_kernel_entry(entry: Entry, rule: DifferentialRule) -> Entry:
     if isinstance(entry.value, CharPRef):
         basis, _ = operator_kernel(op, entry.value.module)
         group = FgAbGroup.from_orders([op.p] * len(basis))
-        return Entry(group, label=entry.label, index=entry.index)
+        return Entry(group, entry.label, entry.index)
     if isinstance(entry.value, SheafSymbol):
         kernel = default_fact_table().kernel_sheaf(str(op), sheaf_display(entry.value))
-        return Entry(kernel, label=entry.label, index=entry.index)
+        return Entry(kernel, entry.label, entry.index)
     raise NoFact("operator rule on a plain group entry")
 
 
@@ -373,10 +364,19 @@ def _entry_value_to_json(v: EntryValue) -> dict:
     return {"kind": "sheaf", "sheaf": sheaf_to_json(v)}
 
 
-def _entry_value_from_json(d: dict) -> EntryValue:
+def _group_from_json(d: dict, groups: dict) -> FgAbGroup:
+    """The group `d` names, built once per distinct (free_rank, factors) in `groups`."""
+    key = (take(d, "free_rank", "int", 0), tuple(take(d, "factors", "[int]", ())))
+    group = groups.get(key)
+    if group is None:
+        group = groups[key] = FgAbGroup(*key)
+    return group
+
+
+def _entry_value_from_json(d: dict, groups: dict) -> EntryValue:
     kind = take(d, "kind", "string")
     if kind == "group":
-        return FgAbGroup.from_json(take(d, "group", "object"))
+        return _group_from_json(take(d, "group", "object"), groups)
     if kind == "charp":
         return CharPRef(take(d, "name", "string"), TruncatedCharPModule(
             take(d, "p", "int"), tuple(take(d, "window", "[int]")), take(d, "laurent", "bool")))
@@ -403,28 +403,31 @@ def _rule_to_json(rule: DifferentialRule) -> dict:
     return out
 
 
-def _rule_from_json(d: dict, provenance_key: str = "provenance") -> DifferentialRule:
+def _rule_from_json(d: dict, groups: dict, provenance_key: str = "provenance") -> DifferentialRule:
+    """A rule from JSON; a matrix rule's groups come from `groups` as in
+    `_group_from_json`, and GroupHom normalises the rows of its matrix."""
     kind = take(d, "kind", "string")
     hom = operator = None
     if kind == "matrix":
-        hom = GroupHom(FgAbGroup.from_json(take(d, "source_group", "object")),
-                       FgAbGroup.from_json(take(d, "target_group", "object")),
-                       tuple(tuple(row) for row in take(d, "matrix", "[[int]]")))
+        hom = GroupHom(_group_from_json(take(d, "source_group", "object"), groups),
+                       _group_from_json(take(d, "target_group", "object"), groups),
+                       take(d, "matrix", "[[int]]"))
     if kind == "operator":
         operator = parse_operator(take(d, "operator", "string"), take(d, "p", "int"))
     return DifferentialRule(take(d, "r", "int"), (take(d, "s", "int"), take(d, "t", "int")), kind,
-                            hom=hom, operator=operator,
-                            surjective=take(d, "surjective", "bool", False),
-                            name=take(d, "name", "string", ""),
-                            provenance=take(d, provenance_key, "string"),
-                            relabel=take(d, "relabel", "string", ""))
+                            hom, operator, take(d, "surjective", "bool", False),
+                            take(d, "name", "string", ""), take(d, provenance_key, "string"),
+                            take(d, "relabel", "string", ""))
 
 
 def page_to_json(page: SSPage, rules: Sequence[DifferentialRule] = ()) -> str:
+    # each distinct entry value is converted once; the page holds them all, so ids are stable
+    written = {id(e.value): e.value for e in page.entries.values()}
+    written = {key: _entry_value_to_json(value) for key, value in written.items()}
     data = {
         "r": page.r,
-        "entries": [{"s": s, "t": t, "entry": _entry_value_to_json(e.value),
-                     "label": e.label, "index": e.index, "assumed": list(e.assumed)}
+        "entries": [{"s": s, "t": t, "entry": written[id(e.value)],
+                     "label": e.label, "index": e.index, "assumed": e.assumed}
                     for (s, t), e in sorted(page.entries.items())],
         "rules": [_rule_to_json(rule) for rule in rules],
     }
@@ -433,8 +436,11 @@ def page_to_json(page: SSPage, rules: Sequence[DifferentialRule] = ()) -> str:
 
 def page_from_json(text: str) -> tuple[SSPage, list[DifferentialRule]]:
     """A page and its rules from JSON, each key read with its type by
-    `take`; an entry's index is positive and each (s, t) carries one entry."""
+    `take`; an entry's index is positive and each (s, t) carries one entry.
+    Each distinct group is built and validated once per call, and every
+    entry and rule that names it shares that one value."""
     data = json.loads(text)
+    groups: dict = {}
     entries = {}
     for item in take(data, "entries", "[object]"):
         pos = (take(item, "s", "int"), take(item, "t", "int"))
@@ -444,11 +450,13 @@ def page_from_json(text: str) -> tuple[SSPage, list[DifferentialRule]]:
         if index < 1:
             raise ValueError(f"'index' must be positive, not {index}")
         entries[pos] = Entry(
-            _entry_value_from_json(take(item, "entry", "object")), take(item, "label", "string", ""),
-            index, tuple(take(item, "assumed", "[string]", ())))
-    rules = [_rule_from_json(d) for d in take(data, "rules", "[object]", ())]
-    # user JSON may list zero entries; no other page builder makes them
-    nonzero = {pos: e for pos, e in entries.items() if not e.is_zero()}
+            _entry_value_from_json(take(item, "entry", "object"), groups),
+            take(item, "label", "string", ""), index, tuple(take(item, "assumed", "[string]", ())))
+    rules = [_rule_from_json(d, groups) for d in take(data, "rules", "[object]", ())]
+    # user JSON may list zero entries; no other page builder makes them, and
+    # every zero group entry shares the page's one zero group
+    zero = groups.get((0, ()))
+    nonzero = {pos: e for pos, e in entries.items() if e.value is not zero}
     return SSPage(take(data, "r", "int"), nonzero), rules
 
 

@@ -77,7 +77,7 @@ class TmfPageData:
         for obj in take(raw, "special_rules", "[object]"):
             name = take(obj, "name", "string")
             cited(obj, f"rule {name}")
-            rule = _rule_from_json(obj, "citation")
+            rule = _rule_from_json(obj, {}, "citation")
             citations.add(rule.provenance)
             if name == "d11_77" and rule.kind != "zero":
                 raise ValueError("d11 on row 7 is fixed to zero")

@@ -1,23 +1,30 @@
-"""Page turning entry by entry, kept as the oracle for `ssengine.turn_page`.
+"""Page turning entry by entry, and page reading key by key, kept as the
+oracles for `ssengine.turn_page` and `ssengine.page_from_json`.
 
-This is the engine's code from before rule indexing, pass-through entries
-and shared cokernels: every entry of the page is evolved in ascending
-(s, t) order, rules are found by a linear scan, and each use of a matrix
-rule's cokernel computes it again.  Its result (or the exception it
-raises) is the reference for the fast path.  It imports only the page and
-rule types and the layers below the engine, none of the engine's helpers.
+The turn is the engine's code from before rule indexing, pass-through
+entries and memoised kernels and cokernels: every entry of the page is
+evolved in ascending (s, t) order, rules are found by a linear scan, and
+each use of a matrix rule's kernel or cokernel computes it again.  The
+reader is the engine's code from before groups were shared: it builds and
+validates one group per entry and per rule side, and reads every key with
+the recursive `take_oracle.take`.  Their results (or the exceptions they
+raise) are the reference for the fast paths.  This module imports only the
+page and rule types and the layers below the engine, none of the engine's
+helpers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+import json
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from brauerkit.abelian import FgAbGroup, GroupHom, hom_cokernel, hom_kernel, homology
-from brauerkit.charp import operator_kernel
+from brauerkit.charp import TruncatedCharPModule, operator_kernel, parse_operator
 from brauerkit.errors import NoFact, UnmatchedRule
 from brauerkit.record import replace
-from brauerkit.sheaftab import SheafSymbol, default_fact_table, sheaf_display
+from brauerkit.sheaftab import SheafSymbol, default_fact_table, sheaf_display, sheaf_from_json
 from brauerkit.ssengine import CharPRef, DifferentialRule, Entry, SSPage
+from take_oracle import take
 
 
 def rule_for(rules: Sequence[DifferentialRule], s: int, t: int) -> Optional[DifferentialRule]:
@@ -118,3 +125,54 @@ def operator_kernel_entry(entry: Entry, rule: DifferentialRule) -> Entry:
         kernel = default_fact_table().kernel_sheaf(str(op), sheaf_display(entry.value))
         return Entry(kernel, label=entry.label, index=entry.index)
     raise NoFact("operator rule on a plain group entry")
+
+
+def group_from_json(obj: dict) -> FgAbGroup:
+    return FgAbGroup(take(obj, "free_rank", "int", 0), tuple(take(obj, "factors", "[int]", ())))
+
+
+def entry_value_from_json(d: dict):
+    kind = take(d, "kind", "string")
+    if kind == "group":
+        return group_from_json(take(d, "group", "object"))
+    if kind == "charp":
+        return CharPRef(take(d, "name", "string"), TruncatedCharPModule(
+            take(d, "p", "int"), tuple(take(d, "window", "[int]")), take(d, "laurent", "bool")))
+    if kind == "sheaf":
+        return sheaf_from_json(take(d, "sheaf", "object"))
+    raise ValueError(f"'kind' must be group, charp or sheaf, not {kind!r}")
+
+
+def rule_from_json(d: dict) -> DifferentialRule:
+    kind = take(d, "kind", "string")
+    hom = operator = None
+    if kind == "matrix":
+        hom = GroupHom(group_from_json(take(d, "source_group", "object")),
+                       group_from_json(take(d, "target_group", "object")),
+                       tuple(tuple(row) for row in take(d, "matrix", "[[int]]")))
+    if kind == "operator":
+        operator = parse_operator(take(d, "operator", "string"), take(d, "p", "int"))
+    return DifferentialRule(take(d, "r", "int"), (take(d, "s", "int"), take(d, "t", "int")), kind,
+                            hom=hom, operator=operator,
+                            surjective=take(d, "surjective", "bool", False),
+                            name=take(d, "name", "string", ""),
+                            provenance=take(d, "provenance", "string"),
+                            relabel=take(d, "relabel", "string", ""))
+
+
+def page_from_json(text: str) -> Tuple[SSPage, List[DifferentialRule]]:
+    data = json.loads(text)
+    entries = {}
+    for item in take(data, "entries", "[object]"):
+        pos = (take(item, "s", "int"), take(item, "t", "int"))
+        if pos in entries:
+            raise ValueError(f"entry position {pos} is listed twice")
+        index = take(item, "index", "int", 1)
+        if index < 1:
+            raise ValueError(f"'index' must be positive, not {index}")
+        entries[pos] = Entry(
+            entry_value_from_json(take(item, "entry", "object")), take(item, "label", "string", ""),
+            index, tuple(take(item, "assumed", "[string]", ())))
+    rules = [rule_from_json(d) for d in take(data, "rules", "[object]", ())]
+    nonzero = {pos: e for pos, e in entries.items() if not e.is_zero()}
+    return SSPage(take(data, "r", "int"), nonzero), rules

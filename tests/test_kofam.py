@@ -8,7 +8,6 @@ from brauerkit.kofam import (
     SHIPPED_RINGS,
     EtaleRingDescriptor,
     _bott_power,
-    _class_label,
     ku_additive_d3_rules,
     ku_additive_pages,
     lbr_ko,
@@ -81,6 +80,15 @@ def test_additive_d3_rules_pass_d_squared():
     for rule in rules:
         s, t = rule.source
         assert (s + 3, t + 2) not in sources
+
+
+def _class_label(s, k):
+    """The label of eta^s beta^k as the E_2 builder wrote it for each position."""
+    if k is None:
+        return ""
+    eta = "" if s == 0 else ("η" if s == 1 else f"η^{s}")
+    beta = "" if k == 0 else ("β" if k == 1 else f"β^{k}")
+    return (eta + beta) or "1"
 
 
 def test_additive_pages_match_per_position_cohomology():

@@ -36,10 +36,19 @@ ALLOWED = {
         "benchmark entry point: the algebra workload turns the KU pages",
     "kofam.ku_additive_d3_rules":
         "benchmark entry point: the algebra workload turns the KU pages",
-    "kofam._bott_power": "benchmark entry point: labels and d3 rules of the KU pages",
-    "kofam._class_label": "benchmark entry point: labels of the KU pages",
+    "kofam._bott_power": "benchmark entry point: the d3 rules of the KU pages",
+    "kofam._power": "benchmark entry point: labels of the KU pages",
     "cyccoh.cohomology_row": "benchmark entry point: the algebra workload and the KU E2 page",
     "abelian.FgAbGroup.free": "benchmark entry point: the Z coefficients of the KU pages",
+    "abelian.hom_kernel":
+        "benchmark entry point: the algebra workload's hom requests; turn_page reads "
+        "the kernel group alone, through homology",
+    "abelian.hom_cokernel":
+        "benchmark entry point: the algebra workload's hom requests; turn_page reads "
+        "the cokernel group alone, through cokernel",
+    "abelian.GroupHom.from_columns": "benchmark entry point: the inclusion hom_kernel returns",
+    "abelian.GroupHom.identity":
+        "benchmark entry point: the projection hom_cokernel returns for a zero map into a free group",
     "ssengine.DifferentialRule.matches":
         "tracer hook: bench/tracing.py patches it to count rule matches, and "
         "tests/ssengine_oracle.py scans rules through it; turn_page looks rules up by source",
@@ -62,8 +71,6 @@ ALLOWED = {
     "abelian._contains": "reached only by user input: the containment test of _lr_positive",
     "record._eq": "value semantics: no report compares two records; tests/test_record.py does",
     "record._repr": "debugging aid: tests/test_record.py checks the Name(field=value) form",
-    "record._hash":
-        "value semantics: no report hashes a record; tests/test_record.py checks the hash",
     "record._frozen":
         "immutability guard: tests/test_record.py assigns and deletes fields, which no report does",
 }

@@ -1,3 +1,6 @@
+import copy
+import json
+import math
 import os
 import random
 
@@ -77,8 +80,8 @@ def test_matrix_rule_index_bookkeeping():
 
 def test_each_matrix_cokernel_is_computed_once(monkeypatch):
     calls = []
-    original = ssengine.hom_cokernel
-    monkeypatch.setattr(ssengine, "hom_cokernel", lambda f: calls.append(f) or original(f))
+    original = ssengine.cokernel
+    monkeypatch.setattr(ssengine, "cokernel", lambda f: calls.append(f) or original(f))
     # Z --(x2)--> Z/4: the source's index and the target's image read one cokernel
     hom = GroupHom(Z, FgAbGroup.cyclic(4), ((2,),))
     page = SSPage(3, {(0, 4): Entry(Z), (3, 6): group_entry(FgAbGroup.cyclic(4))})
@@ -391,3 +394,182 @@ def test_turn_page_looks_position_rules_up_without_scanning(monkeypatch):
     rules = [zero_rule(2, *pos) for pos in entries]
     turn_page(SSPage(2, entries), rules)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# memoised kernels and cokernels
+# ---------------------------------------------------------------------------
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(ssengine, name)
+    monkeypatch.setattr(ssengine, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_turn_page_computes_each_shared_hom_once_per_turn(monkeypatch):
+    kernels, cokernels = _counting(monkeypatch, "homology"), _counting(monkeypatch, "cokernel")
+    # three equal Z -> Z/2 rules, as the KU pages have: one kernel, one cokernel
+    entries = {}
+    rules = []
+    for t in (4, 12, 20):
+        entries[0, t] = Entry(Z, label=f"b{t}")
+        entries[3, t + 2] = group_entry(Z2)
+        rules.append(DifferentialRule(3, (0, t), "matrix", hom=GroupHom(Z, Z2, ((1,),)),
+                                      provenance="onto"))
+    page = SSPage(3, entries)
+    turned = turn_page(page, rules)
+    assert (len(kernels), len(cokernels)) == (1, 1)
+    assert [turned.entries[0, t].index for t in (4, 12, 20)] == [2, 2, 2]
+    assert all((3, t + 2) not in turned.entries for t in (4, 12, 20))
+    # no state survives the call: a second turn computes both again
+    assert page_to_json(turn_page(page, rules)) == page_to_json(turned)
+    assert (len(kernels), len(cokernels)) == (2, 2)
+
+
+def test_turn_page_keys_a_kernel_by_its_incoming_hom(monkeypatch):
+    kernels = _counting(monkeypatch, "homology")
+    z4 = FgAbGroup.cyclic(4)
+    times2 = GroupHom(z4, z4, ((2,),))
+    # d(0,0) and d(3,2) share the hom x2 on Z/4, but only (3,2) is hit by (0,0)
+    page = SSPage(3, {(0, 0): group_entry(z4), (3, 2): group_entry(z4), (6, 4): group_entry(z4)})
+    rules = [DifferentialRule(3, (0, 0), "matrix", hom=times2, provenance="x2"),
+             DifferentialRule(3, (3, 2), "matrix", hom=times2, provenance="x2")]
+    turned = turn_page(page, rules)
+    assert kernels == [(times2, None), (times2, times2)]
+    assert (3, 2) not in turned.entries  # ker(x2)/im(x2) on Z/4 is 2Z/4 mod 2Z/4
+    assert page_to_json(turned) == page_to_json(ssengine_oracle.turn_page(page, rules))
+
+
+# ---------------------------------------------------------------------------
+# page reading against the key-by-key oracle
+# ---------------------------------------------------------------------------
+
+
+WRONG = (None, True, 1, 1.5, "x", [], {})
+
+
+def _bench_doc(rng, s_max=12, t_max=30, density=0.4):
+    """A page-3 document shaped like the benchmark's: cyclic entries, and
+    zero, iso, unresolved and matrix rules from even s."""
+    def group(a):
+        return {"free_rank": 1, "factors": []} if a == 0 else {"free_rank": 0, "factors": [a]}
+
+    orders = {(s, t): rng.choice((0, 2, 3, 4, 6, 8, 9, 12, 16))
+              for s in range(s_max + 1) for t in range(t_max + 1) if rng.random() < density}
+    rules = []
+    for (s, t), a in sorted(orders.items()):
+        if s % 2 or rng.random() < 0.4:
+            continue
+        rule = {"r": 3, "s": s, "t": t, "provenance": "seeded page",
+                "kind": rng.choice(("zero", "iso", "unresolved", "matrix", "matrix"))}
+        if rule["kind"] == "matrix":
+            b = rng.choice((2, 3, 4, 6, 8, 12))
+            orders[s + 3, t + 2] = b
+            step = b // math.gcd(b, a) if a else 1
+            rule.update(matrix=[[step * rng.randrange(4)]], source_group=group(a),
+                        target_group=group(b))
+            if rng.random() < 0.3:
+                rule["relabel"] = "y"
+        if rule["kind"] == "unresolved":
+            rule["name"] = f"d3_{s}_{t}"
+        rules.append(rule)
+    entries = [{"s": s, "t": t, "entry": {"kind": "group", "group": group(a)},
+                "label": f"x{s}_{t}" if rng.random() < 0.5 else "", "index": 1, "assumed": []}
+               for (s, t), a in sorted(orders.items())]
+    return {"r": 3, "entries": entries, "rules": rules}
+
+
+def _mixed_doc(rng):
+    """A small page of group, char-p and sheaf entries with rules of every kind."""
+    page = _random_page(rng, rng.randint(2, 4))
+    return json.loads(page_to_json(page, _random_rules(rng, page)))
+
+
+def _key_paths(doc, prefix=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for step, value in items:
+        if isinstance(doc, dict):
+            yield prefix + (step,)
+        yield from _key_paths(value, prefix + (step,))
+
+
+def _set(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is _set:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _read(reader, doc):
+    """(page, rules) or the type and message of what the reader raised."""
+    try:
+        return reader(json.dumps(doc))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_reads_alike(doc, context):
+    got, want = _read(page_from_json, doc), _read(ssengine_oracle.page_from_json, doc)
+    assert got == want, context
+    if isinstance(got[0], SSPage):
+        assert page_to_json(*got) == page_to_json(*want), context
+    return got
+
+
+def _shares_groups(page, rules):
+    groups = [e.value for e in page.entries.values() if isinstance(e.value, FgAbGroup)]
+    groups += [g for rule in rules if rule.hom for g in (rule.hom.source, rule.hom.target)]
+    distinct = {(g.free_rank, g.invariant_factors) for g in groups}
+    return len({id(g) for g in groups}) == len(distinct)
+
+
+def _edit(rng, doc):
+    """`doc` with one key given another JSON value or dropped, one entry moved
+    onto another's position, or one entry's index made 0, -1 or 2."""
+    items = doc.get("entries")
+    roll = rng.random()
+    if roll < 0.6 or not (isinstance(items, list) and items
+                          and all(isinstance(item, dict) for item in items)):
+        paths = list(_key_paths(doc))
+        return _set(doc, rng.choice(paths), rng.choice(WRONG + (_set,))) if paths else doc
+    a, b = rng.randrange(len(items)), rng.randrange(len(items))
+    if roll < 0.8:
+        for key in ("s", "t"):
+            if key in items[a]:
+                doc = _set(doc, ("entries", b, key), items[a][key])
+        return doc
+    return _set(doc, ("entries", b, "index"), rng.choice((0, -1, 2)))
+
+
+def test_page_from_json_matches_reader_oracle():
+    seed = int(os.environ.get("PAGE_READER_DIFFERENTIAL_SEED", "20261019"))
+    rng = random.Random(seed)
+    outcomes = set()
+    for i in range(60):
+        doc = _bench_doc(rng) if i % 2 else _mixed_doc(rng)
+        got = _assert_reads_alike(doc, (seed, i))
+        assert isinstance(got[0], SSPage) and _shares_groups(*got), (seed, i)
+        for _ in range(4):  # 1 to 3 edits at once
+            edited = doc
+            for _ in range(rng.randint(1, 3)):
+                edited = _edit(rng, edited)
+            got = _assert_reads_alike(edited, (seed, i, edited))
+            outcomes.add(got[0] if isinstance(got[0], str) else "page")
+    assert {"page", "ValueError"} <= outcomes
+
+
+def test_page_from_json_matches_reader_oracle_on_every_key():
+    # every key of a small mixed page, given every other JSON type or dropped
+    rng = random.Random(7)
+    docs = [_mixed_doc(rng) for _ in range(3)] + [_bench_doc(rng, 3, 6, 0.5)]
+    for n, doc in enumerate(docs):
+        for path in _key_paths(doc):
+            for value in WRONG + (_set,):
+                _assert_reads_alike(_set(doc, path, value), (n, path, value))
