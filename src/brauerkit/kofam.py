@@ -17,9 +17,9 @@ from __future__ import annotations
 from . import take
 from .abelian import ExtensionWitness, FgAbGroup, GroupHom, resolve_extension
 from .cyccoh import cohomology_row, group_cohomology, sign, trivial
-from .numbrauer import DivisibleGroupDescriptor
+from .numbrauer import DivisibleGroupDescriptor, PlaceSpec, brauer_localized_integers
 from .record import record
-from .sheaftab import ClosedPush, cohomology
+from .sheaftab import ClosedPush, Constant, cohomology
 from .ssengine import (
     DifferentialRule,
     Entry,
@@ -240,18 +240,19 @@ def omni_assemble(h1_gm, h0_pi1, h2_gm, h1_pi1, h3_gm) -> OmniReport:
     """
     terms = (("H1(Gm)", h1_gm), ("H0(pi1)", h0_pi1), ("H2(Gm)", h2_gm),
              ("H1(pi1)", h1_pi1), ("H3(Gm)", h3_gm))
-    if h2_gm.is_zero():
-        return OmniReport(terms, h1_pi1, True)
-    if h1_pi1.is_zero():
-        return OmniReport(terms, h2_gm, True)
-    return OmniReport(terms, None, False, ("both outer terms nonzero; extension undecided",))
+    lbr = h1_pi1 if h2_gm.is_zero() else h2_gm if h1_pi1.is_zero() else None
+    exact = lbr is not None
+    return OmniReport(terms, lbr, exact,
+                      () if exact else ("both outer terms nonzero; extension undecided",))
 
 
 def lbr_ko() -> OmniReport:
     """LBr(KO) = Z/2: H^2(Spec Z; Gm) = Br(Z) = 0 and the kernel term is
-    H^1(Spec Z; i_*Z/2) = H^1(Spec F_2; Z/2) = Z/2 with vanishing d2."""
-    zero = FgAbGroup.zero()
+    H^1(Spec Z; i_*Z/2) = H^1(Spec F_2; Z/2) = Z/2 with vanishing d2.
+    H^1(Gm) is Pic(Z) and H^0(pi_1) the sections of the constant Z/2."""
     h1_pi1 = cohomology(ClosedPush("(2)", FgAbGroup.cyclic(2), "SpecF2"),
                         1, "SpecZ").group()
-    return omni_assemble(h1_gm=zero, h0_pi1=FgAbGroup.cyclic(2), h2_gm=zero,
-                         h1_pi1=h1_pi1, h3_gm=zero)
+    return omni_assemble(h1_gm=SHIPPED_RINGS["Z"].pic,
+                         h0_pi1=cohomology(Constant(FgAbGroup.cyclic(2)), 0, "SpecZ").group(),
+                         h2_gm=brauer_localized_integers([PlaceSpec("real")]),
+                         h1_pi1=h1_pi1, h3_gm=FgAbGroup.zero())

@@ -188,15 +188,15 @@ def h1_qz_report(inverted_primes: Iterable[int]) -> H1QzReport:
     both are reported and the conflict flagged rather than resolved.
     """
     computed = h1_qz(inverted_primes)
-    if set(inverted_primes) == {2, 3}:
-        stated = DivisibleGroupDescriptor(
-            qpzp_primes=(2, 3), finite_part=FgAbGroup.from_orders([2, 2, 2]))
-        return H1QzReport(
-            computed, stated, discrepancy=True,
-            note=("recorded value has (Z/2)^3 where the decomposition "
-                  "Z_2^x = Z/2 x Z_2, Z_3^x = Z/2 x Z_3 gives (Z/2)^2; "
-                  "both values are emitted unresolved"))
-    return H1QzReport(computed, None, discrepancy=False)
+    stated = DivisibleGroupDescriptor(
+        qpzp_primes=(2, 3), finite_part=FgAbGroup.from_orders([2, 2, 2])
+    ) if set(inverted_primes) == {2, 3} else None
+    discrepancy = stated is not None and stated != computed
+    return H1QzReport(
+        computed, stated, discrepancy,
+        note=("recorded value has (Z/2)^3 where the decomposition "
+              "Z_2^x = Z/2 x Z_2, Z_3^x = Z/2 x Z_3 gives (Z/2)^2; "
+              "both values are emitted unresolved") if discrepancy else "")
 
 
 # ---------------------------------------------------------------------------

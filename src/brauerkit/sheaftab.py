@@ -327,15 +327,15 @@ def _kstar_vshriek_cohomology(s: int) -> Value:
         basis, _ = operator_kernel(op, m)
         return FgAbGroup.zero() if not basis else Unknown("unexpected kernel", rule="R5")
     if s == 1:
-        degrees = kstar_vshriek_h1_basis(_KSTAR_WINDOW)
+        degrees, _ = kstar_vshriek_h1_basis(_KSTAR_WINDOW)
         return DivisibleGroupDescriptor(
             infinite_f2=True,
             infinite_f2_basis=", ".join(f"j^{d}" for d in degrees[:4]) + ", …")
     return FgAbGroup.zero()
 
 
-def kstar_vshriek_h1_basis(window: int) -> list[int]:
-    """Certified independent monomial degrees {2k : k >= 1} in H^1.
+def kstar_vshriek_h1_basis(window: int) -> tuple[list[int], int]:
+    """The certified independent monomial degrees {2k : k >= 1} in H^1 and their prefix.
 
     The polynomial cokernel of x + jx^2 contains the even monomials; the
     constant class is supported at j = 0 and dies after the extension by
@@ -343,7 +343,7 @@ def kstar_vshriek_h1_basis(window: int) -> list[int]:
     """
     op = parse_operator("x + j*x^2", 2)
     basis, prefix = operator_cokernel_basis(op, TruncatedCharPModule(2, (0, window)))
-    return [d for d in basis if d >= 1 and d <= prefix]
+    return [d for d in basis if 1 <= d <= prefix], prefix
 
 
 def _value_zero(v: Value) -> bool | None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+from math import prod
 
 from . import data_dir, take
 from .abelian import ExtensionWitness, FgAbGroup, _valuation, resolve_extension
@@ -23,7 +24,7 @@ from .errors import NoFact
 from .numbrauer import PlaceSpec, brauer_laurent, brauer_localized_integers
 from .record import record
 from .sheaftab import (
-    ClosedPush,
+    KStarVShriek,
     QuasiCoherent,
     R1jGm,
     SheafSymbol,
@@ -269,43 +270,41 @@ class LbrTmfReport:
     assumed: tuple[str, ...] = ()
 
 
-def _lbr_common(window: int) -> tuple[FgAbGroup, tuple[str, ...]]:
-    """What lbr_tmf and lbr_m_o share: the 3-torsion H^1(A^1; b_*Z/3) =
-    H^1(Spec F_3; Z/3) = Z/3 and the monomial basis j^2, j^4, ... of the H^1
-    of k_*v_!Z/2, truncated at the window."""
+def _lbr_common(window: int, data: TmfPageData) -> tuple:
+    """What lbr_tmf and lbr_m_o share, read off the stages of `run_pic_tmf`: the sum G of
+    H^1(A^1; gr^s) over all stages but k_*v_!Z/2, the monomial basis j^2, j^4, ... of that
+    one's H^1 up to the window's certified prefix, the prefix, and the stages' assumed names."""
     if window < 8:
         raise ValueError("window must be at least 8")
-    three = cohomology(ClosedPush("(3,j)", FgAbGroup.cyclic(3), "SpecF3"), 1, "A1").group()
-    return three, tuple(f"j^{d}" for d in kstar_vshriek_h1_basis(window))
+    stages = run_pic_tmf(data)
+    h1 = FgAbGroup.zero().direct_sum(*(cohomology(g.symbol, 1, "A1").group() for g in stages
+                                      if g.symbol and not isinstance(g.symbol, KStarVShriek)))
+    degrees, prefix = kstar_vshriek_h1_basis(window)
+    return (h1, tuple(f"j^{d}" for d in degrees), prefix,
+            tuple(n for g in stages for n in g.assumed))
 
 
 def lbr_tmf(window: int = 32, data: TmfPageData | None = None) -> LbrTmfReport:
     """Structure of the local Brauer group of TMF.
 
-    The 3-torsion is Z/3 and there is no p-torsion for p > 3.  2-locally
-    there is a split surjection onto an infinite F_2-space with certified
-    independent monomial basis j^2, j^4, ... (truncated at the window) and a
-    finite kernel bounded by the H^1 of the deeper filtration pieces.
+    2-locally there is a split surjection onto an infinite F_2-space with certified
+    independent monomial basis j^2, j^4, ... (truncated at the window).  The rest is G of
+    `_lbr_common`: its 3-primary part is the 3-torsion, its part prime to 6 the p-torsion
+    for p > 3, and its 2-primary part bounds the kernel.
     Br(pi_0 TMF) = Br(Z[j]) = 0 enters as the base-ring input.
     """
-    three, basis = _lbr_common(window)
-    data = data or TmfPageData.load()
-    # kernel bound: H^1 of the exact row-5/7 pieces; the quasi-coherent parts
-    # have no H^1, and the skyscraper Z/2 at (2,j), the quotient of the row-5
-    # extension, contributes at most Z/2
-    a_quot = ClosedPush("(2,j)", FgAbGroup.cyclic(2), "SpecF2")
-    bound = cohomology(a_quot, 1, "A1").group().order()
-    assumed = tuple(n for names in OPEN_AT_STAGE.values() for n in names
-                    if data.unresolved[n] == "zero")
+    h1, basis, prefix, assumed = _lbr_common(window, data or TmfPageData.load())
+    n = prod(h1.invariant_factors)
+    two, three = 2 ** _valuation(n, 2), 3 ** _valuation(n, 3)
     return LbrTmfReport(
         window=window,
-        three_torsion=three,
-        p_gt_3_torsion=FgAbGroup.zero(),
+        three_torsion=h1.torsion(three),
+        p_gt_3_torsion=h1.torsion(n // (two * three)),
         two_local_basis=basis,
-        certified_prefix=window,
+        certified_prefix=prefix,
         split_surjection=True,
-        kernel_finite=True,
-        kernel_order_bound=bound,
+        kernel_finite=h1.is_finite(),
+        kernel_order_bound=two,
         # Br(Z[j]) = Br(Z): Spec Z[1/p] is dense in Spec Z for every p, so
         # the affine-line comparison Br(S) = Br(S[x]) holds prime by prime
         br_pi0_zero=brauer_localized_integers([PlaceSpec("real")]).is_zero(),
@@ -334,8 +333,8 @@ def lbr_m_o(window: int = 32, data: TmfPageData | None = None) -> LbrMOReport:
     the 2-local cokernel of the reverse injection is bounded by the O/(2,j)
     entries in rows 6, 18 and 30, pending the open d9 on row 6.
     """
-    three, basis = _lbr_common(window)
     data = data or TmfPageData.load()
+    h1, basis, _, _ = _lbr_common(window, data)
     kernel_order, footnote, rows = data.lbr_mo
     # cokernel bound: each O/(2,j) row contributes sections of order 2
     per_row = cohomology_order(QuasiCoherent("O/(2,j)"), 0, "A1")
@@ -348,7 +347,7 @@ def lbr_m_o(window: int = 32, data: TmfPageData | None = None) -> LbrMOReport:
         two_local_kernel_order=kernel_order,
         kernel_footnote=footnote,
         two_local_basis=basis,
-        three_local=three,
+        three_local=h1.torsion(3 ** _valuation(prod(h1.invariant_factors), 3)),
         iso_after_inverting_2=True,
         cokernel_order_bound=cokernel_bound,
         generator_map=generator_map,

@@ -4,9 +4,10 @@
 process and returns its exit code and stdout.  `USAGE_CASES` names the
 invocations that end in argparse's help, usage or an error; `usage_output`
 records exit code, stdout and stderr of one.  `column_dump` renders the
-column-0 stages of `run_pic_tmf`, `pic_tmf_global` and the `assumed`
-markers of `lbr_tmf`/`lbr_m_o` for all 16 zero/iso settings of the four
-open differentials, each given as the `unresolved` map of the page data.
+column-0 stages of `run_pic_tmf`, `pic_tmf_global`, the `assumed` markers
+of `lbr_tmf`/`lbr_m_o` and the fields `lbr_tmf` reads off the stages for
+all 16 zero/iso settings of the four open differentials, each given as the
+`unresolved` map of the page data.
 `tests/test_golden.py` compares both with the files in `tests/golden/`.
 A deliberate output change regenerates them with
 
@@ -136,14 +137,20 @@ def column_dump() -> str:
     for values in itertools.product(("zero", "iso"), repeat=len(OPEN)):
         config = dict(zip(OPEN, values))
         data = replace(shipped, unresolved=config)
+        lbr = lbr_tmf(8, data)
         rows.append({
             "config": config,
             "column0": [{"s": g.s, "local": g.local, "display": g.display(),
                          "exact": g.exact, "assumed": list(g.assumed)}
                         for g in run_pic_tmf(data)],
             "global": {str(p): str(g) for p, g in pic_tmf_global(data).items()},
-            "lbr_tmf_assumed": list(lbr_tmf(8, data).assumed),
+            "lbr_tmf_assumed": list(lbr.assumed),
             "lbr_mo_assumed": list(lbr_m_o(8, data).assumed),
+            "lbr_tmf_three_torsion": str(lbr.three_torsion),
+            "lbr_tmf_p_gt_3_torsion": str(lbr.p_gt_3_torsion),
+            "lbr_tmf_kernel_finite": lbr.kernel_finite,
+            "lbr_tmf_kernel_order_bound": lbr.kernel_order_bound,
+            "lbr_tmf_certified_prefix": lbr.certified_prefix,
         })
     return json.dumps(rows, ensure_ascii=False, indent=1) + "\n"
 

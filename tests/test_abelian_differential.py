@@ -9,19 +9,19 @@ zero entries, 0-row and 1×n ones among them, must give the oracle's D and, for 
 transforms, exactly the oracle's U, V and U⁻¹, with [] for the rest; so
 must the benchmark's dense shapes up to 30×30, rank-deficient and sparse
 ones and the matrices `_generator_types` builds, at the seed in
-SNF_DIFFERENTIAL_SEED when it is set.
+DIFFERENTIAL_SEED when it is set.
 Seeded random lattices L and R in Z^n, n ≤ 8, must give the group of the
 three-Smith-form `_subquotient`, with generators that lie in L + R and
 whose torsion orders take them into R.
 """
 
 import itertools
-import os
 import random
 
 import pytest
 
 import abelian_oracle
+from seeds import differential_seed
 from brauerkit import abelian
 from brauerkit.abelian import FgAbGroup, _snf_ext, _subquotient
 
@@ -101,7 +101,7 @@ def _generator_type_matrices(monkeypatch):
 
 
 def test_snf_ext_matches_full_tracking_at_benchmark_sizes(monkeypatch):
-    seed = int(os.environ.get("SNF_DIFFERENTIAL_SEED", "20260418"))
+    seed = differential_seed(20260418)
     rng = random.Random(seed)
 
     def dense(m, n):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ import pytest
 
 from brauerkit.cli import main
 from golden_corpus import CASES, PAGE, USAGE_CASES, usage_output
+from seeds import differential_seed
 from brauerkit.ssengine import DifferentialRule, Entry, SSPage, page_to_json
 from brauerkit.abelian import FgAbGroup, GroupHom
 
@@ -256,6 +258,41 @@ def test_exit_2_on_non_integer_snf_entries(capsys):
         assert main(["snf", "--matrix", matrix]) == 2, matrix
     assert capsys.readouterr().out == ""
     assert run_json(capsys, "snf", "--matrix", "[]")["diagonal"] == []
+
+
+def _random_matrix(n, lo, hi):
+    rng = random.Random(0)
+    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("matrix, work", [
+    (_random_matrix(60, -9, 9), "3600 cells × 1 digits"),  # U and V would reach 5,052 digits
+    (_random_matrix(10, -10 ** 99, 10 ** 100), "100 cells × 100 digits"),  # 15 s of work
+    (_random_matrix(100, -9, 9), "10000 cells × 1 digits"),  # 207 s of work
+])
+def test_exit_2_at_once_on_an_snf_matrix_over_the_work_bound(capsys, matrix, work):
+    from brauerkit.cli import SNF_WORK_BOUND
+    start = time.perf_counter()
+    assert main(["snf", "--matrix", json.dumps(matrix)]) == 2
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == "" and f"{work} of its largest entry exceed snf's bound of " \
+        f"{SNF_WORK_BOUND}" in out.err
+
+
+def test_snf_takes_a_50_by_50_matrix_of_digits(capsys):
+    rep = run_json(capsys, "snf", "--matrix", json.dumps(_random_matrix(50, -9, 9)))
+    assert len(rep["diagonal"]) == 50
+
+
+def test_exit_2_on_a_report_integer_over_the_string_conversion_limit(capsys):
+    start = time.perf_counter()
+    orders = json.dumps([10 ** 2200 + 1, 10 ** 2200 + 3])
+    assert main(["cohomology", "--orders", orders, "--s", "0"]) == 2
+    assert time.perf_counter() - start < 5.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"an integer of more than {sys.get_int_max_str_digits()} digits" in out.err
 
 
 def test_exit_2_on_non_integer_orders(capsys):
@@ -691,7 +728,7 @@ def _mutated(rng, argv):
 def test_seeded_argv_mutations_agree_with_the_full_parser_or_decline():
     import random
     from brauerkit.cli import _fast_args, build_parser
-    rng = random.Random(int(os.environ.get("ARGV_DIFFERENTIAL_SEED", "20261019")))
+    rng = random.Random(differential_seed(20261019))
     parser, golden, failures, declined = build_parser(), list(CASES.values()), [], 0
     for _ in range(600):
         argv = _mutated(rng, rng.choice(golden))

@@ -9,7 +9,7 @@ The curated data files get the same treatment in a copy of the data
 directory that `BRAUERKIT_DATA` points at: every key of `tmf_pages.json`,
 and every key of one fact of each value shape in `sheaf_facts.json`, read
 by the TMF and KO verbs that load the file.  The seeded parts make 1 to 3
-substitutions per document at once; they read JSON_BOUNDARY_SEED when it is
+substitutions per document at once; they read DIFFERENTIAL_SEED when it is
 set.
 """
 
@@ -28,6 +28,7 @@ import brauerkit.sheaftab as sheaftab
 from brauerkit import data_dir
 from brauerkit.cli import main
 from golden_corpus import CASES, CHAIN_PAGE, PAGE, RING_FILE
+from seeds import differential_seed
 
 WRONG = (None, True, 1, 1.5, "x", [], {})
 PLACES = [{"kind": "real"}, {"kind": "finite", "label": "2"}]
@@ -145,7 +146,7 @@ def _seeded_edits(rng, doc, paths):
 
 
 def _seed() -> int:
-    return int(os.environ.get("JSON_BOUNDARY_SEED", "20261019"))
+    return differential_seed(20261019)
 
 
 def test_seeded_nested_substitutions(tmp_path):

@@ -54,7 +54,6 @@ ALLOWED = {
         "tests/ssengine_oracle.py scans rules through it; turn_page looks rules up by source",
     "numbrauer.DivisibleGroupDescriptor.n_torsion":
         "paper check: test_acceptance.py compares it with the brute-force kernel count",
-    "abelian.FgAbGroup.torsion": "paper check: the finite part of n_torsion",
     "abelian.FgAbGroup.exponent":
         "benchmark check: bench/workloads.py checks a resolved extension's exponent; cyccoh "
         "reaches it only by user input, a sign action of odd n",
@@ -69,7 +68,6 @@ ALLOWED = {
     "abelian._lr_positive":
         "reached only by user input: pic-ko --ring <file> when Pic(R) has even order",
     "abelian._contains": "reached only by user input: the containment test of _lr_positive",
-    "record._eq": "value semantics: no report compares two records; tests/test_record.py does",
     "record._repr": "debugging aid: tests/test_record.py checks the Name(field=value) form",
     "record._frozen":
         "immutability guard: tests/test_record.py assigns and deletes fields, which no report does",

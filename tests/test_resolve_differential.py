@@ -6,7 +6,7 @@ both public entry points twice, once with the brute-force oracle standing
 in for `_resolve`; the accepted group, or the exception type and message
 (which names the candidates), must agree.  So must seeded problems whose
 order has two to four of the primes 2, 3, 5 and 7, against the
-candidate-by-candidate search, at the seed in RESOLVE_DIFFERENTIAL_SEED
+candidate-by-candidate search, at the seed in DIFFERENTIAL_SEED
 when it is set.  Each trace `_resolve` returns must hold every partition of
 v_p(|G|) exactly once at each prime p, as the p-type of an accepted group
 or as a rejected type, and the oracle must reject every candidate whose
@@ -15,13 +15,13 @@ the types of the enumeration of every image.
 """
 
 import itertools
-import os
 import random
 from unittest import mock
 
 import pytest
 
 import resolve_oracle
+from seeds import differential_seed
 from brauerkit import abelian
 from brauerkit.abelian import (
     ExtensionWitness,
@@ -134,7 +134,7 @@ def _random_problem(rng):
 
 
 def test_resolve_matches_the_candidate_search_on_seeded_multi_prime_problems():
-    rng = random.Random(int(os.environ.get("RESOLVE_DIFFERENTIAL_SEED", "20261019")))
+    rng = random.Random(differential_seed(20261019))
     for _ in range(400):
         sub, quot, witness = _random_problem(rng)
         _check(sub, quot, witness, resolve_oracle.resolve_by_candidates)

@@ -102,11 +102,11 @@ def test_kstar_vshriek():
 
 
 def test_kstar_basis_even_degrees_no_constant():
-    basis = kstar_vshriek_h1_basis(32)
-    assert basis == list(range(2, 33, 2))
+    basis, prefix = kstar_vshriek_h1_basis(32)
+    assert basis == list(range(2, 33, 2)) and prefix == 32
     assert len(basis) >= 15
     # doubling the window only extends the list
-    assert kstar_vshriek_h1_basis(64)[:len(basis)] == basis
+    assert kstar_vshriek_h1_basis(64)[0][:len(basis)] == basis
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """`brauerkit.take` against the recursive check it replaced
 (`tests/take_oracle.py`): on seeded nested JSON values, both accept or
 refuse alike and raise the same `ValueError` text.  The seeded part reads
-TAKE_DIFFERENTIAL_SEED when it is set.
+DIFFERENTIAL_SEED when it is set.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 
 import take_oracle
+from seeds import differential_seed
 from brauerkit import take
 
 KINDS = ("int", "string", "bool", "object", "[int]", "[string]", "[bool]", "[object]",
@@ -57,7 +57,7 @@ def _stray(rng, value):
 
 
 def test_take_matches_recursive_oracle():
-    seed = int(os.environ.get("TAKE_DIFFERENTIAL_SEED", "20261019"))
+    seed = differential_seed(20261019)
     rng = random.Random(seed)
     seen = set()
     for _ in range(3000):
