@@ -261,13 +261,7 @@ class FgAbGroup:
 
     @staticmethod
     def cyclic(n: int) -> "FgAbGroup":
-        if n < 0:
-            raise ValueError("cyclic order must be nonnegative")
-        if n == 0:
-            return FgAbGroup(1, ())
-        if n == 1:
-            return FgAbGroup(0, ())
-        return FgAbGroup(0, (n,))
+        return FgAbGroup.from_orders([n])
 
     @staticmethod
     def from_orders(orders: Iterable[int]) -> "FgAbGroup":
@@ -317,12 +311,7 @@ class FgAbGroup:
 
     def order(self) -> int | None:
         """Group order, or None for infinite groups."""
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return None if self.free_rank else prod(self.invariant_factors)
 
     def exponent(self) -> int | None:
         if self.free_rank:
@@ -406,10 +395,6 @@ class GroupHom:
     def from_columns(source: FgAbGroup, target: FgAbGroup, cols: Sequence[Sequence[int]]) -> "GroupHom":
         return GroupHom(source, target, tuple(zip(*cols)) if cols else tuple(() for _ in range(target.num_generators)))
 
-    @staticmethod
-    def identity(g: FgAbGroup) -> "GroupHom":
-        return GroupHom(g, g, tuple(tuple(r) for r in _identity(g.num_generators)))
-
     # -- algebra -----------------------------------------------------------
 
     def compose(self, other: "GroupHom") -> "GroupHom":
@@ -433,6 +418,20 @@ def _relation_columns(g: FgAbGroup) -> list[list[int]]:
     return cols
 
 
+def _summands(diag: list[int], k: int, vecs: Sequence = ()):
+    """The group ⊕ Z/d over a Smith diagonal padded with zeros to k entries.
+
+    The diagonal is a dividing chain and then zeros, so in generator order
+    the summands are the k - r free ones past its r nonzero entries, then
+    the entries over 1.  Given one vector per entry, also returns those of
+    the summands, in that order.
+    """
+    r = sum(1 for d in diag if d)
+    torsion = [j for j in range(r) if diag[j] > 1]
+    group = FgAbGroup(k - r, tuple(diag[j] for j in torsion))
+    return group, [vecs[j] for j in [*range(r, k), *torsion]] if vecs else []
+
+
 def _subquotient(l_cols: Sequence[Sequence[int]], r_cols: Sequence[Sequence[int]], n: int,
                  gens: bool = True):
     """Structure of (lattice spanned by l_cols+r_cols) / (lattice of r_cols).
@@ -452,28 +451,13 @@ def _subquotient(l_cols: Sequence[Sequence[int]], r_cols: Sequence[Sequence[int]
     r_cols = [c for c in r_cols if any(c)]
     rel = [c[:k] for c in _kernel_columns(_from_columns(l_cols + r_cols, n), k + len(r_cols))]
     _, D, _, Uinv, _ = _snf_ext(_from_columns(rel, k), uinv=gens)
-    diag = _diag(D)
-    if not gens:
-        return FgAbGroup.from_orders(diag + [0] * (k - len(diag))), []
-    entries = []
-    for j in range(k):
-        d = diag[j] if j < len(diag) else 0
-        if d == 1:
-            continue
-        gen = [sum(l_cols[c][i] * Uinv[c][j] for c in range(k)) for i in range(n)]
-        entries.append((d, gen))
-    # free summands first, then torsion ascending (SNF already ascending)
-    entries.sort(key=lambda e: (e[0] != 0, e[0]))
-    orders = [d for d, _ in entries]
-    gens = [g for _, g in entries]
-    return FgAbGroup.from_orders(orders), gens
+    group, cols = _summands(_diag(D), k, _transpose(Uinv))
+    return group, [[sum(c[i] * x for c, x in zip(l_cols, u)) for i in range(n)] for u in cols]
 
 
 def _kernel_lift(f: GroupHom) -> list[list[int]]:
     """Columns spanning the vectors of Z^ns that f sends into the target relations."""
     ns = f.source.num_generators
-    if f.target.num_generators == 0:
-        return [list(c) for c in _identity(ns)]
     rt = _relation_columns(f.target)
     A = [list(row) + [c[i] for c in rt] for i, row in enumerate(f.matrix)]
     return [c[:ns] for c in _kernel_columns(A, ns + len(rt))]
@@ -488,33 +472,17 @@ def hom_kernel(f: GroupHom):
 def hom_cokernel(f: GroupHom):
     """Cokernel of f with the projection from f.target."""
     nt = f.target.num_generators
-    cols = _transpose(f.matrix) + _relation_columns(f.target)
-    cols = [c for c in cols if any(c)]
-    if not cols:
-        group = FgAbGroup.from_orders(f.target.generator_orders())
-        return group, GroupHom.identity(f.target)
-    X = _from_columns(cols, nt)
-    U1, D, _, _, _ = _snf_ext(X, u=True)
-    diag = _diag(D)
-    rows = []
-    for j in range(nt):
-        d = diag[j] if j < len(diag) else 0
-        if d == 1:
-            continue
-        rows.append((d, U1[j]))
-    rows.sort(key=lambda e: (e[0] != 0, e[0]))
-    orders = [d for d, _ in rows]
-    group = FgAbGroup.from_orders(orders)
-    proj = GroupHom(f.target, group, tuple(tuple(r) for _, r in rows))
-    return group, proj
+    cols = [c for c in _transpose(f.matrix) + _relation_columns(f.target) if any(c)]
+    U, D, _, _, _ = _snf_ext(_from_columns(cols, nt), u=True)
+    group, rows = _summands(_diag(D), nt, U)
+    return group, GroupHom(f.target, group, tuple(map(tuple, rows)))
 
 
 def cokernel(f: GroupHom) -> FgAbGroup:
     """The group of `hom_cokernel(f)` alone, from a Smith form that tracks no transform."""
     nt = f.target.num_generators
     cols = [c for c in _transpose(f.matrix) + _relation_columns(f.target) if any(c)]
-    diag = _diag(_snf_ext(_from_columns(cols, nt))[1]) if cols else []
-    return FgAbGroup.from_orders(diag + [0] * (nt - len(diag)))
+    return _summands(_diag(_snf_ext(_from_columns(cols, nt))[1]), nt)[0]
 
 
 def homology(f: GroupHom, g: GroupHom | None = None) -> FgAbGroup:

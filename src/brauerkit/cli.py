@@ -230,10 +230,11 @@ def _cmd_pic_tmf(args) -> dict:
     data = TmfPageData.load()
     if args.ring:
         return {**vars(pic_tmf_r(_load_ring(args.ring), data)), "citations": data.citations}
+    stages = run_pic_tmf(data)
     return {
         "column0": [{"s": g.s, "local": g.local, "value": g.display(),
-                     "exact": g.exact, "assumed": g.assumed} for g in run_pic_tmf(data)],
-        "gr_above_7": 0,
+                     "exact": g.exact, "assumed": g.assumed} for g in stages],
+        "gr_above_7": sum(1 for g in stages if g.s > 7 and g.symbol is not None),
         "local_groups": pic_tmf_global(data=data),  # JSON writes the primes as strings
         "citations": data.citations,
     }

@@ -15,7 +15,14 @@ class of order 8 (order 4 when d = 0) resolves all extensions.
 from __future__ import annotations
 
 from . import take
-from .abelian import ExtensionWitness, FgAbGroup, GroupHom, resolve_extension
+from .abelian import (
+    _MR_EXACT_BELOW,
+    ExtensionWitness,
+    FgAbGroup,
+    GroupHom,
+    _is_prime,
+    resolve_extension,
+)
 from .cyccoh import cohomology_row, group_cohomology, sign, trivial
 from .numbrauer import DivisibleGroupDescriptor, PlaceSpec, brauer_localized_integers
 from .record import record
@@ -41,6 +48,14 @@ class EtaleRingDescriptor:
     inverted_primes: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not self.pic.is_finite():
+            raise ValueError(f"'pic' must be finite, as a class group is, not {self.pic}")
+        if any(m < 1 for m in self.residue_field_degrees_at_2):
+            raise ValueError("'residue_field_degrees_at_2' must list degrees of at least 1, "
+                             f"not {list(self.residue_field_degrees_at_2)}")
+        ps = self.inverted_primes
+        if len(set(ps)) != len(ps) or not all(p < _MR_EXACT_BELOW and _is_prime(p) for p in ps):
+            raise ValueError(f"'inverted_primes' must list distinct primes below {_MR_EXACT_BELOW}")
         if 2 in self.inverted_primes and self.residue_field_degrees_at_2:
             raise ValueError("a ring with 2 inverted has no residue fields at 2")
         object.__setattr__(self, "residue_field_degrees_at_2",
@@ -73,23 +88,19 @@ class EtaleRingDescriptor:
         )
 
 
-def _g(*orders: int) -> FgAbGroup:
-    return FgAbGroup.from_orders(list(orders))
-
-
 SHIPPED_RINGS: dict[str, EtaleRingDescriptor] = {
     "Z": EtaleRingDescriptor(
-        "Z", units=_g(2), pic=_g(), residue_field_degrees_at_2=(1,)),
+        "Z", units=FgAbGroup.cyclic(2), pic=FgAbGroup(), residue_field_degrees_at_2=(1,)),
     # w = (1+√17)/2 in K = Q(√17); 17 ≡ 1 mod 8, so 2 splits and the residue
     # degrees at 2 are (1, 1); the units are ±1, a fundamental unit and √17
     "Z[w][1/17]": EtaleRingDescriptor(
-        "Z[w][1/17]", units=FgAbGroup(2, (2,)), pic=_g(),
+        "Z[w][1/17]", units=FgAbGroup(2, (2,)), pic=FgAbGroup(),
         residue_field_degrees_at_2=(1, 1), inverted_primes=(17,)),
     "Z[1/2,zeta4]": EtaleRingDescriptor(
-        "Z[1/2,zeta4]", units=FgAbGroup(1, (4,)), pic=_g(),
+        "Z[1/2,zeta4]", units=FgAbGroup(1, (4,)), pic=FgAbGroup(),
         residue_field_degrees_at_2=(), inverted_primes=(2,)),
     "Z[1/3,zeta3]": EtaleRingDescriptor(
-        "Z[1/3,zeta3]", units=FgAbGroup(1, (6,)), pic=_g(),
+        "Z[1/3,zeta3]", units=FgAbGroup(1, (6,)), pic=FgAbGroup(),
         residue_field_degrees_at_2=(2,), inverted_primes=(3,)),
 }
 
@@ -190,7 +201,7 @@ def pic_ko(r: EtaleRingDescriptor, d3_21: str = "zero") -> PicKOResult:
     if d3_21 not in ("zero", "nonzero", "unknown"):
         raise ValueError("d3_21 must be 'zero', 'nonzero', or 'unknown'")
     if not r.connected:
-        raise ValueError("pic_ko handles connected rings; sum components")
+        raise ValueError("'connected' is false: pic_ko handles connected rings; sum components")
     gr0 = FgAbGroup.cyclic(2)
     gr1 = group_cohomology(trivial(r.units), 1)
     # x^2 = x has exactly the solutions F_2 in every residue field F_{2^m}

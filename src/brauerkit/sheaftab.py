@@ -6,7 +6,7 @@ Cohomology is evaluated by a small rule set backed by a versioned fact table
   R1  closed pushforwards compute on the residue site;
   R2  H^s(Spec F_q; A) = A for s in {0, 1} and 0 above (trivial action);
   R3  H^1 of a constant finite sheaf on Spec Z (or the affine line over it)
-      vanishes, stored per modulus in the fact table;
+      is the sum of the fact table's values for its cyclic summands (all 0);
   R4  quasi-coherent sheaves on affines have no higher cohomology;
   R5  the Artin-Schreier kernel sheaf k_*v_!Z/2 has H^0 = 0 and H^1 an
       infinite F_2-space with truncated monomial basis, both via `charp`;
@@ -309,9 +309,9 @@ def _constant_cohomology(group: FgAbGroup, s: int, base: str) -> Value:
     if s == 0:  # all shipped sites are connected
         return group
     if base in ("SpecZ", "A1") and s == 1 and group.is_finite():  # R3
-        if all(default_fact_table().lookup(f"Z/{m}", base, 1) is not None
-               for m in group.invariant_factors):
-            return FgAbGroup.zero()
+        facts = [default_fact_table().lookup(f"Z/{m}", base, 1) for m in group.invariant_factors]
+        if None not in facts:
+            return FgAbGroup.zero().direct_sum(*facts)
         return Unknown(f"H^1({base}; {group}) not in the fact table", rule="R3")
     return Unknown(f"no rule for H^{s} of a constant sheaf on {base}",
                    rule="R3" if s == 1 else "R2")

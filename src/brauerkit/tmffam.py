@@ -229,6 +229,8 @@ def pic_tmf_r(r, data: TmfPageData) -> PicTmfRReport:
     0 → H^0(A^1_R; I) → H^0(A^1_R; pi_0 pic) → Z/24 → 0,
     where I is the filtration-positive part supported at (2,j) and (3,j).
     """
+    if not r.connected:
+        raise ValueError("'connected' is false: pic_tmf_r handles connected rings; sum components")
     # the quotient: gr^1 sections Z/12 extended by gr^0 = Z/2 with the
     # order-24 witness (the 24-periodicity of the suspension over R)
     gr1_sections = cohomology(R1jGm(), 0, "A1").group()
@@ -246,7 +248,7 @@ def pic_tmf_r(r, data: TmfPageData) -> PicTmfRReport:
             if g.s >= 3:
                 h0_ideal *= _stage_section_order(g, p)
     sections_order = h0_ideal * quotient.order()
-    total = max(r.pic.order(), 1) * sections_order
+    total = r.pic.order() * sections_order
     return PicTmfRReport(r.name, r.pic, quotient, h0_ideal,
                          sections_order, total, tuple(notes))
 

@@ -23,6 +23,12 @@ def _combine(f: GroupHom, g: GroupHom, c: int) -> GroupHom:
                                               for r, q in zip(f.matrix, g.matrix)))
 
 
+def _identity(group: FgAbGroup) -> GroupHom:
+    k = group.num_generators
+    return GroupHom(group, group, tuple(
+        tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
+
+
 class CyclicModule:
     """M with the generator of C_n acting by sigma, and the maps of its complex."""
 
@@ -31,7 +37,7 @@ class CyclicModule:
             raise NotAnAction("the acting group must have positive order")
         if not (sigma.source.same_structure(group) and sigma.target.same_structure(group)):
             raise NotAnAction("sigma must be an endomorphism of the module")
-        one = GroupHom.identity(group)
+        one = _identity(group)
         power, norm = one, _combine(one, one, -1)  # sigma^0 and the empty sum
         for _ in range(n):
             norm = _combine(norm, power, 1)
@@ -43,7 +49,7 @@ class CyclicModule:
 
 
 def trivial(group: FgAbGroup, n: int = 2) -> CyclicModule:
-    return CyclicModule(group, GroupHom.identity(group), n)
+    return CyclicModule(group, _identity(group), n)
 
 
 def sign(group: FgAbGroup, n: int = 2) -> CyclicModule:

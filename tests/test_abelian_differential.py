@@ -13,17 +13,33 @@ DIFFERENTIAL_SEED when it is set.
 Seeded random lattices L and R in Z^n, n ≤ 8, must give the group of the
 three-Smith-form `_subquotient`, with generators that lie in L + R and
 whose torsion orders take them into R.
+Homs of every shape (zero maps into Z^n, maps out of and into the zero
+group, torsion targets, and seeded homs drawn as the benchmark's algebra
+workload draws them) must give the same groups from `hom_kernel` and
+`homology`, and from `hom_cokernel` and `cokernel`; an inclusion that lands
+in the kernel, a projection onto the cokernel that kills the image, and
+|ker|·|target| = |source|·|coker| when both ends are finite.
 """
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 
 import abelian_oracle
 from seeds import differential_seed
 from brauerkit import abelian
-from brauerkit.abelian import FgAbGroup, _snf_ext, _subquotient
+from brauerkit.abelian import (
+    FgAbGroup,
+    GroupHom,
+    _snf_ext,
+    _subquotient,
+    cokernel,
+    hom_cokernel,
+    hom_kernel,
+    homology,
+)
 
 BIG_PRIMES = (999983, 1000003, 1000000007, 999999999989, 1000000000039)
 SMALL = (0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27, 30, 32, 36, 60, 64, 81, 120)
@@ -177,3 +193,56 @@ def test_subquotient_matches_three_smith_forms():
         seen.add("zero" if group.is_zero() else "free" if not group.invariant_factors
                  else "torsion" if group.is_finite() else "mixed")
     assert seen == {"zero", "free", "torsion", "mixed"}
+
+
+ORDERS = (0, 2, 3, 4, 6, 8, 9, 12, 16)  # the cyclic orders of bench/workloads.py
+
+
+def _random_hom(rng, n_src, n_tgt, tgt_orders=ORDERS):
+    """A hom drawn as the benchmark's `_random_hom` draws one: each column
+    respects the order of its source generator."""
+    S = FgAbGroup.from_orders([rng.choice(ORDERS) for _ in range(n_src)])
+    T = FgAbGroup.from_orders([rng.choice(tgt_orders) for _ in range(n_tgt)])
+    cols = [[rng.randrange(-5, 6) if d == 0 else 0 if e == 0 else e // gcd(e, d) * rng.randrange(0, 6)
+             for e in T.generator_orders()] for d in S.generator_orders()]
+    return GroupHom.from_columns(S, T, cols)
+
+
+def _apply(matrix, vec, orders):
+    return [(x % d if d else x) for x, d in
+            zip((sum(a * v for a, v in zip(row, vec)) for row in matrix), orders)]
+
+
+def _columns(matrix, n):
+    return [[row[j] for row in matrix] for j in range(n)]
+
+
+def test_hom_layer_on_every_shape():
+    rng = random.Random(differential_seed(20261020))
+    zero, z = FgAbGroup.zero(), FgAbGroup.free(1)
+    sources = [zero, z, FgAbGroup.free(2), FgAbGroup.cyclic(2), FgAbGroup(1, (6,))]
+    homs = [GroupHom.from_columns(S, FgAbGroup.free(n), [[0] * n] * S.num_generators)
+            for n in (1, 2, 3) for S in sources]
+    ends = sources + [FgAbGroup(0, (2, 4)), FgAbGroup(2, (3,))]
+    homs += [GroupHom.from_columns(zero, T, []) for T in ends]
+    homs += [GroupHom.from_columns(S, zero, [[]] * S.num_generators) for S in ends]
+    homs += [_random_hom(rng, rng.randrange(0, 4), rng.randrange(1, 4), ORDERS[1:]) for _ in range(100)]
+    homs += [_random_hom(rng, rng.randrange(1, 4), rng.randrange(1, 4)) for _ in range(200)]
+    for f in homs:
+        src, tgt = f.source.generator_orders(), f.target.generator_orders()
+        (ker, incl), (cok, proj) = hom_kernel(f), hom_cokernel(f)
+        assert cokernel(f) == cok and homology(f) == ker, f
+        assert incl.source == ker and incl.target == f.source, f
+        assert proj.source == f.target and proj.target == cok, f
+        for col in _columns(incl.matrix, ker.num_generators):
+            assert not any(_apply(f.matrix, col, tgt)), f
+        for col in _columns(f.matrix, len(src)):
+            assert not any(_apply(proj.matrix, col, cok.generator_orders())), f
+        # onto: every generator of the cokernel is an image, modulo its relations
+        k = cok.num_generators
+        spans = _columns(proj.matrix, len(tgt)) + [
+            [d if i == j else 0 for i in range(k)] for j, d in enumerate(cok.generator_orders())]
+        for j in range(k):
+            assert _in_lattice([int(i == j) for i in range(k)], spans, k), f
+        if f.source.is_finite() and f.target.is_finite():
+            assert ker.order() * f.target.order() == f.source.order() * cok.order(), f

@@ -1,12 +1,14 @@
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
 
 import pytest
 
+from brauerkit import data_dir
 from brauerkit.cli import main
 from golden_corpus import CASES, PAGE, USAGE_CASES, usage_output
 from seeds import differential_seed
@@ -112,6 +114,16 @@ def test_pic_tmf(capsys):
     assert rep["gr_above_7"] == 0
     assert max(item["s"] for item in rep["column0"]) == 7
     assert rep["citations"]
+
+
+def test_pic_tmf_counts_the_nonzero_stages_above_row_7(capsys, tmp_path, monkeypatch):
+    data = shutil.copytree(data_dir(), tmp_path / "data")
+    pages = json.loads((data / "tmf_pages.json").read_text())
+    pages["column0"].append({"s": 9, "t": 9, "local": 3, "citation": "a row-9 stage",
+                             "entry": {"type": "quasi_coherent", "name": "O/(3,j)"}})
+    (data / "tmf_pages.json").write_text(json.dumps(pages))
+    monkeypatch.setenv("BRAUERKIT_DATA", str(data))
+    assert run_json(capsys, "pic-tmf")["gr_above_7"] == 1
 
 
 def test_pic_tmf_ring(capsys, tmp_path):
@@ -340,6 +352,26 @@ def _ring_with_pic(tmp_path, order):
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(ring))
     return str(path)
+
+
+@pytest.mark.parametrize("verb", ["pic-ko", "pic-tmf"])
+@pytest.mark.parametrize("edit, key", [
+    ({"pic": {"free_rank": 1}}, "pic"),
+    ({"residue_field_degrees_at_2": [0]}, "residue_field_degrees_at_2"),
+    ({"residue_field_degrees_at_2": [-3]}, "residue_field_degrees_at_2"),
+    ({"inverted_primes": [4]}, "inverted_primes"),
+    ({"inverted_primes": [0]}, "inverted_primes"),
+    ({"inverted_primes": [2, 2], "residue_field_degrees_at_2": []}, "inverted_primes"),
+    ({"connected": False}, "connected"),
+], ids=["infinite-pic", "degree-0", "degree-minus-3", "prime-4", "prime-0", "prime-2-twice",
+        "disconnected"])
+def test_exit_2_on_a_ring_no_etale_z_algebra_has(capsys, tmp_path, verb, edit, key):
+    from brauerkit.kofam import SHIPPED_RINGS
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(dict(SHIPPED_RINGS["Z"].to_json(), **edit)))
+    assert main([verb, "--ring", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"'{key}'" in out.err, out.err
 
 
 @pytest.mark.parametrize("units", [{"free_rank": 1, "factors": [2.5]},
@@ -743,7 +775,6 @@ def test_seeded_argv_mutations_agree_with_the_full_parser_or_decline():
 def test_data_file_digests_list_the_json_files(tmp_path, monkeypatch):
     import hashlib
     from pathlib import Path
-    from brauerkit import data_dir
     from brauerkit.cli import data_file_versions
     want = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:12]
             for p in sorted(Path(data_dir()).glob("*.json"))}

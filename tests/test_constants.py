@@ -38,8 +38,6 @@ PENDING = {
         "tmf_pages.json: lbr_mo.iso_after_inverting_2",
     "tmffam.pic_tmf_r: ExtensionWitness.witness_order = 24":
         "tmf_pages.json: pic_tmf_r.quotient_witness.order",
-    "cli._cmd_pic_tmf: report['gr_above_7'] = 0":
-        "tmf_pages.json: column0, read as the rows above 7 that it leaves empty",
     "kofam.pic_ko: ExtensionWitness.witness_order = 8": f"{_KO_PAGES}: pic_witness.order",
     "kofam.pic_ko: ExtensionWitness.witness_order = 4": f"{_KO_PAGES}: pic_witness.order_d0",
     "kofam.pic_ko: PicKOResult.witness_order = 8": f"{_KO_PAGES}: pic_witness.order",

@@ -47,8 +47,6 @@ ALLOWED = {
         "benchmark entry point: the algebra workload's hom requests; turn_page reads "
         "the cokernel group alone, through cokernel",
     "abelian.GroupHom.from_columns": "benchmark entry point: the inclusion hom_kernel returns",
-    "abelian.GroupHom.identity":
-        "benchmark entry point: the projection hom_cokernel returns for a zero map into a free group",
     "ssengine.DifferentialRule.matches":
         "tracer hook: bench/tracing.py patches it to count rule matches, and "
         "tests/ssengine_oracle.py scans rules through it; turn_page looks rules up by source",

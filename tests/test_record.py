@@ -58,7 +58,7 @@ def test_equality_needs_the_same_class():
     assert FgAbGroup(0, (2,)) == FgAbGroup.cyclic(2) != FgAbGroup.cyclic(4)
     assert FgAbGroup.cyclic(2) != (0, (2,))
     g = FgAbGroup.cyclic(2)
-    assert GroupHom(g, g, ((1,),)) == GroupHom.identity(g)
+    assert GroupHom(g, g, ((1,),)) == GroupHom(g, g, [[1]])
 
 
 def test_hash_is_the_hash_of_the_field_tuple():

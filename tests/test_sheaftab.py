@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -69,6 +70,26 @@ def test_constant_fact_table_bounded():
     f = Constant(FgAbGroup.cyclic(25))
     ans = cohomology(f, 1, "SpecZ")
     assert isinstance(ans.value, Unknown) and ans.value.rule == "R3"
+
+
+def test_constant_h1_reads_the_facts_value(tmp_path, monkeypatch):
+    # a data directory in which H^1(Spec Z; Z/2) reads Z/2: R3 returns the
+    # looked-up values summed over the summands, not 0 for their presence
+    import brauerkit.sheaftab as sheaftab
+    data = shutil.copytree(data_dir(), tmp_path / "data")
+    facts = json.loads((data / "sheaf_facts.json").read_text())
+    for e in facts:
+        if (e["sheaf"], e["site"], e["degree"]) == ("Z/2", "SpecZ", 1):
+            e["value"] = {"factors": [2]}
+    (data / "sheaf_facts.json").write_text(json.dumps(facts))
+    monkeypatch.setenv("BRAUERKIT_DATA", str(data))
+    monkeypatch.setattr(sheaftab, "_DEFAULT_TABLE", None)
+    assert cohomology(Constant(Z2), 1, "SpecZ").group() == Z2
+    assert cohomology(Constant(FgAbGroup(0, (2, 6))), 1, "SpecZ").group() == Z2
+    assert cohomology(Constant(Z2), 1, "A1").group().is_zero()
+    monkeypatch.delenv("BRAUERKIT_DATA")
+    monkeypatch.setattr(sheaftab, "_DEFAULT_TABLE", None)
+    assert cohomology(Constant(Z2), 1, "SpecZ").group().is_zero()
 
 
 # ---------------------------------------------------------------------------
