@@ -60,9 +60,10 @@ def _snf_ext(M: Sequence[Sequence[int]], u: bool = False, v: bool = False, uinv:
     the inverse of U, and the diagonal of D a nonnegative dividing chain.
     A transform that is not tracked comes back as [].  The steps do not
     depend on what is tracked, so a tracked transform is the same whatever
-    else is.  Callers track U and V (`smith_normal_form`), V
-    (`_kernel_columns`), Uinv or nothing (`_subquotient`), U (`hom_cokernel`)
-    or nothing (`cokernel`, `_generator_types`).  The fifth slot is always None.
+    else is.  Callers track U and V (`smith_normal_form`); U, Uinv, both or
+    neither (`_kernel`: U for generators, Uinv for coordinates of relations,
+    then Uinv of the relation matrix for generators); U (`hom_cokernel`); or
+    nothing (`cokernel`).  The fifth slot is always None.
 
     The steps are a contract, as `tests/golden/snf_*.out` and
     `bench/digests.json` pin the bytes of U and V; only a deliberate change
@@ -160,16 +161,6 @@ def smith_normal_form(M: Sequence[Sequence[int]]):
 
 def _diag(D: Sequence[Sequence[int]]) -> list[int]:
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
-
-
-def _kernel_columns(M: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Basis of the integer kernel lattice of M, as columns of length ncols."""
-    if not M or not M[0]:
-        return [list(col) for col in _identity(ncols)]
-    _, D, V, _, _ = _snf_ext(M, v=True)
-    diag = _diag(D)
-    rank = sum(1 for d in diag if d)
-    return [[V[i][j] for i in range(ncols)] for j in range(rank, ncols)]
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +341,6 @@ class FgAbGroup:
         return FgAbGroup(take(obj, "free_rank", "int", 0), tuple(take(obj, "factors", "[int]", ())))
 
 
-def _reduce_matrix(matrix, target: FgAbGroup):
-    orders = target.generator_orders()
-    out = []
-    for i, row in enumerate(matrix):
-        d = orders[i]
-        out.append(tuple(x % d if d else x for x in row))
-    return tuple(out)
-
-
 @record
 class GroupHom:
     """Homomorphism of FgAbGroups as an integer matrix on generators.
@@ -373,21 +355,17 @@ class GroupHom:
 
     def __post_init__(self):
         nt, ns = self.target.num_generators, self.source.num_generators
-        mat = [list(row) for row in self.matrix]
-        if len(mat) != nt or any(len(row) != ns for row in mat):
+        if len(self.matrix) != nt or any(len(row) != ns for row in self.matrix):
             raise ValueError(f"matrix must be {nt}x{ns}")
-        mat = _reduce_matrix(mat, self.target)
-        object.__setattr__(self, "matrix", mat)
-        # columns must respect source relations
         src_orders = self.source.generator_orders()
-        tgt_orders = self.target.generator_orders()
-        for j, d in enumerate(src_orders):
-            if d == 0:
-                continue
-            for i, e in enumerate(tgt_orders):
-                v = d * self.matrix[i][j]
-                if (v % e if e else v) != 0:
-                    raise ValueError("matrix does not respect source relations")
+        mat = []
+        # each row reduced modulo its target order must kill the source relations
+        for row, e in zip(self.matrix, self.target.generator_orders()):
+            row = tuple(x % e for x in row) if e else tuple(row)
+            if any(d and (d * x % e if e else x) for d, x in zip(src_orders, row)):
+                raise ValueError("matrix does not respect source relations")
+            mat.append(row)
+        object.__setattr__(self, "matrix", tuple(mat))
 
     # -- constructors ------------------------------------------------------
 
@@ -432,40 +410,37 @@ def _summands(diag: list[int], k: int, vecs: Sequence = ()):
     return group, [vecs[j] for j in [*range(r, k), *torsion]] if vecs else []
 
 
-def _subquotient(l_cols: Sequence[Sequence[int]], r_cols: Sequence[Sequence[int]], n: int,
-                 gens: bool = True):
-    """Structure of (lattice spanned by l_cols+r_cols) / (lattice of r_cols).
+def _kernel(f: GroupHom, denom: Sequence[Sequence[int]], gens: bool = True):
+    """ker(f) modulo the lattice of the columns `denom`, which f must send
+    into the target relations; returns (group, generator_vectors) as
+    `_summands` orders them, with no vector when `gens` is false.
 
-    Returns (group, generator_vectors) with one ambient column vector in Z^n
-    per cyclic summand of the quotient, ordered free-then-torsion.  The k
-    nonzero columns of L generate the quotient, and x in Z^k is a relation
-    iff Lx lies in the lattice of R, i.e. iff x is the head of a kernel
-    vector of [L | R]; one Smith form U*X*V = D of those relations X gives
-    the summands Z/d_j, generated by L times the columns of U⁻¹.  With
-    `gens` false that Smith form tracks no transform and no vector is built.
+    With T the nonzero target orders on a diagonal, x ∈ Z^ns lies in the
+    kernel iff (x, y) is in the kernel lattice K of P = [M | T] for some y,
+    which is then unique, so K projects isomorphically onto it.  One Smith
+    form U·Pᵀ·V = D of rank r gives K the basis of the rows r… of U, and the
+    columns r… of U⁻¹ coordinates in it.  Each column x of `denom` lifts to
+    (x, −Mx/T) by exact division, and a second Smith form of the lifted
+    coordinates gives the summands.  U is tracked only for `gens`, and U⁻¹
+    only when `denom` is not empty.
     """
-    l_cols = [c for c in l_cols if any(c)]
-    k = len(l_cols)
-    if k == 0:
-        return FgAbGroup.zero(), []
-    r_cols = [c for c in r_cols if any(c)]
-    rel = [c[:k] for c in _kernel_columns(_from_columns(l_cols + r_cols, n), k + len(r_cols))]
-    _, D, _, Uinv, _ = _snf_ext(_from_columns(rel, k), uinv=gens)
-    group, cols = _summands(_diag(D), k, _transpose(Uinv))
-    return group, [[sum(c[i] * x for c, x in zip(l_cols, u)) for i in range(n)] for u in cols]
-
-
-def _kernel_lift(f: GroupHom) -> list[list[int]]:
-    """Columns spanning the vectors of Z^ns that f sends into the target relations."""
     ns = f.source.num_generators
-    rt = _relation_columns(f.target)
-    A = [list(row) + [c[i] for c in rt] for i, row in enumerate(f.matrix)]
-    return [c[:ns] for c in _kernel_columns(A, ns + len(rt))]
+    Pt = [[row[j] for row in f.matrix] for j in range(ns)] + _relation_columns(f.target)
+    U, D, _, Uinv, _ = _snf_ext(Pt, u=gens, uinv=bool(denom))
+    r = sum(1 for d in _diag(D) if d)
+    orders = [(i, e) for i, e in enumerate(f.target.generator_orders()) if e]
+    # the rows of Mᵀ = Pt[:ns] give each Mx as a row
+    lifts = [list(x) + [-mx[i] // e for i, e in orders] for x, mx in zip(denom, _mat_mul(denom, Pt[:ns]))]
+    rel = [c for c in (row[r:] for row in _mat_mul(lifts, Uinv)) if any(c)]
+    k = len(Pt) - r
+    _, D, _, W, _ = _snf_ext(_from_columns(rel, k), uinv=gens)
+    group, vecs = _summands(_diag(D), k, _transpose(W))
+    return group, _mat_mul(vecs, [row[:ns] for row in U[r:]])
 
 
 def hom_kernel(f: GroupHom):
     """Kernel of f with its inclusion into f.source."""
-    group, gens = _subquotient(_kernel_lift(f), _relation_columns(f.source), f.source.num_generators)
+    group, gens = _kernel(f, _relation_columns(f.source))
     return group, GroupHom.from_columns(group, f.source, gens)
 
 
@@ -489,11 +464,13 @@ def homology(f: GroupHom, g: GroupHom | None = None) -> FgAbGroup:
     """ker(f)/im(g) for composable maps with f∘g = 0, or ker(f) when g is None."""
     denom = _relation_columns(f.source)
     if g is not None:
-        if not f.compose(g).is_zero_hom():
+        if g.target.num_generators != f.source.num_generators:
+            raise ValueError("composition shape mismatch")
+        if any(x % e if e else x for row, e in zip(_mat_mul(f.matrix, g.matrix), f.target.generator_orders())
+               for x in row):
             raise ValueError("homology requires f∘g = 0")
         denom = _transpose(g.matrix) + denom
-    group, _ = _subquotient(_kernel_lift(f), denom, f.source.num_generators, gens=False)
-    return group
+    return _kernel(f, denom, gens=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +498,26 @@ class ExtensionTrace:
     rejected: tuple[tuple[int, tuple[int, ...], str], ...]
 
 
-def _partitions(k: int, most: int | None = None):
-    """The partitions of k into parts of at most `most`, descending lexicographically."""
-    if k == 0:
-        yield ()
-    for first in range(min(k, most or k), 0, -1):
-        for rest in _partitions(k - first, first):
-            yield (first,) + rest
+def _partitions(k: int):
+    """The partitions of k, descending lexicographically.
+
+    The next one takes 1 off the last part over 1, leaving m, and splits
+    that 1 and the trailing 1s into parts of m and a remainder (Knuth,
+    *TAOCP* 4A, 7.2.1.4).
+    """
+    part = [k] if k else []
+    while True:
+        yield tuple(part)
+        ones = 0
+        while part and part[-1] == 1:
+            part.pop()
+            ones += 1
+        if not part:
+            return
+        part[-1] -= 1
+        m = part[-1]
+        q, rest = divmod(ones + 1, m)
+        part += [m] * q + ([rest] if rest else [])
 
 
 # abelian groups of one order an extension problem may range over; 2^40 has 37,338
@@ -594,18 +584,31 @@ def _generator_types(p: int, mu: tuple[int, ...], b: int, c: int) -> set:
     G = H ⊕ Ze / (p^b·e = h).  Up to Aut(H) (units on the cyclic summands
     g_i, swaps of equal ones) h = Σ p^v_i·g_i with 0 ≤ v_i ≤ μ_i, ascending
     along each run of equal μ_i, so e has order p^(b + max(μ_i − v_i)) and
-    G = coker(diag(p^μ_i) | (p^v_i, −p^b)).
+    G = coker(diag(p^μ_i) | (p^v_i, −p^b)).  A nonzero j×j minor of that
+    matrix takes j diagonal columns, or j − 1 of them, the last column and
+    one more row r, so it is ± one power of p.  The least exponent Δ_j is
+    then the least of the j smallest μ_i, of b plus the j − 1 smallest, and
+    over r of v_r plus the j − 1 smallest μ_i with i ≠ r; the type is
+    (Δ_j − Δ_{j−1}) (Cohen, *A Course in Computational Algebraic Number
+    Theory*, §2.4).
     """
     k = len(mu)
+    low = list(itertools.accumulate(reversed(mu), initial=0))  # low[j]: the j smallest μ_i
     out = set()
     for images in itertools.product(*(itertools.combinations_with_replacement(range(m + 1), len(list(run)))
                                       for m, run in itertools.groupby(mu))):
         v = sum(images, ())
         if max((m - x for m, x in zip(mu, v)), default=0) != c - b:
             continue
-        M = [[p ** m if j == i else 0 for j in range(k)] + [p ** x] for i, (m, x) in enumerate(zip(mu, v))]
-        M.append([0] * k + [-p ** b])
-        out.add(_p_type(_diag(_snf_ext(M)[1]), p))
+        delta = [0]
+        for j in range(1, k + 1):
+            # μ is descending: μ_r is among the j smallest iff r ≥ k − j, and then
+            # the j − 1 smallest with i ≠ r are the j smallest less μ_r
+            delta.append(min(low[j], b + low[j - 1],
+                             *(x + (low[j] - m if r >= k - j else low[j - 1]) for r, (m, x) in enumerate(zip(mu, v)))))
+        delta.append(b + low[k])
+        # the Smith diagonal divides down the chain, so its exponents ascend
+        out.add(tuple(e for e in reversed([y - x for x, y in zip(delta, delta[1:])]) if e))
     return out
 
 

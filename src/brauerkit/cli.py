@@ -119,9 +119,10 @@ def _user_file(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
 
 
-# the most work `snf` takes on, as cells × the digits of the largest |entry|: at the bound
-# a 2×2 matrix of 625-digit entries, the slowest found, takes 1.0-1.4 s on a 2-vCPU VM
-# (Python 3.11), and a 50×50 matrix in [-9, 9] 0.35 s; U and V grow far faster above it
+# the most work `snf` takes on, as cells × the squared digits of the largest |entry|: U and
+# V grow with the square of the digits (about 4,100 digits for a 2×2 matrix of 100-digit
+# entries, past Python's integer-string limit from 150), and at the bound stay under 2,700
+# digits; a 50×50 matrix in [-9, 9] takes 0.3 s on a 2-vCPU VM (Python 3.11)
 SNF_WORK_BOUND = 2500
 
 
@@ -132,9 +133,9 @@ def _cmd_snf(args) -> dict:
         raise ValueError("the --matrix rows must have equal length")
     cells = sum(map(len, matrix))
     digits = len(str(max((abs(x) for row in matrix for x in row), default=0)))
-    if cells * digits > SNF_WORK_BOUND:
+    if cells * digits * digits > SNF_WORK_BOUND:
         raise ValueError(f"the --matrix's {cells} cells × {digits} digits of its largest entry "
-                         f"exceed snf's bound of {SNF_WORK_BOUND}")
+                         f"exceed snf's bound of {SNF_WORK_BOUND} on cells × digits²")
     u, d, v = smith_normal_form(matrix)
     return {"U": u, "D": d, "V": v, "diagonal": _diag(d)}
 

@@ -1,14 +1,16 @@
 """Trial-division normal form, fully tracked Smith normal form and the
 three-Smith-form subquotient, kept as the oracle for
-`abelian.FgAbGroup.from_orders`, `abelian._snf_ext` and `abelian._subquotient`.
+`abelian.FgAbGroup.from_orders`, `abelian._snf_ext` and the kernels and
+homology of `abelian.hom_kernel` and `abelian.homology`.
 
 `from_orders` factors every order by trial division and rebuilds the
 invariant factors prime by prime; `snf_ext` always carries U, U⁻¹ and V;
 `_subquotient` reduces L + R to a lattice basis (`_lattice_basis`), writes
-R in that basis (`_solve_columns`) and takes the Smith form of the result.
-They are the library code as it stood before the gcd/lcm normal form,
-before transforms were tracked only on request, and before the subquotient
-came from one kernel and one Smith form of the relations.
+R in that basis (`_solve_columns`) and takes the Smith form of the result;
+`kernel` lifts ker(f) to Z^ns from one more Smith form (`_kernel_columns`)
+and takes its subquotient.  They are the library code as it stood before
+the gcd/lcm normal form, before transforms were tracked only on request,
+and before a kernel came from two Smith forms.
 """
 
 from __future__ import annotations
@@ -253,3 +255,27 @@ def _subquotient(l_cols: Sequence[Sequence[int]], r_cols: Sequence[Sequence[int]
     orders = [d for d, _ in entries]
     gens = [g for _, g in entries]
     return FgAbGroup.from_orders(orders), gens
+
+
+def _kernel_columns(M: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
+    """Basis of the integer kernel lattice of M, as columns of length ncols."""
+    if not M or not M[0]:
+        return _identity(ncols)
+    _, D, V, _, _ = snf_ext(M)
+    rank = sum(1 for d in _diag(D) if d)
+    return [[V[i][j] for i in range(ncols)] for j in range(rank, ncols)]
+
+
+def _relation_columns(orders: Sequence[int]) -> List[List[int]]:
+    return [[d if i == j else 0 for i in range(len(orders))] for j, d in enumerate(orders) if d]
+
+
+def kernel(f, denom: Sequence[Sequence[int]] = ()):
+    """ker(f) modulo the lattice of the columns `denom` and the source
+    relations, as (group, generator_vectors): the columns of Z^ns that f
+    sends into the target relations, then `_subquotient`."""
+    ns = f.source.num_generators
+    rt = _relation_columns(f.target.generator_orders())
+    A = [list(row) + [c[i] for c in rt] for i, row in enumerate(f.matrix)]
+    lift = [c[:ns] for c in _kernel_columns(A, ns + len(rt))]
+    return _subquotient(lift, list(denom) + _relation_columns(f.source.generator_orders()), ns)

@@ -11,7 +11,9 @@ For larger orders, `resolve_by_candidates` keeps the search `_resolve` made
 before it went prime by prime: every group of the order, each tested with
 the per-prime criteria.  `generator_types` is the enumeration
 `abelian._generator_types` made before it walked only the ascending
-witness images: every image, with the others skipped.
+witness images and read the types off minors: every image, with the others
+skipped, each through a Smith form.  `partitions` is the recursion
+`abelian._partitions` made before it went iterative.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import itertools
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
+import abelian_oracle
 from brauerkit.abelian import (
     GROUPS_OF_ORDER_BOUND,
     ExtensionWitness,
@@ -31,12 +34,19 @@ from brauerkit.abelian import (
     _lr_positive,
     _p_type,
     _partition_count,
-    _partitions,
     _snf_ext,
-    _subquotient,
     _valuation,
 )
 from brauerkit.errors import AmbiguousExtension, NoExtension
+
+
+def partitions(k: int, most: Optional[int] = None):
+    """The partitions of k into parts of at most `most`, descending lexicographically."""
+    if k == 0:
+        yield ()
+    for first in range(min(k, most or k), 0, -1):
+        for rest in partitions(k - first, first):
+            yield (first,) + rest
 
 
 def abelian_groups_of_order(n: int) -> List[FgAbGroup]:
@@ -54,7 +64,7 @@ def abelian_groups_of_order(n: int) -> List[FgAbGroup]:
     if count > GROUPS_OF_ORDER_BOUND:
         raise ValueError(f"order {n} has {count} abelian groups, "
                          f"over the bound of {GROUPS_OF_ORDER_BOUND}")
-    per_prime = [[[p ** x for x in part] for part in _partitions(e)] for p, e in prime_powers]
+    per_prime = [[[p ** x for x in part] for part in partitions(e)] for p, e in prime_powers]
     out = []
     for combo in itertools.product(*per_prime):
         # slot i multiplies the i-th largest prime power of every prime
@@ -67,11 +77,11 @@ def abelian_groups_of_order(n: int) -> List[FgAbGroup]:
     return out
 
 
-def generator_types(p: int, mu: Tuple[int, ...], b: int, c: int) -> set:
-    """`abelian._generator_types` by every witness image h = Σ p^v_i·g_i,
-    0 ≤ v_i ≤ μ_i, skipping those not ascending along a run of equal μ_i."""
+def witness_matrices(p: int, mu: Tuple[int, ...], b: int, c: int):
+    """The matrices (diag(p^μ_i) | (p^v_i, −p^b)) of `generator_types`: one
+    per witness image h = Σ p^v_i·g_i, 0 ≤ v_i ≤ μ_i, that ascends along each
+    run of equal μ_i and gives e the order p^c."""
     k = len(mu)
-    out = set()
     for v in itertools.product(*(range(m + 1) for m in mu)):
         if any(mu[i] == mu[i + 1] and v[i] > v[i + 1] for i in range(k - 1)):
             continue
@@ -79,8 +89,12 @@ def generator_types(p: int, mu: Tuple[int, ...], b: int, c: int) -> set:
             continue
         M = [[p ** m if j == i else 0 for j in range(k)] + [p ** x] for i, (m, x) in enumerate(zip(mu, v))]
         M.append([0] * k + [-p ** b])
-        out.add(_p_type(_diag(_snf_ext(M)[1]), p))
-    return out
+        yield M
+
+
+def generator_types(p: int, mu: Tuple[int, ...], b: int, c: int) -> set:
+    """`abelian._generator_types` by the Smith form of every witness matrix."""
+    return {_p_type(_diag(_snf_ext(M)[1]), p) for M in witness_matrices(p, mu, b, c)}
 
 
 def _element_order(vec, cyc) -> int:
@@ -128,7 +142,7 @@ def _set_structure(h: frozenset, cyc: Sequence[int]) -> FgAbGroup:
         col = [0] * n
         col[i] = c
         rel_cols.append(col)
-    group, _ = _subquotient([list(v) for v in sorted(h)], rel_cols, n)
+    group, _ = abelian_oracle._subquotient([list(v) for v in sorted(h)], rel_cols, n)
     return group
 
 

@@ -167,6 +167,21 @@ def test_torsion_and_primary_parts():
 # ---------------------------------------------------------------------------
 
 
+def test_hom_matrix_is_reduced_and_checked():
+    z, z2, z4 = FgAbGroup.free(1), FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
+    assert GroupHom(z, z4, ((5,),)).matrix == ((1,),)
+    assert GroupHom(z2, FgAbGroup(1, (4,)), ((0,), (6,))).matrix == ((0,), (2,))
+    assert GroupHom(FgAbGroup.free(2), z, [[-3, 7]]).matrix == ((-3, 7),)
+    # the shape is checked before any relation, whichever row breaks it
+    for src, tgt, mat in ((z, z, ((1, 2),)), (z, z2, ()), (z2, FgAbGroup.free(2), ((1,), ()))):
+        with pytest.raises(ValueError, match=f"^matrix must be {tgt.num_generators}x{src.num_generators}$"):
+            GroupHom(src, tgt, mat)
+    for src, tgt, mat in ((z2, z, ((1,),)), (z2, z4, ((1,),)), (z4, FgAbGroup.cyclic(8), ((1,),)),
+                          (FgAbGroup(1, (2,)), FgAbGroup(1, (4,)), ((5, 1), (1, 2)))):
+        with pytest.raises(ValueError, match="^matrix does not respect source relations$"):
+            GroupHom(src, tgt, mat)
+
+
 def test_kernel_times_two_on_z():
     f = GroupHom(FgAbGroup.free(1), FgAbGroup.free(1), ((2,),))
     ker, incl = hom_kernel(f)
@@ -271,6 +286,17 @@ def test_homology_nontrivial():
     g = GroupHom(z, z, ((4,),))
     f = GroupHom(z, z2, ((1,),))
     assert homology(f, g).same_structure(FgAbGroup.cyclic(2))
+
+
+def test_homology_checks_the_composite():
+    z, z2, zero = FgAbGroup.free(1), FgAbGroup.cyclic(2), FgAbGroup.zero()
+    with pytest.raises(ValueError, match="^homology requires f∘g = 0$"):
+        homology(GroupHom(z, z2, ((1,),)), GroupHom(z, z, ((3,),)))
+    with pytest.raises(ValueError, match="^composition shape mismatch$"):
+        homology(GroupHom(z, z2, ((1,),)), GroupHom(z, FgAbGroup.free(2), ((2,), (0,))))
+    # f∘g is zero modulo the target orders, and through the zero group
+    assert homology(GroupHom(z, z2, ((1,),)), GroupHom(z, z, ((6,),))).same_structure(FgAbGroup.cyclic(3))
+    assert homology(GroupHom(zero, z, ((),)), GroupHom(z, zero, ())).is_zero()
 
 
 # ---------------------------------------------------------------------------

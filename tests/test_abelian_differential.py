@@ -1,5 +1,5 @@
-"""`FgAbGroup.from_orders`, `_factorize`, `_snf_ext` and `_subquotient`
-against the oracle in `abelian_oracle`.
+"""`FgAbGroup.from_orders`, `_factorize`, `_snf_ext`, `hom_kernel` and
+`homology` against the oracle in `abelian_oracle`.
 
 Seeded random order lists (0, 1, repeated prime powers and primes near
 10^6-10^12) must normalise to the oracle's group, and seeded orders
@@ -8,11 +8,13 @@ trial division does.  Seeded random m×n matrices with m, n ≤ 9 and many
 zero entries, 0-row and 1×n ones among them, must give the oracle's D and, for every subset of tracked
 transforms, exactly the oracle's U, V and U⁻¹, with [] for the rest; so
 must the benchmark's dense shapes up to 30×30, rank-deficient and sparse
-ones and the matrices `_generator_types` builds, at the seed in
+ones and the witness matrices of the extension shapes, at the seed in
 DIFFERENTIAL_SEED when it is set.
-Seeded random lattices L and R in Z^n, n ≤ 8, must give the group of the
-three-Smith-form `_subquotient`, with generators that lie in L + R and
-whose torsion orders take them into R.
+Seeded homs between free, torsion, mixed and zero groups, and composable
+pairs f, g with f∘g = 0 (free ones drawn as the benchmark's homology
+requests, torsion ones through a cokernel), must give the oracle's group
+from `hom_kernel` and `homology`; the inclusion must send its generators,
+and the oracle's, to the same subgroup of the source.
 Homs of every shape (zero maps into Z^n, maps out of and into the zero
 group, torsion targets, and seeded homs drawn as the benchmark's algebra
 workload draws them) must give the same groups from `hom_kernel` and
@@ -28,13 +30,13 @@ from math import gcd
 import pytest
 
 import abelian_oracle
+import resolve_oracle
 from seeds import differential_seed
 from brauerkit import abelian
 from brauerkit.abelian import (
     FgAbGroup,
     GroupHom,
     _snf_ext,
-    _subquotient,
     cokernel,
     hom_cokernel,
     hom_kernel,
@@ -99,24 +101,15 @@ def test_snf_ext_matches_full_tracking_for_every_subset():
             assert got == want, (M, u, v, uinv)
 
 
-def _generator_type_matrices(monkeypatch):
-    """The matrices `_generator_types` reduces for the extension shapes of
-    the algebra benchmark and a few larger ones."""
-    seen = []
-
-    def spy(M, *args, **kwargs):
-        seen.append(M)
-        return _snf_ext(M, *args, **kwargs)
-
-    monkeypatch.setattr(abelian, "_snf_ext", spy)
-    for p, mu, b in ((2, (3,), 1), (2, (2, 1), 2), (2, (3, 1), 2), (2, (6,), 1), (3, (2,), 2),
-                     (2, (3, 2, 1), 2), (3, (2, 2, 1), 1), (5, (2, 1), 1)):
-        abelian._generator_types(p, mu, b, mu[0] + b)
-    monkeypatch.undo()
-    return seen
+def _generator_type_matrices():
+    """The witness matrices of the extension shapes of the algebra benchmark
+    and a few larger ones."""
+    return [M for p, mu, b in ((2, (3,), 1), (2, (2, 1), 2), (2, (3, 1), 2), (2, (6,), 1), (3, (2,), 2),
+                               (2, (3, 2, 1), 2), (3, (2, 2, 1), 1), (5, (2, 1), 1))
+            for M in resolve_oracle.witness_matrices(p, mu, b, mu[0] + b)]
 
 
-def test_snf_ext_matches_full_tracking_at_benchmark_sizes(monkeypatch):
+def test_snf_ext_matches_full_tracking_at_benchmark_sizes():
     seed = differential_seed(20260418)
     rng = random.Random(seed)
 
@@ -130,7 +123,7 @@ def test_snf_ext_matches_full_tracking_at_benchmark_sizes(monkeypatch):
         cases.append(abelian._mat_mul(dense(m, r), dense(r, n)))
     for m, n in ((20, 20), (14, 25), (25, 14)):
         cases.append([[x if rng.random() < 0.1 else 0 for x in row] for row in dense(m, n)])
-    cases += _generator_type_matrices(monkeypatch)
+    cases += _generator_type_matrices()
     for M in cases:
         U, D, V, Uinv, _ = abelian_oracle.snf_ext(M)
         for u, v, uinv in itertools.product((False, True), repeat=3):
@@ -153,59 +146,87 @@ def _in_lattice(v, cols, n):
     return all((x % d == 0) if d else x == 0 for x, d in zip(uv, diag))
 
 
-def _random_lattices(rng, n, kind):
-    """(L, R) in Z^n: "free" has no R; "torsion" puts a multiple of every
-    column of L in R; "mixed" draws R at random, so R need not lie in L."""
-    def vec():
-        return [rng.choice((0, 0, rng.randrange(-9, 10))) for _ in range(n)]
-
-    L = [vec() for _ in range(rng.randrange(0, 6))]
-    L += [[0] * n for _ in range(rng.randrange(0, 2))]
-    if kind == "free":
-        R = []
-    elif kind == "torsion":
-        R = [[rng.choice((1, 2, 3, 4, 6)) * x for x in c] for c in L] + [vec() for _ in range(rng.randrange(0, 2))]
-    else:
-        R = [vec() for _ in range(rng.randrange(0, 6))]
-    R += [[0] * n for _ in range(rng.randrange(0, 2))]
-    rng.shuffle(L)
-    rng.shuffle(R)
-    return L, R
-
-
-def test_subquotient_matches_three_smith_forms():
-    rng = random.Random(19980301)
-    seen = set()
-    cases = [([], [], 3), ([[0, 0]], [[0, 0]], 2), ([[2, 0]], [[4, 0]], 2), ([[1, 0]], [[0, 1]], 2)]
-    for _ in range(1000):
-        n = rng.randrange(1, 9)
-        kind = rng.choice(("free", "torsion", "mixed"))
-        cases.append(_random_lattices(rng, n, kind) + (n,))
-    for L, R, n in cases:
-        group, gens = _subquotient(L, R, n)
-        want, _ = abelian_oracle._subquotient(L, R, n)
-        assert group == want, (L, R, n)
-        assert len(gens) == group.num_generators
-        for d, g in zip(group.generator_orders(), gens):
-            assert len(g) == n and _in_lattice(g, L + R, n), (L, R, g)
-            if d:
-                assert _in_lattice([d * x for x in g], R, n), (L, R, g, d)
-        seen.add("zero" if group.is_zero() else "free" if not group.invariant_factors
-                 else "torsion" if group.is_finite() else "mixed")
-    assert seen == {"zero", "free", "torsion", "mixed"}
-
-
 ORDERS = (0, 2, 3, 4, 6, 8, 9, 12, 16)  # the cyclic orders of bench/workloads.py
 
 
-def _random_hom(rng, n_src, n_tgt, tgt_orders=ORDERS):
-    """A hom drawn as the benchmark's `_random_hom` draws one: each column
-    respects the order of its source generator."""
-    S = FgAbGroup.from_orders([rng.choice(ORDERS) for _ in range(n_src)])
-    T = FgAbGroup.from_orders([rng.choice(tgt_orders) for _ in range(n_tgt)])
+def _hom_between(rng, S, T):
+    """A hom S → T whose every column respects the order of its source generator."""
     cols = [[rng.randrange(-5, 6) if d == 0 else 0 if e == 0 else e // gcd(e, d) * rng.randrange(0, 6)
              for e in T.generator_orders()] for d in S.generator_orders()]
     return GroupHom.from_columns(S, T, cols)
+
+
+def _random_hom(rng, n_src, n_tgt, tgt_orders=ORDERS):
+    """A hom drawn as the benchmark's `_random_hom` draws one."""
+    S = FgAbGroup.from_orders([rng.choice(ORDERS) for _ in range(n_src)])
+    T = FgAbGroup.from_orders([rng.choice(tgt_orders) for _ in range(n_tgt)])
+    return _hom_between(rng, S, T)
+
+
+def _free_pair(rng):
+    """Z^a --g--> Z^b --f--> Z^c with f∘g = 0, drawn as the benchmark's
+    homology requests: g hits the first k coordinates through diag(d), f is
+    injective on the rest, and a unimodular T scrambles the middle basis."""
+    k, rest = rng.randrange(1, 4), rng.randrange(1, 3)
+    b, a = k + rest, k + rng.randrange(0, 2)
+    d = [rng.choice((0, 1, 2, 3, 4, 6)) for _ in range(k)]
+    G = [[d[i] if i == j else 0 for j in range(a)] for i in range(k)] + [[0] * a for _ in range(rest)]
+    F = [[0] * k + [int(i == j) for j in range(rest)] for i in range(rest)]
+    F.append([0] * k + [rng.randrange(-3, 4) for _ in range(rest)])
+    T = [[int(i == j) for j in range(b)] for i in range(b)]
+    Tinv = [row[:] for row in T]
+    for _ in range(6):
+        i, j = rng.sample(range(b), 2)
+        q = rng.choice((-1, 1))
+        T[i] = [x + q * y for x, y in zip(T[i], T[j])]
+        for row in Tinv:
+            row[j] -= q * row[i]
+    g = GroupHom(FgAbGroup.free(a), FgAbGroup.free(b), tuple(map(tuple, abelian._mat_mul(T, G))))
+    f = GroupHom(FgAbGroup.free(b), FgAbGroup.free(len(F)), tuple(map(tuple, abelian._mat_mul(F, Tinv))))
+    return f, g
+
+
+def _torsion_pair(rng, ends):
+    """f∘g = 0 through the cokernel of g: f is a random hom out of coker(g)
+    after the projection onto it."""
+    g = _hom_between(rng, rng.choice(ends), rng.choice(ends))
+    cok, proj = hom_cokernel(g)
+    h = _hom_between(rng, cok, rng.choice(ends))
+    n = g.target.num_generators
+    # by hand, as `compose` loses the column count when cok is zero
+    cols = [[sum(a * b[j] for a, b in zip(row, proj.matrix)) for row in h.matrix] for j in range(n)]
+    return GroupHom.from_columns(g.target, h.target, cols), g
+
+
+def test_kernel_and_homology_match_three_smith_forms():
+    seed = differential_seed(19980301)
+    rng = random.Random(seed)
+    ends = [FgAbGroup.zero(), FgAbGroup.free(1), FgAbGroup.free(2), FgAbGroup.cyclic(2), FgAbGroup(1, (6,)),
+            FgAbGroup(0, (2, 4)), FgAbGroup(2, (3,)), FgAbGroup(0, (3, 9, 9))]
+    cases = [(_hom_between(rng, S, T), None) for S in ends for T in ends]
+    cases += [(_random_hom(rng, rng.randrange(0, 4), rng.randrange(0, 4)), None) for _ in range(200)]
+    cases += [_free_pair(rng) for _ in range(100)]
+    cases += [_torsion_pair(rng, ends) for _ in range(200)]
+    seen = set()
+    for f, g in cases:
+        denom = _columns(g.matrix, g.source.num_generators) if g else []
+        want, want_gens = abelian_oracle.kernel(f, denom)
+        assert homology(f, g) == want, f"seed {seed}: {f}, {g}"
+        seen.add("zero" if want.is_zero() else "free" if not want.invariant_factors
+                 else "torsion" if want.is_finite() else "mixed")
+        if g is not None:
+            continue
+        ker, incl = hom_kernel(f)
+        assert ker == want and incl.source == ker and incl.target == f.source, f"seed {seed}: {f}"
+        ns, tgt = f.source.num_generators, f.target.generator_orders()
+        gens = _columns(incl.matrix, ker.num_generators)
+        rel = [[d if i == j else 0 for i in range(ns)] for j, d in enumerate(f.source.generator_orders())]
+        for col in gens:
+            assert not any(_apply(f.matrix, col, tgt)), f"seed {seed}: {f}"
+        # a well-defined map onto a kernel of its own structure is an isomorphism
+        for col in want_gens:
+            assert _in_lattice(col, gens + rel, ns), f"seed {seed}: {f}"
+    assert seen == {"zero", "free", "torsion", "mixed"}
 
 
 def _apply(matrix, vec, orders):

@@ -281,6 +281,7 @@ def _random_matrix(n, lo, hi):
     (_random_matrix(60, -9, 9), "3600 cells × 1 digits"),  # U and V would reach 5,052 digits
     (_random_matrix(10, -10 ** 99, 10 ** 100), "100 cells × 100 digits"),  # 15 s of work
     (_random_matrix(100, -9, 9), "10000 cells × 1 digits"),  # 207 s of work
+    (_random_matrix(2, -10 ** 149, 10 ** 150), "4 cells × 150 digits"),  # U and V would pass the integer-string limit
 ])
 def test_exit_2_at_once_on_an_snf_matrix_over_the_work_bound(capsys, matrix, work):
     from brauerkit.cli import SNF_WORK_BOUND

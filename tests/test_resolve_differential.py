@@ -10,8 +10,10 @@ candidate-by-candidate search, at the seed in DIFFERENTIAL_SEED
 when it is set.  Each trace `_resolve` returns must hold every partition of
 v_p(|G|) exactly once at each prime p, as the p-type of an accepted group
 or as a rejected type, and the oracle must reject every candidate whose
-p-type was rejected.  The witness images `_generator_types` walks must give
-the types of the enumeration of every image.
+p-type was rejected.  The types `_generator_types` reads off minors must be
+those of the Smith forms of every witness image, for every μ of at most 7
+and seeded μ of 8 and 9, at p = 2, 3 and 5; and
+`_partitions` must list what the recursion lists, for k ≤ 20.
 """
 
 import itertools
@@ -28,12 +30,11 @@ from brauerkit.abelian import (
     FgAbGroup,
     _factorize,
     _p_type,
-    _partitions,
     resolve_extension,
     resolve_extension_by_order,
 )
 from brauerkit.errors import BrauerkitError
-from resolve_oracle import abelian_groups_of_order
+from resolve_oracle import abelian_groups_of_order, partitions
 
 RESOLVE = abelian._resolve
 
@@ -68,7 +69,7 @@ def _check_trace(args, trace, rejected):
     for p, e in _factorize(total).items():
         kept = {_p_type(g.invariant_factors, p) for g in trace.accepted}
         tried = list(kept) + [lam for q, lam, _ in trace.rejected if q == p]
-        assert sorted(tried) == sorted(_partitions(e)), (p, trace)
+        assert sorted(tried) == sorted(partitions(e)), (p, trace)
     for p, lam, _ in trace.rejected:
         for cand in abelian_groups_of_order(total):
             if _p_type(cand.invariant_factors, p) == lam:
@@ -142,8 +143,24 @@ def test_resolve_matches_the_candidate_search_on_seeded_multi_prime_problems():
 
 def test_generator_types_match_the_enumeration_of_every_image():
     for n in range(8):
-        for mu in _partitions(n):
-            for p, b in itertools.product((2, 3), range(4)):
+        for mu in partitions(n):
+            for p, b in itertools.product((2, 3, 5), range(4)):
                 for c in range(b + (mu[0] if mu else 0) + 2):
                     want = resolve_oracle.generator_types(p, mu, b, c)
                     assert abelian._generator_types(p, mu, b, c) == want, (p, mu, b, c)
+
+
+def test_generator_types_match_the_enumeration_on_seeded_shapes():
+    seed = differential_seed(20261021)
+    rng = random.Random(seed)
+    shapes = [list(partitions(n)) for n in (8, 9)]
+    for _ in range(200):
+        mu, p, b = rng.choice(rng.choice(shapes)), rng.choice((2, 3, 5)), rng.randrange(4)
+        c = b + rng.randrange(mu[0] + 2)  # c − b = μ_1 + 1 has no image
+        want = resolve_oracle.generator_types(p, mu, b, c)
+        assert abelian._generator_types(p, mu, b, c) == want, f"seed {seed}: {(p, mu, b, c)}"
+
+
+def test_partitions_match_the_recursion():
+    for k in range(21):
+        assert list(abelian._partitions(k)) == list(partitions(k)), k
