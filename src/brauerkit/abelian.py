@@ -25,10 +25,8 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[list[int]]:
-    if not A:
-        return []
-    cols = len(B[0]) if B else 0
+def _mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
+    """A·B with `cols` columns, which B cannot show when it has no rows."""
     out = [[0] * cols for _ in range(len(A))]
     for i, row in enumerate(A):
         for k, a in enumerate(row):
@@ -377,9 +375,10 @@ class GroupHom:
 
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self after other."""
-        if other.target.num_generators != self.source.num_generators:
-            raise ValueError("composition shape mismatch")
-        return GroupHom(other.source, self.target, tuple(tuple(r) for r in _mat_mul(self.matrix, other.matrix)))
+        if other.target != self.source:
+            raise ValueError(f"composition mismatch: {other.target} is not {self.source}")
+        product = _mat_mul(self.matrix, other.matrix, other.source.num_generators)
+        return GroupHom(other.source, self.target, tuple(map(tuple, product)))
 
     def is_zero_hom(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.matrix)
@@ -430,12 +429,13 @@ def _kernel(f: GroupHom, denom: Sequence[Sequence[int]], gens: bool = True):
     r = sum(1 for d in _diag(D) if d)
     orders = [(i, e) for i, e in enumerate(f.target.generator_orders()) if e]
     # the rows of Mᵀ = Pt[:ns] give each Mx as a row
-    lifts = [list(x) + [-mx[i] // e for i, e in orders] for x, mx in zip(denom, _mat_mul(denom, Pt[:ns]))]
-    rel = [c for c in (row[r:] for row in _mat_mul(lifts, Uinv)) if any(c)]
+    mxs = _mat_mul(denom, Pt[:ns], f.target.num_generators)
+    lifts = [list(x) + [-mx[i] // e for i, e in orders] for x, mx in zip(denom, mxs)]
+    rel = [c for c in (row[r:] for row in _mat_mul(lifts, Uinv, len(Pt))) if any(c)]
     k = len(Pt) - r
     _, D, _, W, _ = _snf_ext(_from_columns(rel, k), uinv=gens)
     group, vecs = _summands(_diag(D), k, _transpose(W))
-    return group, _mat_mul(vecs, [row[:ns] for row in U[r:]])
+    return group, _mat_mul(vecs, [row[:ns] for row in U[r:]], ns)
 
 
 def hom_kernel(f: GroupHom):
@@ -464,10 +464,10 @@ def homology(f: GroupHom, g: GroupHom | None = None) -> FgAbGroup:
     """ker(f)/im(g) for composable maps with f∘g = 0, or ker(f) when g is None."""
     denom = _relation_columns(f.source)
     if g is not None:
-        if g.target.num_generators != f.source.num_generators:
-            raise ValueError("composition shape mismatch")
-        if any(x % e if e else x for row, e in zip(_mat_mul(f.matrix, g.matrix), f.target.generator_orders())
-               for x in row):
+        if g.target != f.source:
+            raise ValueError(f"composition mismatch: {g.target} is not {f.source}")
+        fg = _mat_mul(f.matrix, g.matrix, g.source.num_generators)
+        if any(x % e if e else x for row, e in zip(fg, f.target.generator_orders()) for x in row):
             raise ValueError("homology requires f∘g = 0")
         denom = _transpose(g.matrix) + denom
     return _kernel(f, denom, gens=False)[0]

@@ -30,7 +30,6 @@ from .errors import (
     NoExtension,
     NoFact,
     NotAnAction,
-    NotStabilized,
     UnmatchedRule,
     WindowTooSmall,
 )
@@ -39,7 +38,7 @@ EXIT_PARSE = 2
 EXIT_NOFACT = 3
 EXIT_AMBIGUOUS = 4
 
-_NOFACT_ERRORS = (NoFact, NotStabilized, UnmatchedRule, WindowTooSmall, NoExtension, OSError)
+_NOFACT_ERRORS = (NoFact, UnmatchedRule, WindowTooSmall, NoExtension, OSError)
 
 try:  # the builtin SHA-256 loads without OpenSSL, which hashlib loads
     from _sha2 import sha256  # Python 3.12+

@@ -28,7 +28,3 @@ class UnmatchedRule(BrauerkitError):
 
 class NoFact(BrauerkitError):
     """No stored fact decides the requested sheaf-level computation."""
-
-
-class NotStabilized(BrauerkitError):
-    """Later differentials could still act; no stabilization certificate."""

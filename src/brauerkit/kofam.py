@@ -209,8 +209,7 @@ def pic_ko(r: EtaleRingDescriptor, d3_21: str = "zero") -> PicKOResult:
     graded = [(0, gr0), (1, gr1), (3, gr3)]
     witness_order = 8 if r.d >= 1 else 4
     witness = ExtensionWitness(witness_order, maps_to_generator_of_quotient=True)
-    sections = assemble_abutment(
-        [(s, Entry(g)) for s, g in graded if not g.is_zero()], witness)
+    sections = assemble_abutment([(s, g) for s, g in graded if not g.is_zero()], witness)
     notes = []
     if d3_21 == "unknown":
         notes.append("d3_21 left unresolved; column 0 is disjoint from its "

@@ -10,10 +10,7 @@ only the entries its differentials touch, with one computation per distinct
 hom per turn; every other entry passes through as the same immutable
 object, so beyond building the new page a turn's work grows with its
 distinct differentials, not with the page.
-Everything absent from the sparse entry map is zero, and page-turning only
-ever shrinks entries, so stabilization of a column is decidable by
-inspecting which later differentials could still connect two nonzero
-positions.
+Everything absent from the sparse entry map is zero.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from .abelian import (
     resolve_extension_by_order,
 )
 from .charp import SemilinearOperator, TruncatedCharPModule, operator_kernel, parse_operator
-from .errors import AmbiguousExtension, NoFact, NotStabilized, UnmatchedRule
+from .errors import AmbiguousExtension, NoFact, UnmatchedRule
 from .record import record, replace
 from .sheaftab import (
     SheafSymbol,
@@ -145,6 +142,12 @@ def _validate_rules(page: SSPage, rules: Sequence[DifferentialRule]) -> None:
             raise ValueError(f"rule for page {rule.r} applied to page {page.r}")
         if page.entry(*rule.source) is None:
             raise UnmatchedRule(f"rule source {rule.source} is a zero entry")
+        if rule.kind == "matrix":  # into the group at its target, if the page has one there
+            pos = page.target_of(*rule.source)
+            target = page.entry(*pos)
+            if target and isinstance(target.value, FgAbGroup) and target.value != rule.hom.target:
+                raise ValueError(f"matrix rule at {rule.source} maps into {rule.hom.target}, "
+                                 f"not the entry {target.value} at {pos}")
     # d∘d = 0: a matrix rule chained after another matrix rule must compose
     # to the zero map (same-page composites vanish positionally, so only
     # check explicitly provided homs that happen to chain)
@@ -268,44 +271,11 @@ def _operator_kernel_entry(entry: Entry, rule: DifferentialRule) -> Entry:
 
 
 # ---------------------------------------------------------------------------
-# columns and abutments
+# abutments
 # ---------------------------------------------------------------------------
 
 
-def column_filtration(pages: Sequence[SSPage], column: int,
-                      bound: int | None = None) -> list[tuple[int, Entry]]:
-    """Nonzero E∞ entries (s, gr^s) with t - s = column, ascending s.
-
-    The last supplied page must be stable along the column: no later
-    differential may connect a column entry to another nonzero entry.  A
-    `bound` certifies that rules with r > bound vanish.
-    """
-    if not pages:
-        raise ValueError("need at least one page")
-    last = pages[-1]
-    out = []
-    for (s, t), entry in sorted(last.entries.items()):
-        if t - s != column:
-            continue
-        _check_stable(last, s, t, bound)
-        out.append((s, entry))
-    return out
-
-
-def _check_stable(page: SSPage, s: int, t: int, bound: int | None) -> None:
-    for (s2, t2) in page.entries:
-        if (s2, t2) == (s, t):
-            continue
-        for src, tgt in (((s2, t2), (s, t)), ((s, t), (s2, t2))):
-            r = tgt[0] - src[0]
-            if r >= page.r and tgt[1] - src[1] == r - 1:
-                if bound is not None and r > bound:
-                    continue
-                raise NotStabilized(
-                    f"a d_{r} could still connect {src} to {tgt}; supply a bound")
-
-
-def assemble_abutment(gr: Sequence[tuple[int, Entry]],
+def assemble_abutment(gr: Sequence[tuple[int, FgAbGroup]],
                       witness: ExtensionWitness) -> FgAbGroup:
     """Iterated extension resolution of a finite column, from gr^0 down.
 
@@ -314,17 +284,17 @@ def assemble_abutment(gr: Sequence[tuple[int, Entry]],
     the lowest s and each deeper stage enters as the subgroup of the next
     extension.  At each stage the witness order is clamped to the running
     group order (the witness element's image in a quotient cannot have
-    larger order).  Every stage must be group-valued.
+    larger order).
     """
     if not gr:
         return FgAbGroup.zero()
     stages = sorted(gr, key=lambda se: se[0])
-    total = stages[0][1].value
-    for s, entry in stages[1:]:
-        clamp = min(witness.witness_order, total.order() * entry.value.order())
+    total = stages[0][1]
+    for s, group in stages[1:]:
+        clamp = min(witness.witness_order, total.order() * group.order())
         try:
             total = resolve_extension(
-                entry.value, total, ExtensionWitness(clamp, witness.maps_to_generator_of_quotient))
+                group, total, ExtensionWitness(clamp, witness.maps_to_generator_of_quotient))
         except AmbiguousExtension as exc:
             raise AmbiguousExtension(f"stage s = {s}: {exc}") from exc
     return total
@@ -385,24 +355,6 @@ def _entry_value_from_json(d: dict, groups: dict) -> EntryValue:
     raise ValueError(f"'kind' must be group, charp or sheaf, not {kind!r}")
 
 
-def _rule_to_json(rule: DifferentialRule) -> dict:
-    out: dict = {"r": rule.r, "s": rule.source[0], "t": rule.source[1],
-                 "kind": rule.kind, "provenance": rule.provenance}
-    if rule.kind == "operator":
-        out["operator"] = str(rule.operator)
-        out["p"] = rule.operator.p
-        out["surjective"] = rule.surjective
-    if rule.kind == "matrix":
-        out["matrix"] = [list(row) for row in rule.hom.matrix]
-        out["source_group"] = rule.hom.source.to_json()
-        out["target_group"] = rule.hom.target.to_json()
-    if rule.kind == "unresolved":
-        out["name"] = rule.name
-    if rule.relabel:
-        out["relabel"] = rule.relabel
-    return out
-
-
 def _rule_from_json(d: dict, groups: dict, provenance_key: str = "provenance") -> DifferentialRule:
     """A rule from JSON; a matrix rule's groups come from `groups` as in
     `_group_from_json`, and GroupHom normalises the rows of its matrix."""
@@ -420,7 +372,8 @@ def _rule_from_json(d: dict, groups: dict, provenance_key: str = "provenance") -
                             take(d, "relabel", "string", ""))
 
 
-def page_to_json(page: SSPage, rules: Sequence[DifferentialRule] = ()) -> str:
+def page_to_json(page: SSPage) -> str:
+    """The page as JSON; a turned page has no rules, so `"rules"` is empty."""
     # each distinct entry value is converted once; the page holds them all, so ids are stable
     written = {id(e.value): e.value for e in page.entries.values()}
     written = {key: _entry_value_to_json(value) for key, value in written.items()}
@@ -429,7 +382,7 @@ def page_to_json(page: SSPage, rules: Sequence[DifferentialRule] = ()) -> str:
         "entries": [{"s": s, "t": t, "entry": written[id(e.value)],
                      "label": e.label, "index": e.index, "assumed": e.assumed}
                     for (s, t), e in sorted(page.entries.items())],
-        "rules": [_rule_to_json(rule) for rule in rules],
+        "rules": [],
     }
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 

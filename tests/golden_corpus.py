@@ -159,7 +159,8 @@ def _write_page() -> None:
     from brauerkit.abelian import FgAbGroup, GroupHom
     from brauerkit.charp import parse_operator
     from brauerkit.sheaftab import QuasiCoherent
-    from brauerkit.ssengine import DifferentialRule, Entry, SSPage, page_to_json
+    from brauerkit.ssengine import DifferentialRule, Entry, SSPage
+    from ssengine_oracle import page_to_json
     z2, z4 = FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
     page = SSPage(3, {
         (0, 0): Entry(FgAbGroup(1, ()), label="x"),
@@ -184,7 +185,8 @@ def _write_page() -> None:
 
 def _write_chain_page() -> None:
     from brauerkit.abelian import FgAbGroup, GroupHom
-    from brauerkit.ssengine import DifferentialRule, Entry, SSPage, page_to_json
+    from brauerkit.ssengine import DifferentialRule, Entry, SSPage
+    from ssengine_oracle import page_to_json
     z, z2 = FgAbGroup.free(1), FgAbGroup.cyclic(2)
     page = SSPage(3, {(0, 0): Entry(z, label="x"), (3, 2): Entry(z), (6, 4): Entry(z2),
                       (1, 0): Entry(z, label="y"), (4, 2): Entry(z)})

@@ -1,5 +1,6 @@
 """Page turning entry by entry, and page reading key by key, kept as the
-oracles for `ssengine.turn_page` and `ssengine.page_from_json`.
+oracles for `ssengine.turn_page` and `ssengine.page_from_json`; and the
+writer of pages with rules, which the test fixtures read.
 
 The turn is the engine's code from before rule indexing, pass-through
 entries and memoised kernels and cokernels: every entry of the page is
@@ -8,9 +9,9 @@ each use of a matrix rule's kernel or cokernel computes it again.  The
 reader is the engine's code from before groups were shared: it builds and
 validates one group per entry and per rule side, and reads every key with
 the recursive `take_oracle.take`.  Their results (or the exceptions they
-raise) are the reference for the fast paths.  This module imports only the
+raise) are the reference for the fast paths.  The oracles use only the
 page and rule types and the layers below the engine, none of the engine's
-helpers.
+helpers; `page_to_json` adds rules to what `ssengine.page_to_json` writes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from brauerkit.charp import TruncatedCharPModule, operator_kernel, parse_operato
 from brauerkit.errors import NoFact, UnmatchedRule
 from brauerkit.record import replace
 from brauerkit.sheaftab import SheafSymbol, default_fact_table, sheaf_display, sheaf_from_json
+from brauerkit import ssengine
 from brauerkit.ssengine import CharPRef, DifferentialRule, Entry, SSPage
 from take_oracle import take
 
@@ -40,6 +42,12 @@ def validate_rules(page: SSPage, rules: Sequence[DifferentialRule]) -> None:
             raise ValueError(f"rule for page {rule.r} applied to page {page.r}")
         if page.entry(*rule.source) is None:
             raise UnmatchedRule(f"rule source {rule.source} is a zero entry")
+        pos = (rule.source[0] + page.r, rule.source[1] + page.r - 1)
+        target = page.entry(*pos)
+        if rule.kind == "matrix" and target is not None and isinstance(target.value, FgAbGroup) \
+                and target.value != rule.hom.target:
+            raise ValueError(f"matrix rule at {rule.source} maps into {rule.hom.target}, "
+                             f"not the entry {target.value} at {pos}")
     explicit = {rule.source: rule for rule in rules if rule.kind == "matrix"}
     for (s, t), rule in explicit.items():
         nxt = explicit.get((s + rule.r, t + rule.r - 1))
@@ -176,3 +184,28 @@ def page_from_json(text: str) -> Tuple[SSPage, List[DifferentialRule]]:
     rules = [rule_from_json(d) for d in take(data, "rules", "[object]", ())]
     nonzero = {pos: e for pos, e in entries.items() if not e.is_zero()}
     return SSPage(take(data, "r", "int"), nonzero), rules
+
+
+def rule_to_json(rule: DifferentialRule) -> dict:
+    out: dict = {"r": rule.r, "s": rule.source[0], "t": rule.source[1],
+                 "kind": rule.kind, "provenance": rule.provenance}
+    if rule.kind == "operator":
+        out["operator"] = str(rule.operator)
+        out["p"] = rule.operator.p
+        out["surjective"] = rule.surjective
+    if rule.kind == "matrix":
+        out["matrix"] = [list(row) for row in rule.hom.matrix]
+        out["source_group"] = rule.hom.source.to_json()
+        out["target_group"] = rule.hom.target.to_json()
+    if rule.kind == "unresolved":
+        out["name"] = rule.name
+    if rule.relabel:
+        out["relabel"] = rule.relabel
+    return out
+
+
+def page_to_json(page: SSPage, rules: Sequence[DifferentialRule] = ()) -> str:
+    """The page as `ssengine.page_to_json` writes it, with `rules` in its
+    `"rules"` list: the document `ss-run` reads."""
+    data = dict(json.loads(ssengine.page_to_json(page)), rules=[rule_to_json(rule) for rule in rules])
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))

@@ -182,6 +182,16 @@ def test_hom_matrix_is_reduced_and_checked():
             GroupHom(src, tgt, mat)
 
 
+def test_compose_meets_only_at_equal_groups():
+    z, z2, z4, zero = FgAbGroup.free(1), FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), FgAbGroup.zero()
+    # through the zero group the composite is the 1x1 zero map Z -> Z
+    assert GroupHom(zero, z, ((),)).compose(GroupHom(z, zero, ())) == GroupHom(z, z, ((0,),))
+    assert GroupHom(z2, z2, ((1,),)).compose(GroupHom(z2, z2, ((1,),))) == GroupHom(z2, z2, ((1,),))
+    # Z -> Z/4 and Z/2 -> Z/2 have one generator at the middle, but no common group
+    with pytest.raises(ValueError, match="^composition mismatch: Z/4 is not Z/2$"):
+        GroupHom(z2, z2, ((1,),)).compose(GroupHom(z, z4, ((1,),)))
+
+
 def test_kernel_times_two_on_z():
     f = GroupHom(FgAbGroup.free(1), FgAbGroup.free(1), ((2,),))
     ker, incl = hom_kernel(f)
@@ -292,8 +302,11 @@ def test_homology_checks_the_composite():
     z, z2, zero = FgAbGroup.free(1), FgAbGroup.cyclic(2), FgAbGroup.zero()
     with pytest.raises(ValueError, match="^homology requires f∘g = 0$"):
         homology(GroupHom(z, z2, ((1,),)), GroupHom(z, z, ((3,),)))
-    with pytest.raises(ValueError, match="^composition shape mismatch$"):
+    with pytest.raises(ValueError, match=r"^composition mismatch: Z\^2 is not Z$"):
         homology(GroupHom(z, z2, ((1,),)), GroupHom(z, FgAbGroup.free(2), ((2,), (0,))))
+    # the middle groups must be equal, not merely of one shape: Z/4 is no Z/2
+    with pytest.raises(ValueError, match="^composition mismatch: Z/4 is not Z/2$"):
+        homology(GroupHom(z2, zero, ()), GroupHom(z, FgAbGroup.cyclic(4), ((2,),)))
     # f∘g is zero modulo the target orders, and through the zero group
     assert homology(GroupHom(z, z2, ((1,),)), GroupHom(z, z, ((6,),))).same_structure(FgAbGroup.cyclic(3))
     assert homology(GroupHom(zero, z, ((),)), GroupHom(z, zero, ())).is_zero()

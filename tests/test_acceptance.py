@@ -30,7 +30,7 @@ from brauerkit.kofam import (
     pic_ko,
 )
 from brauerkit.numbrauer import PlaceSpec, brauer_laurent, brauer_localized_integers
-from brauerkit.ssengine import Entry, assemble_abutment
+from brauerkit.ssengine import assemble_abutment
 from brauerkit.tmffam import (
     TmfPageData,
     lbr_m_o,
@@ -375,16 +375,15 @@ def test_criterion_10_d_squared_zero_all_shipped_rule_tables():
 
 def test_criterion_10_filtration_orders_multiply_to_abutment_order():
     examples = [
-        ([(0, Entry(Z2)), (1, Entry(Z2)), (3, Entry(Z2))], ExtensionWitness(8, True)),
-        ([(0, Entry(FgAbGroup.cyclic(3))), (1, Entry(FgAbGroup.cyclic(3)))],
-         ExtensionWitness(9, True)),
-        ([(0, Entry(FgAbGroup.cyclic(4)))], ExtensionWitness(4, True)),
+        ([(0, Z2), (1, Z2), (3, Z2)], ExtensionWitness(8, True)),
+        ([(0, FgAbGroup.cyclic(3)), (1, FgAbGroup.cyclic(3))], ExtensionWitness(9, True)),
+        ([(0, FgAbGroup.cyclic(4))], ExtensionWitness(4, True)),
     ]
     for gr, witness in examples:
         total = assemble_abutment(gr, witness)
         product = 1
-        for _, e in gr:
-            product *= e.value.order()
+        for _, g in gr:
+            product *= g.order()
         assert total.order() == product
     # the shipped KO runs satisfy the same identity
     for r in SHIPPED_RINGS.values():

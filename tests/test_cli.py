@@ -12,7 +12,8 @@ from brauerkit import data_dir
 from brauerkit.cli import main
 from golden_corpus import CASES, PAGE, USAGE_CASES, usage_output
 from seeds import differential_seed
-from brauerkit.ssengine import DifferentialRule, Entry, SSPage, page_to_json
+from brauerkit.ssengine import DifferentialRule, Entry, SSPage
+from ssengine_oracle import page_to_json
 from brauerkit.abelian import FgAbGroup, GroupHom
 
 
@@ -182,7 +183,7 @@ def test_exit_2_on_a_chart_over_the_cell_bound(capsys, tmp_path):
     # one entry at (s, t): the grid spans t - s in [0, t - s] and s in [0, s]
     def page(s, t):
         path = tmp_path / f"page_{s}_{t}.json"
-        path.write_text(page_to_json(SSPage(2, {(s, t): Entry(FgAbGroup.cyclic(2))}), []))
+        path.write_text(page_to_json(SSPage(2, {(s, t): Entry(FgAbGroup.cyclic(2))})))
         return str(path)
 
     code, out = run(capsys, "ss-chart", "--page", page(99, 198))
@@ -244,6 +245,17 @@ def test_exit_2_on_a_non_integer_group_in_a_page(capsys, page_file, group):
     entry = {"kind": "group", "group": group}
     page = _edited_page(page_file, lambda d: d["entries"][0].update(entry=entry))
     _assert_refused(capsys, page, "must be of type")
+
+
+def test_exit_2_on_a_matrix_rule_into_another_group_than_its_target(capsys, tmp_path):
+    # d_2: Z -> Z/2 at a Z/4 entry once dropped the Z/4 and gave Z index 2, with exit 0
+    z, z2, z4 = FgAbGroup.free(1), FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
+    rule = DifferentialRule(2, (0, 0), "matrix", hom=GroupHom(z, z2, ((1,),)), provenance="onto Z/2")
+    path = tmp_path / "page.json"
+    path.write_text(page_to_json(SSPage(2, {(0, 0): Entry(z), (2, 1): Entry(z4)}), [rule]))
+    assert main(["ss-run", "--page", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "matrix rule at (0, 0) maps into Z/2, not the entry Z/4 at (2, 1)" in out.err
 
 
 # ---------------------------------------------------------------------------
