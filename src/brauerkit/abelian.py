@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Sequence
-from math import gcd, prod
+from math import gcd, inf, prod
 
 from . import take
 from .errors import AmbiguousExtension, NoExtension
@@ -22,7 +22,10 @@ from .record import record
 
 
 def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 def _mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
@@ -40,8 +43,6 @@ def _mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], cols: int) 
 
 
 def _transpose(A: Sequence[Sequence[int]]) -> list[list[int]]:
-    if not A:
-        return []
     return [list(col) for col in zip(*A)]
 
 
@@ -54,24 +55,26 @@ def _from_columns(cols: Sequence[Sequence[int]], nrows: int) -> list[list[int]]:
 def _snf_ext(M: Sequence[Sequence[int]], u: bool = False, v: bool = False, uinv: bool = False):
     """Smith normal form, tracking only the transforms asked for.
 
-    Returns (U, D, V, Uinv, None) with U*M*V = D, U and V unimodular, Uinv
-    the inverse of U, and the diagonal of D a nonnegative dividing chain.
-    A transform that is not tracked comes back as [].  The steps do not
-    depend on what is tracked, so a tracked transform is the same whatever
-    else is.  Callers track U and V (`smith_normal_form`); U, Uinv, both or
-    neither (`_kernel`: U for generators, Uinv for coordinates of relations,
-    then Uinv of the relation matrix for generators); U (`hom_cokernel`); or
-    nothing (`cokernel`).  The fifth slot is always None.
+    Returns (U, diag, V, Uinv, None) with U*M*V = D, U and V unimodular,
+    Uinv the inverse of U, and in slot 1 not D but its min(m, n) diagonal
+    entries, a nonnegative dividing chain.  A transform that is not tracked
+    comes back as [].  The steps do not depend on what is tracked, so a
+    tracked transform is the same whatever else is.  Callers track U and V
+    (`smith_normal_form`); U, Uinv, both or neither (`_kernel`: U for
+    generators, Uinv for coordinates of relations, then Uinv of the relation
+    matrix for generators); U (`hom_cokernel`); or nothing (`cokernel`).
+    The fifth slot is always None.
 
     The steps are a contract, as `tests/golden/snf_*.out` and
     `bench/digests.json` pin the bytes of U and V; only a deliberate change
-    of output may alter them.  Pass t swaps to (t, t) the entry of least |a|
-    in the trailing block, first by row then by column.  Then row i -= q *
-    row t for each row below and col j -= q * col t for each column to the
-    right, with floor quotients q, and the pass repeats while a remainder is
-    left.  Else row t += the first row whose trailing block the pivot does
-    not divide, and the pass repeats; if none, a negative pivot flips row t
-    and t moves on.
+    of output may alter them, and the diagonal in slot 1 left them as they
+    were.  Pass t swaps to (t, t) the entry of least |a| in the trailing
+    block, first by row then by column.  Then row i -= q * row t for each
+    row below and col j -= q * col t for each column to the right, with
+    floor quotients q, and the pass repeats while a remainder is left.  Else
+    row t += the first row whose trailing block the pivot does not divide,
+    and the pass repeats; if none, a negative pivot flips row t and t moves
+    on.
     """
     m = len(M)
     n = len(M[0]) if m else 0
@@ -147,18 +150,14 @@ def _snf_ext(M: Sequence[Sequence[int]], u: bool = False, v: bool = False, uinv:
                         T[t] = [-x for x in T[t]]
             t += 1
 
-    D = [[A[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
-    return U, D, _transpose(Vt), _transpose(Uinvt), None
+    diag = [A[i][i] for i in range(limit)]
+    return U, diag, _transpose(Vt) if v else [], _transpose(Uinvt) if uinv else [], None
 
 
 def smith_normal_form(M: Sequence[Sequence[int]]):
     """Return (U, D, V) with U*M*V = D in Smith normal form."""
-    U, D, V, _, _ = _snf_ext(M, u=True, v=True)
-    return U, D, V
-
-
-def _diag(D: Sequence[Sequence[int]]) -> list[int]:
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
+    U, diag, V, _, _ = _snf_ext(M, u=True, v=True)
+    return U, [[diag[i] if i == j else 0 for j in range(len(V))] for i in range(len(U))], V
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +352,16 @@ class GroupHom:
 
     def __post_init__(self):
         nt, ns = self.target.num_generators, self.source.num_generators
-        if len(self.matrix) != nt or any(len(row) != ns for row in self.matrix):
+        if len(self.matrix) != nt or any([len(row) != ns for row in self.matrix]):
             raise ValueError(f"matrix must be {nt}x{ns}")
-        src_orders = self.source.generator_orders()
-        mat = []
-        # each row reduced modulo its target order must kill the source relations
-        for row, e in zip(self.matrix, self.target.generator_orders()):
-            row = tuple(x % e for x in row) if e else tuple(row)
-            if any(d and (d * x % e if e else x) for d, x in zip(src_orders, row)):
-                raise ValueError("matrix does not respect source relations")
-            mat.append(row)
-        object.__setattr__(self, "matrix", tuple(mat))
+        orders = self.target.generator_orders()
+        mat = tuple([tuple([x % e for x in row]) if e else tuple(row) for row, e in zip(self.matrix, orders)])
+        # each row reduced modulo its target order must kill the source relations,
+        # which sit on the torsion columns past the free ones
+        free, facs = self.source.free_rank, self.source.invariant_factors
+        if facs and any([d * x % e if e else x for row, e in zip(mat, orders) for d, x in zip(facs, row[free:])]):
+            raise ValueError("matrix does not respect source relations")
+        object.__setattr__(self, "matrix", mat)
 
     # -- constructors ------------------------------------------------------
 
@@ -387,26 +385,24 @@ class GroupHom:
 def _relation_columns(g: FgAbGroup) -> list[list[int]]:
     n = g.num_generators
     cols = []
-    for i, d in enumerate(g.generator_orders()):
-        if d:
-            col = [0] * n
-            col[i] = d
-            cols.append(col)
+    for i, d in enumerate(g.invariant_factors, g.free_rank):
+        col = [0] * n
+        col[i] = d
+        cols.append(col)
     return cols
 
 
 def _summands(diag: list[int], k: int, vecs: Sequence = ()):
     """The group ⊕ Z/d over a Smith diagonal padded with zeros to k entries.
 
-    The diagonal is a dividing chain and then zeros, so in generator order
-    the summands are the k - r free ones past its r nonzero entries, then
-    the entries over 1.  Given one vector per entry, also returns those of
-    the summands, in that order.
+    The diagonal is 1s, then the rest of a dividing chain, then zeros, so
+    in generator order the summands are the k - r free ones past its r
+    nonzero entries, then the entries over 1.  Given one vector per entry,
+    also returns those of the summands, in that order.
     """
-    r = sum(1 for d in diag if d)
-    torsion = [j for j in range(r) if diag[j] > 1]
-    group = FgAbGroup(k - r, tuple(diag[j] for j in torsion))
-    return group, [vecs[j] for j in [*range(r, k), *torsion]] if vecs else []
+    ones, r = diag.count(1), len(diag) - diag.count(0)
+    group = FgAbGroup(k - r, tuple(diag[ones:r]))
+    return group, vecs[r:] + vecs[ones:r] if vecs else []
 
 
 def _kernel(f: GroupHom, denom: Sequence[Sequence[int]], gens: bool = True):
@@ -423,18 +419,18 @@ def _kernel(f: GroupHom, denom: Sequence[Sequence[int]], gens: bool = True):
     coordinates gives the summands.  U is tracked only for `gens`, and U⁻¹
     only when `denom` is not empty.
     """
-    ns = f.source.num_generators
-    Pt = [[row[j] for row in f.matrix] for j in range(ns)] + _relation_columns(f.target)
-    U, D, _, Uinv, _ = _snf_ext(Pt, u=gens, uinv=bool(denom))
-    r = sum(1 for d in _diag(D) if d)
-    orders = [(i, e) for i, e in enumerate(f.target.generator_orders()) if e]
-    # the rows of Mᵀ = Pt[:ns] give each Mx as a row
-    mxs = _mat_mul(denom, Pt[:ns], f.target.num_generators)
-    lifts = [list(x) + [-mx[i] // e for i, e in orders] for x, mx in zip(denom, mxs)]
-    rel = [c for c in (row[r:] for row in _mat_mul(lifts, Uinv, len(Pt))) if any(c)]
+    ns, free, facs = f.source.num_generators, f.target.free_rank, f.target.invariant_factors
+    Mt = list(zip(*f.matrix)) or [() for _ in range(ns)]
+    Pt = Mt + _relation_columns(f.target)
+    U, diag, _, Uinv, _ = _snf_ext(Pt, u=gens, uinv=bool(denom))
+    r = len(diag) - diag.count(0)
     k = len(Pt) - r
-    _, D, _, W, _ = _snf_ext(_from_columns(rel, k), uinv=gens)
-    group, vecs = _summands(_diag(D), k, _transpose(W))
+    # the rows of Mᵀ give each Mx as a row
+    mxs = _mat_mul(denom, Mt, free + len(facs))
+    lifts = [[*x, *(-y // e for y, e in zip(mx[free:], facs))] for x, mx in zip(denom, mxs)]
+    rel = [c for c in _mat_mul(lifts, [row[r:] for row in Uinv], k) if any(c)]
+    _, diag, _, W, _ = _snf_ext(_from_columns(rel, k), uinv=gens)
+    group, vecs = _summands(diag, k, _transpose(W))
     return group, _mat_mul(vecs, [row[:ns] for row in U[r:]], ns)
 
 
@@ -447,17 +443,17 @@ def hom_kernel(f: GroupHom):
 def hom_cokernel(f: GroupHom):
     """Cokernel of f with the projection from f.target."""
     nt = f.target.num_generators
-    cols = [c for c in _transpose(f.matrix) + _relation_columns(f.target) if any(c)]
-    U, D, _, _, _ = _snf_ext(_from_columns(cols, nt), u=True)
-    group, rows = _summands(_diag(D), nt, U)
+    cols = [c for c in zip(*f.matrix) if any(c)] + _relation_columns(f.target)
+    U, diag, _, _, _ = _snf_ext(_from_columns(cols, nt), u=True)
+    group, rows = _summands(diag, nt, U)
     return group, GroupHom(f.target, group, tuple(map(tuple, rows)))
 
 
 def cokernel(f: GroupHom) -> FgAbGroup:
     """The group of `hom_cokernel(f)` alone, from a Smith form that tracks no transform."""
     nt = f.target.num_generators
-    cols = [c for c in _transpose(f.matrix) + _relation_columns(f.target) if any(c)]
-    return _summands(_diag(_snf_ext(_from_columns(cols, nt))[1]), nt)[0]
+    cols = [c for c in zip(*f.matrix) if any(c)] + _relation_columns(f.target)
+    return _summands(_snf_ext(_from_columns(cols, nt))[1], nt)[0]
 
 
 def homology(f: GroupHom, g: GroupHom | None = None) -> FgAbGroup:
@@ -467,7 +463,7 @@ def homology(f: GroupHom, g: GroupHom | None = None) -> FgAbGroup:
         if g.target != f.source:
             raise ValueError(f"composition mismatch: {g.target} is not {f.source}")
         fg = _mat_mul(f.matrix, g.matrix, g.source.num_generators)
-        if any(x % e if e else x for row, e in zip(fg, f.target.generator_orders()) for x in row):
+        if any([x % e if e else x for row, e in zip(fg, f.target.generator_orders()) for x in row]):
             raise ValueError("homology requires f∘g = 0")
         denom = _transpose(g.matrix) + denom
     return _kernel(f, denom, gens=False)[0]
@@ -505,19 +501,19 @@ def _partitions(k: int):
     that 1 and the trailing 1s into parts of m and a remainder (Knuth,
     *TAOCP* 4A, 7.2.1.4).
     """
-    part = [k] if k else []
-    while True:
-        yield tuple(part)
-        ones = 0
-        while part and part[-1] == 1:
-            part.pop()
-            ones += 1
-        if not part:
-            return
-        part[-1] -= 1
-        m = part[-1]
-        q, rest = divmod(ones + 1, m)
-        part += [m] * q + ([rest] if rest else [])
+    part, ones = ([k], 0) if k > 1 else ([], k)  # the parts over 1, and how many 1s follow
+    yield (*part, *(1,) * ones)
+    while part:
+        m = part.pop() - 1
+        if m == 1:
+            ones += 2
+        else:
+            q, ones = divmod(ones + 1, m)
+            part += [m] * (q + 1)
+            if ones > 1:
+                part.append(ones)
+                ones = 0
+        yield (*part, *(1,) * ones)
 
 
 # abelian groups of one order an extension problem may range over; 2^40 has 37,338
@@ -581,10 +577,14 @@ def _lr_positive(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> bo
 def _generator_types(p: int, mu: tuple[int, ...], b: int, c: int) -> set:
     """Types of G ⊇ H of type μ with G/H ≅ Z/p^b generated by an e of order p^c.
 
-    G = H ⊕ Ze / (p^b·e = h).  Up to Aut(H) (units on the cyclic summands
-    g_i, swaps of equal ones) h = Σ p^v_i·g_i with 0 ≤ v_i ≤ μ_i, ascending
-    along each run of equal μ_i, so e has order p^(b + max(μ_i − v_i)) and
-    G = coker(diag(p^μ_i) | (p^v_i, −p^b)).  A nonzero j×j minor of that
+    G = H ⊕ Ze / (p^b·e = h), whose type depends only on the Aut(H)-orbit of
+    h = Σ p^v_i·g_i over the cyclic summands g_i, 0 ≤ v_i ≤ μ_i.  An orbit
+    holds an h that is zero (v_i = μ_i) past the first g_i of each run of
+    equal μ_i, and along whose nonzero coordinates, in descending μ_i, both
+    v_i and μ_i − v_i strictly descend (Miller, Amer. J. Math. 27, 1905;
+    Birkhoff, Proc. LMS 38, 1935; Dutta–Prasad, J. Group Theory 14, 2011).
+    The first of those has the largest order, which e fixes at p^(c − b).
+    G = coker(diag(p^μ_i) | (p^v_i, −p^b)), and a nonzero j×j minor of that
     matrix takes j diagonal columns, or j − 1 of them, the last column and
     one more row r, so it is ± one power of p.  The least exponent Δ_j is
     then the least of the j smallest μ_i, of b plus the j − 1 smallest, and
@@ -592,13 +592,17 @@ def _generator_types(p: int, mu: tuple[int, ...], b: int, c: int) -> set:
     (Δ_j − Δ_{j−1}) (Cohen, *A Course in Computational Algebraic Number
     Theory*, §2.4).
     """
-    k = len(mu)
+    k, o = len(mu), c - b
     low = list(itertools.accumulate(reversed(mu), initial=0))  # low[j]: the j smallest μ_i
+    walk = [((), inf, inf)]  # (v, and v_i and μ_i − v_i at its last nonzero coordinate)
+    for m, run in itertools.groupby(mu):
+        zeros = (m,) * (len(list(run)) - 1)
+        walk = [(v + (m,) + zeros, lv, lo) for v, lv, lo in walk] + [
+            (v + (x,) + zeros, x, m - x) for v, lv, lo in walk
+            for x in (range(max(0, m - lo + 1), min(m, lv)) if lv < inf else (m - o,) if 0 < o <= m else ())]
     out = set()
-    for images in itertools.product(*(itertools.combinations_with_replacement(range(m + 1), len(list(run)))
-                                      for m, run in itertools.groupby(mu))):
-        v = sum(images, ())
-        if max((m - x for m, x in zip(mu, v)), default=0) != c - b:
+    for v, lv, _ in walk:
+        if lv == inf and o:  # h = 0 has order 1
             continue
         delta = [0]
         for j in range(1, k + 1):
@@ -625,7 +629,8 @@ def _resolve(sub: FgAbGroup, quot: FgAbGroup | None, total: int,
       *Symmetric Functions and Hall Polynomials*, ch. II (4.3));
     - with the quotient order only, H ≅ μ exists iff μ ⊆ λ (Birkhoff);
     - with a generator witness, λ is a type from `_generator_types`, over
-      Aut(H)-classes of elements (Dutta–Prasad, J. Group Theory 14, 2011).
+      Aut(H)-orbit representatives of elements (Dutta–Prasad, J. Group
+      Theory 14, 2011).
     """
     if total < 1:
         raise ValueError("order must be positive")
@@ -650,10 +655,10 @@ def _resolve(sub: FgAbGroup, quot: FgAbGroup | None, total: int,
             passes = lambda lam: _lr_positive(lam, mu, nu)
         else:
             passes = lambda lam: _contains(lam, mu)
-        kept = []
+        kept, too_small = [], f"no element of order {p ** c}"
         for lam in _partitions(e):
             if lam[0] < c:
-                rejected.append((p, lam, f"no element of order {p ** c}"))
+                rejected.append((p, lam, too_small))
             elif passes(lam):
                 kept.append([p ** x for x in lam])
             else:

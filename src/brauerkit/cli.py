@@ -126,7 +126,7 @@ SNF_WORK_BOUND = 2500
 
 
 def _cmd_snf(args) -> dict:
-    from .abelian import _diag, smith_normal_form
+    from .abelian import smith_normal_form
     matrix = _json_flag("--matrix", args.matrix, "[[int]]")
     if len({len(row) for row in matrix}) > 1:
         raise ValueError("the --matrix rows must have equal length")
@@ -136,7 +136,7 @@ def _cmd_snf(args) -> dict:
         raise ValueError(f"the --matrix's {cells} cells × {digits} digits of its largest entry "
                          f"exceed snf's bound of {SNF_WORK_BOUND} on cells × digits²")
     u, d, v = smith_normal_form(matrix)
-    return {"U": u, "D": d, "V": v, "diagonal": _diag(d)}
+    return {"U": u, "D": d, "V": v, "diagonal": [d[i][i] for i in range(min(len(u), len(v)))]}
 
 
 def _cmd_cohomology(args) -> dict:

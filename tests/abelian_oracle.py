@@ -17,7 +17,12 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-from brauerkit.abelian import FgAbGroup, _diag, _from_columns
+from brauerkit.abelian import FgAbGroup, _from_columns
+
+
+def _diag(D: Sequence[Sequence[int]]) -> List[int]:
+    """The diagonal of the m×n matrix D, as `abelian._snf_ext` returns it."""
+    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
 
 def _identity(n: int) -> List[List[int]]:

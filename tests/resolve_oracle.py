@@ -14,6 +14,9 @@ the per-prime criteria.  `generator_types` is the enumeration
 witness images and read the types off minors: every image, with the others
 skipped, each through a Smith form.  `partitions` is the recursion
 `abelian._partitions` made before it went iterative.
+`generator_types_by_images` is `abelian._generator_types` as it was before
+it walked only Aut(H)-orbit representatives: every ascending image, each
+type read off minors.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from brauerkit.abelian import (
     ExtensionWitness,
     FgAbGroup,
     _contains,
-    _diag,
     _factorize,
     _from_columns,
     _lr_positive,
@@ -94,7 +96,28 @@ def witness_matrices(p: int, mu: Tuple[int, ...], b: int, c: int):
 
 def generator_types(p: int, mu: Tuple[int, ...], b: int, c: int) -> set:
     """`abelian._generator_types` by the Smith form of every witness matrix."""
-    return {_p_type(_diag(_snf_ext(M)[1]), p) for M in witness_matrices(p, mu, b, c)}
+    return {_p_type(_snf_ext(M)[1], p) for M in witness_matrices(p, mu, b, c)}
+
+
+def generator_types_by_images(p: int, mu: Tuple[int, ...], b: int, c: int) -> set:
+    """`abelian._generator_types` over every witness image that ascends along
+    each run of equal μ_i, each type read off the minors of its witness
+    matrix by the same Δ formula."""
+    k = len(mu)
+    low = list(itertools.accumulate(reversed(mu), initial=0))  # low[j]: the j smallest μ_i
+    out = set()
+    for images in itertools.product(*(itertools.combinations_with_replacement(range(m + 1), len(list(run)))
+                                      for m, run in itertools.groupby(mu))):
+        v = sum(images, ())
+        if max((m - x for m, x in zip(mu, v)), default=0) != c - b:
+            continue
+        delta = [0]
+        for j in range(1, k + 1):
+            delta.append(min(low[j], b + low[j - 1],
+                             *(x + (low[j] - m if r >= k - j else low[j - 1]) for r, (m, x) in enumerate(zip(mu, v)))))
+        delta.append(b + low[k])
+        out.add(tuple(e for e in reversed([y - x for x, y in zip(delta, delta[1:])]) if e))
+    return out
 
 
 def _element_order(vec, cyc) -> int:
@@ -157,8 +180,7 @@ def _quotient_structure(h: frozenset, cyc: Sequence[int]) -> FgAbGroup:
     if not cols:
         return FgAbGroup.from_orders(cyc)
     X = _from_columns(cols, n)
-    _, D, _, _, _ = _snf_ext(X)
-    diag = _diag(D)
+    _, diag, _, _, _ = _snf_ext(X)
     orders = [diag[j] if j < len(diag) else 0 for j in range(n)]
     return FgAbGroup.from_orders([d for d in orders if d != 1])
 

@@ -312,6 +312,32 @@ def test_homology_checks_the_composite():
     assert homology(GroupHom(zero, z, ((),)), GroupHom(z, zero, ())).is_zero()
 
 
+def test_each_operation_takes_a_fixed_number_of_smith_forms(monkeypatch):
+    # the transforms each Smith form tracks, in call order: one more call or
+    # transform is more work, whatever the clock says
+    calls = []
+    snf = abelian._snf_ext
+
+    def spy(M, **tracked):
+        calls.append(tuple(name for name in ("u", "v", "uinv") if tracked.get(name)))
+        return snf(M, **tracked)
+
+    monkeypatch.setattr(abelian, "_snf_ext", spy)
+    z = FgAbGroup.free(1)
+    # Z ⊕ Z/4 → Z ⊕ Z/6: the source relation makes homology and hom_kernel track U⁻¹
+    f = GroupHom(FgAbGroup.from_orders([0, 4]), FgAbGroup.from_orders([0, 6]), ((2, 0), (1, 3)))
+    g = GroupHom(z, f.source, ((0,), (2,)))
+    for op, want in ((lambda: abelian.cokernel(f), [()]),
+                     (lambda: homology(f), [("uinv",), ()]),
+                     (lambda: homology(f, g), [("uinv",), ()]),
+                     (lambda: hom_cokernel(f), [("u",)]),
+                     (lambda: hom_kernel(f), [("u", "uinv"), ("uinv",)]),
+                     (lambda: smith_normal_form([[2, 4], [6, 8]]), [("u", "v")])):
+        calls.clear()
+        op()
+        assert calls == want, want
+
+
 # ---------------------------------------------------------------------------
 # extension resolution
 # ---------------------------------------------------------------------------

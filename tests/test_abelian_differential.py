@@ -5,11 +5,12 @@ Seeded random order lists (0, 1, repeated prime powers and primes near
 10^6-10^12) must normalise to the oracle's group, and seeded orders
 below 10^9 and multiples of those primes must factor as the oracle's full
 trial division does.  Seeded random m×n matrices with m, n ≤ 9 and many
-zero entries, 0-row and 1×n ones among them, must give the oracle's D and, for every subset of tracked
-transforms, exactly the oracle's U, V and U⁻¹, with [] for the rest; so
-must the benchmark's dense shapes up to 30×30, rank-deficient and sparse
-ones and the witness matrices of the extension shapes, at the seed in
-DIFFERENTIAL_SEED when it is set.
+zero entries, 0-row and 1×n ones among them, must give the diagonal of the
+oracle's D and, for every subset of tracked transforms, exactly the
+oracle's U, V and U⁻¹, with [] for the rest, and `smith_normal_form` its
+U, D and V; so must the benchmark's dense shapes up to 30×30,
+rank-deficient and sparse ones and the witness matrices of the extension
+shapes, at the seed in DIFFERENTIAL_SEED when it is set.
 Seeded homs between free, torsion, mixed and zero groups, and composable
 pairs f, g with f∘g = 0 (free ones drawn as the benchmark's homology
 requests, torsion ones through a cokernel), must give the oracle's group
@@ -41,6 +42,7 @@ from brauerkit.abelian import (
     hom_cokernel,
     hom_kernel,
     homology,
+    smith_normal_form,
 )
 
 BIG_PRIMES = (999983, 1000003, 1000000007, 999999999989, 1000000000039)
@@ -95,10 +97,12 @@ def test_snf_ext_matches_full_tracking_for_every_subset():
     for m, n in shapes:
         M = _random_matrix(rng, m, n)
         U, D, V, Uinv, _ = abelian_oracle.snf_ext(M)
+        diag = abelian_oracle._diag(D)
         for u, v, uinv in itertools.product((False, True), repeat=3):
             got = _snf_ext(M, u=u, v=v, uinv=uinv)
-            want = (U if u else [], D, V if v else [], Uinv if uinv else [], None)
+            want = (U if u else [], diag, V if v else [], Uinv if uinv else [], None)
             assert got == want, (M, u, v, uinv)
+        assert smith_normal_form(M) == (U, D, V), M
 
 
 def _generator_type_matrices():
@@ -126,10 +130,12 @@ def test_snf_ext_matches_full_tracking_at_benchmark_sizes():
     cases += _generator_type_matrices()
     for M in cases:
         U, D, V, Uinv, _ = abelian_oracle.snf_ext(M)
+        diag = abelian_oracle._diag(D)
         for u, v, uinv in itertools.product((False, True), repeat=3):
             got = _snf_ext(M, u=u, v=v, uinv=uinv)
-            want = (U if u else [], D, V if v else [], Uinv if uinv else [], None)
+            want = (U if u else [], diag, V if v else [], Uinv if uinv else [], None)
             assert got == want, f"seed {seed}: first differing matrix {M} (u={u}, v={v}, uinv={uinv})"
+        assert smith_normal_form(M) == (U, D, V), f"seed {seed}: first differing matrix {M}"
 
 
 def _in_lattice(v, cols, n):

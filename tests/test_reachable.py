@@ -11,8 +11,8 @@ needs them.  Run this file directly to print the names the corpus reaches.
 A reason in `ALLOWED` or `ALLOWED_FIELDS` names a use that the corpus does
 not make: a benchmark or tracer call, user input the corpus does not give,
 a check a test makes, or a debugging aid.  A plan is no use: code kept for
-a planned caller comes back with that caller, so no reason starts with
-"ROADMAP".
+a planned caller comes back with that caller, so no reason names ROADMAP
+or one of its directions, at its start or anywhere else.
 
 A field counts as read when `src/` or `bench/` reads an attribute of that
 name outside its own class's `to_json`, `from_json` and `__post_init__`,
@@ -29,6 +29,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,8 +77,7 @@ ALLOWED_FIELDS = {
         "shown to the user: a NoFact message carries the Unknown's repr",
     "sheaftab.Unknown.rule": "shown to the user: a NoFact message carries the Unknown's repr",
     "tmffam.LbrMOReport.generator_map":
-        "benchmark digest: bench/workloads.py canonicalises lbr_m_o through vars(); "
-        "ROADMAP direction 6 derives injection_distinct from it",
+        "benchmark digest: bench/workloads.py canonicalises lbr_m_o through vars()",
 }
 
 # a record's own (de)serializer and check carry its fields without using them
@@ -209,7 +209,7 @@ def test_every_function_is_reached_or_allowed():
 
 def test_every_allowed_reason_names_a_use_not_a_plan():
     reasons = {**ALLOWED, **ALLOWED_FIELDS}
-    plans = [name for name, reason in reasons.items() if reason.startswith("ROADMAP")]
+    plans = [name for name, reason in reasons.items() if re.search(r"ROADMAP|\bdirections? \d", reason)]
     assert plans == [], "kept for a plan, not for a use"
 
 

@@ -12,12 +12,15 @@ v_p(|G|) exactly once at each prime p, as the p-type of an accepted group
 or as a rejected type, and the oracle must reject every candidate whose
 p-type was rejected.  The types `_generator_types` reads off minors must be
 those of the Smith forms of every witness image, for every μ of at most 7
-and seeded μ of 8 and 9, at p = 2, 3 and 5; and
+and seeded μ of 8 and 9, at p = 2, 3 and 5, and those of the walk over
+every ascending image, for every μ of at most 10 at p = 2 and 3 with seeded
+b and c; (9, …, 1) takes well under a second at every witness order; and
 `_partitions` must list what the recursion lists, for k ≤ 20.
 """
 
 import itertools
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -159,6 +162,31 @@ def test_generator_types_match_the_enumeration_on_seeded_shapes():
         c = b + rng.randrange(mu[0] + 2)  # c − b = μ_1 + 1 has no image
         want = resolve_oracle.generator_types(p, mu, b, c)
         assert abelian._generator_types(p, mu, b, c) == want, f"seed {seed}: {(p, mu, b, c)}"
+
+
+def test_generator_types_match_the_image_walk_on_seeded_shapes():
+    # every μ with |μ| ≤ 10 at p = 2 and 3, each with seeded b ≤ 4 and c ≤ b + μ₁ + 1
+    seed = differential_seed(20261020)
+    rng = random.Random(seed)
+    for mu in (mu for n in range(11) for mu in partitions(n)):
+        for p in (2, 3):
+            for _ in range(4):
+                b = rng.randrange(5)
+                c = rng.randrange(b + (mu[0] if mu else 0) + 2)
+                want = resolve_oracle.generator_types_by_images(p, mu, b, c)
+                assert abelian._generator_types(p, mu, b, c) == want, f"seed {seed}: {(p, mu, b, c)}"
+
+
+def test_generator_types_of_many_distinct_parts_stay_fast():
+    # (9, …, 1) has 3.6 million witness images, which the walk over orbit
+    # representatives never lists, at any witness order
+    mu = tuple(range(9, 0, -1))
+    start = time.perf_counter()
+    types = [abelian._generator_types(2, mu, 1, c) for c in range(12)]
+    assert time.perf_counter() - start < 1.0
+    # G/H has order 2, so λ is μ with one box added, and an e of order 2^10 puts it in the first row
+    assert types[10] == {(10, 8, 7, 6, 5, 4, 3, 2, 1)}
+    assert types[0] == types[11] == set()
 
 
 def test_partitions_match_the_recursion():
