@@ -410,23 +410,25 @@ def _kernel(f: GroupHom, denom: Sequence[Sequence[int]], gens: bool = True):
     into the target relations; returns (group, generator_vectors) as
     `_summands` orders them, with no vector when `gens` is false.
 
-    With T the nonzero target orders on a diagonal, x ∈ Z^ns lies in the
-    kernel iff (x, y) is in the kernel lattice K of P = [M | T] for some y,
-    which is then unique, so K projects isomorphically onto it.  One Smith
-    form U·Pᵀ·V = D of rank r gives K the basis of the rows r… of U, and the
-    columns r… of U⁻¹ coordinates in it.  Each column x of `denom` lifts to
-    (x, −Mx/T) by exact division, and a second Smith form of the lifted
-    coordinates gives the summands.  U is tracked only for `gens`, and U⁻¹
-    only when `denom` is not empty.
+    With T the nonzero target orders on a diagonal, x ∈ Z^ns lies in the kernel
+    iff (x, y) is in the kernel lattice K of P = [M | T] for some y, which is
+    then unique, so K projects isomorphically onto it.  Each column x of `denom`
+    lifts to (x, −Mx/T), after a check, before any Smith form, that Mx is 0 on
+    free coordinates and T divides the rest, else "homology requires f∘g = 0".
+    One Smith form U·Pᵀ·V = D of rank r gives K the basis of the rows r… of U,
+    the columns r… of U⁻¹ coordinates in it, and a second the lifts' summands.
+    U is tracked only for `gens`, U⁻¹ only for a nonempty `denom`.
     """
     ns, free, facs = f.source.num_generators, f.target.free_rank, f.target.invariant_factors
     Mt = list(zip(*f.matrix)) or [() for _ in range(ns)]
+    # the rows of Mᵀ give each Mx as a row
+    mxs = _mat_mul(denom, Mt, free + len(facs))
+    if any(any(mx[:free]) or any(y % e for y, e in zip(mx[free:], facs)) for mx in mxs):
+        raise ValueError("homology requires f∘g = 0")
     Pt = Mt + _relation_columns(f.target)
     U, diag, _, Uinv, _ = _snf_ext(Pt, u=gens, uinv=bool(denom))
     r = len(diag) - diag.count(0)
     k = len(Pt) - r
-    # the rows of Mᵀ give each Mx as a row
-    mxs = _mat_mul(denom, Mt, free + len(facs))
     lifts = [[*x, *(-y // e for y, e in zip(mx[free:], facs))] for x, mx in zip(denom, mxs)]
     rel = [c for c in _mat_mul(lifts, [row[r:] for row in Uinv], k) if any(c)]
     _, diag, _, W, _ = _snf_ext(_from_columns(rel, k), uinv=gens)
@@ -457,14 +459,11 @@ def cokernel(f: GroupHom) -> FgAbGroup:
 
 
 def homology(f: GroupHom, g: GroupHom | None = None) -> FgAbGroup:
-    """ker(f)/im(g) for composable maps with f∘g = 0, or ker(f) when g is None."""
+    """ker(f)/im(g) for composable maps with f∘g = 0 (checked in `_kernel`), or ker(f) when g is None."""
     denom = _relation_columns(f.source)
     if g is not None:
         if g.target != f.source:
             raise ValueError(f"composition mismatch: {g.target} is not {f.source}")
-        fg = _mat_mul(f.matrix, g.matrix, g.source.num_generators)
-        if any([x % e if e else x for row, e in zip(fg, f.target.generator_orders()) for x in row]):
-            raise ValueError("homology requires f∘g = 0")
         denom = _transpose(g.matrix) + denom
     return _kernel(f, denom, gens=False)[0]
 

@@ -24,6 +24,9 @@ from .record import record
 # degrees a module may span: a polynomial window of 512 (where the cokernel
 # of x + j*x^2 takes about 5.5 s on a 2-vCPU VM) or a Laurent one of ±256
 WINDOW_DEGREE_BOUND = 513
+# cokernel degrees [low_cut, prefix] a report may list, as many as the Cech
+# bound; a Frobenius power or a power of j reaches past it on a small window
+COKERNEL_DEGREE_BOUND = 100_000
 
 
 @record
@@ -98,7 +101,7 @@ def parse_operator(text: str, p: int) -> SemilinearOperator:
     for i, ch in enumerate(s):
         if ch in "+-" and cur and not cur.endswith("^"):
             chunks.append(cur)
-            cur = ch if ch == "-" else ""
+            cur = ch
         else:
             cur += ch
     if cur:
@@ -242,7 +245,9 @@ def operator_cokernel_basis(op: SemilinearOperator, m: TruncatedCharPModule):
     """(monomial degrees, stable_prefix_degree) for coker(op) by row reduction.
 
     The returned degrees represent a basis of the cokernel in degrees up to
-    the stable prefix, certified unchanged under window enlargement.
+    the stable prefix, certified unchanged under window enlargement.  More
+    than COKERNEL_DEGREE_BOUND certified degrees raise ValueError before any
+    matrix is built.
     """
     _check_window(op, m)
     lo, hi = m.window
@@ -256,6 +261,9 @@ def operator_cokernel_basis(op: SemilinearOperator, m: TruncatedCharPModule):
         low_cut = 0
     if prefix < low_cut:
         raise WindowTooSmall("no certified cokernel prefix for this window")
+    if prefix - low_cut + 1 > COKERNEL_DEGREE_BOUND:
+        raise ValueError(f"the certified cokernel [{low_cut}, {prefix}] has {prefix - low_cut + 1} degrees, "
+                         f"over the bound of {COKERNEL_DEGREE_BOUND}")
     degrees = list(m.degrees())
     cols, out_degrees = _operator_matrix(op, degrees)
     # column echelon with pivots at the highest-degree entry of each column

@@ -338,6 +338,18 @@ def test_each_operation_takes_a_fixed_number_of_smith_forms(monkeypatch):
         assert calls == want, want
 
 
+def test_homology_forms_no_product_of_f_and_g(monkeypatch):
+    # f∘g = 0 is checked on the products f·x that `_kernel` forms to lift the
+    # columns x of g, so f·g is never formed on its own
+    lefts = []
+    mat_mul = abelian._mat_mul
+    monkeypatch.setattr(abelian, "_mat_mul", lambda A, B, cols: lefts.append(A) or mat_mul(A, B, cols))
+    f = GroupHom(FgAbGroup.from_orders([0, 4]), FgAbGroup.from_orders([0, 6]), ((2, 0), (1, 3)))
+    g = GroupHom(FgAbGroup.free(1), f.source, ((0,), (2,)))
+    assert homology(f, g).is_zero() and homology(f).same_structure(FgAbGroup.cyclic(2))
+    assert lefts and sum(A is f.matrix for A in lefts) == 0
+
+
 # ---------------------------------------------------------------------------
 # extension resolution
 # ---------------------------------------------------------------------------

@@ -232,6 +232,49 @@ def test_kernel_and_homology_match_three_smith_forms():
     assert seen == {"zero", "free", "torsion", "mixed"}
 
 
+def _with_row_added(rng, f, i):
+    """f plus a random row φ on its target coordinate i, still a hom: φ_j·d_j
+    is 0 modulo the order of coordinate i for each source order d_j."""
+    e = f.target.generator_orders()[i]
+    phi = [rng.randrange(-4, 5) if d == 0 else 0 if e == 0 else e // gcd(e, d) * rng.randrange(0, 4)
+           for d in f.source.generator_orders()]
+    rows = [list(row) for row in f.matrix]
+    rows[i] = [a + b for a, b in zip(rows[i], phi)]
+    return GroupHom(f.source, f.target, tuple(map(tuple, rows)))
+
+
+def test_homology_refuses_a_composite_off_one_coordinate(monkeypatch):
+    # (f + e_i·φ)∘g = e_i·(φ·g) for a pair with f∘g = 0: nonzero on a free
+    # coordinate i, or on a torsion one whose order does not divide it, must
+    # raise before any Smith form; zero, it must give the oracle's group
+    seed = differential_seed(20261101)
+    rng = random.Random(seed)
+    ends = [FgAbGroup.free(1), FgAbGroup.free(2), FgAbGroup(1, (6,)), FgAbGroup(0, (2, 4)),
+            FgAbGroup(2, (3,)), FgAbGroup(0, (3, 9, 9))]
+    pairs = [_torsion_pair(rng, ends) for _ in range(200)] + [_free_pair(rng) for _ in range(100)]
+    snf_calls = []
+    snf = abelian._snf_ext
+    monkeypatch.setattr(abelian, "_snf_ext", lambda M, **tracked: snf_calls.append(1) or snf(M, **tracked))
+    seen = set()
+    for f, g in pairs:
+        i = rng.randrange(f.target.num_generators)
+        f = _with_row_added(rng, f, i)
+        tgt, gcols = f.target.generator_orders(), _columns(g.matrix, g.source.num_generators)
+        fg = [_apply(f.matrix, col, tgt) for col in gcols]
+        off = {j for col in fg for j, x in enumerate(col) if x}
+        assert off <= {i}, f"seed {seed}: {f}, {g}"
+        snf_calls.clear()
+        if off:
+            seen.add("torsion" if tgt[i] else "free")
+            with pytest.raises(ValueError, match="^homology requires f∘g = 0$"):
+                homology(f, g)
+            assert not snf_calls, f"seed {seed}: {f}, {g}"
+        else:
+            seen.add("zero")
+            assert homology(f, g) == abelian_oracle.kernel(f, gcols)[0], f"seed {seed}: {f}, {g}"
+    assert seen == {"zero", "free", "torsion"}, f"seed {seed}"
+
+
 def _apply(matrix, vec, orders):
     return [(x % d if d else x) for x, d in
             zip((sum(a * v for a, v in zip(row, vec)) for row in matrix), orders)]

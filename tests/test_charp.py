@@ -71,6 +71,13 @@ def test_parse_rejects_non_frobenius_power():
         parse_operator("", 2)
 
 
+def test_parse_refuses_a_dangling_sign():
+    # a trailing '+' was once dropped, so "x +" parsed as x while "x -" was refused
+    for text in ("x+", "x + ", "x + j*x^2 +", "x-", "x - ", "x + + j*x^2"):
+        with pytest.raises(ValueError, match=r"^cannot parse operator term ''$"):
+            parse_operator(text, 2)
+
+
 def test_parse_rejects_zero_exponent_and_other_variables():
     with pytest.raises(ValueError, match="exponent 0"):
         parse_operator("x^0 + x^2", 2)
@@ -276,6 +283,19 @@ def test_cokernel_window_doubling_stable():
     b2, p2 = operator_cokernel_basis(op, TruncatedCharPModule(2, (0, 32)))
     assert p2 >= p1
     assert [d for d in b2 if d <= p1] == b1
+
+
+def test_cokernel_over_the_degree_bound_is_refused():
+    # j^k*x on a window of 16 certifies the degrees [0, k + 16]
+    m = TruncatedCharPModule(2, (0, 16))
+    basis, prefix = operator_cokernel_basis(parse_operator("j^99983*x", 2), m)
+    assert prefix == 99_999 and len(basis) == 100_000 - 17
+    with pytest.raises(ValueError, match=r"^the certified cokernel \[0, 100000\] has 100001 degrees, "
+                                         r"over the bound of 100000$"):
+        operator_cokernel_basis(parse_operator("j^99984*x", 2), m)
+    # a Laurent window certifies down to low_cut as well
+    with pytest.raises(ValueError, match=r"\[-131071, 131071\] has 262143 degrees"):
+        operator_cokernel_basis(parse_operator("x^65536", 2), TruncatedCharPModule(2, (-1, 1), laurent=True))
 
 
 # ---------------------------------------------------------------------------

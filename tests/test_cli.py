@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from brauerkit import data_dir
+from brauerkit import abelian, data_dir
 from brauerkit.cli import main
 from golden_corpus import CASES, PAGE, USAGE_CASES, usage_output
 from seeds import differential_seed
@@ -269,6 +269,8 @@ def test_exit_2_on_unknown_flag(capsys):
 
 def test_exit_2_on_bad_operator(capsys):
     assert main(["artin-schreier", "--p", "2", "--op", "x + @@"]) == 2
+    assert main(["artin-schreier", "--p", "2", "--op", "x + j*x^2 +"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_exit_2_on_zero_exponent_or_other_variable(capsys):
@@ -356,6 +358,17 @@ def test_exit_2_at_once_on_a_charp_window_over_the_bound(capsys):
         assert time.perf_counter() - start < 1.0
         out = capsys.readouterr()
         assert out.out == "" and f"{degrees} degrees, over the bound of 513" in out.err
+
+
+def test_exit_2_at_once_on_a_cokernel_over_the_bound(capsys):
+    # a Frobenius power or a power of j stretches the certified degrees
+    # [0, prefix] far past a window of 16; each once ended in MemoryError
+    for op, degrees in (("x^1048576", 17 * 2 ** 20), ("j^100000000*x", 10 ** 8 + 17)):
+        start = time.perf_counter()
+        assert main(["artin-schreier", "--p", "2", "--op", op, "--window", "16", "--cokernel"]) == 2
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert out.out == "" and f"{degrees} degrees, over the bound of 100000" in out.err
 
 
 def _ring_with_pic(tmp_path, order):
@@ -469,11 +482,11 @@ def test_exit_2_when_sigma_is_not_an_action(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_large_n_costs_logarithmically_many_compositions(capsys, monkeypatch):
+def test_large_n_takes_no_smith_form(capsys, monkeypatch):
+    # the closed forms of cyccoh build no matrix, so n costs no elimination
     calls = []
-    compose = GroupHom.compose
-    monkeypatch.setattr(GroupHom, "compose",
-                        lambda self, other: calls.append(1) or compose(self, other))
+    snf = abelian._snf_ext
+    monkeypatch.setattr(abelian, "_snf_ext", lambda M, **tracked: calls.append(1) or snf(M, **tracked))
     n = 10 ** 6  # even, so each module below has the cohomology it has for n = 2
     for orders, action in (("[2]", "trivial"), ("[0]", "sign"), ("[0,2]", "sign")):
         for s in ("0", "1", "2"):
@@ -481,7 +494,7 @@ def test_large_n_costs_logarithmically_many_compositions(capsys, monkeypatch):
             small = run_json(capsys, *argv, "--n", "2")
             calls.clear()
             big = run_json(capsys, *argv, "--n", str(n))
-            assert len(calls) <= 4 * n.bit_length(), (orders, action, s)
+            assert calls == [], (orders, action, s)
             assert big["structure"] == small["structure"], (orders, action, s)
 
 

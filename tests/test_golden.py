@@ -9,7 +9,10 @@ import pytest
 
 from golden_corpus import (
     CASES,
+    CHAIN_PAGE,
     GOLDEN,
+    PAGE,
+    RING_FILE,
     USAGE_CASES,
     USAGE_PYTHON,
     cli_output,
@@ -37,3 +40,10 @@ def test_usage_and_errors_match_golden(name):
     if sys.version_info[:2] != USAGE_PYTHON:
         pytest.skip("the files hold argparse's wording on Python %d.%d" % USAGE_PYTHON)
     assert got.encode("utf-8") == want
+
+
+def test_golden_holds_only_what_the_corpus_writes():
+    # a file whose case was removed would stay behind and never be compared
+    written = {f"{name}.out" for name in CASES} | {f"usage_{name}.json" for name in USAGE_CASES}
+    fixtures = {PAGE.name, CHAIN_PAGE.name, RING_FILE.name}
+    assert {p.name for p in GOLDEN.iterdir()} == written | fixtures | {"column0_configs.json"}
