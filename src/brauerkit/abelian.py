@@ -47,8 +47,6 @@ def _transpose(A: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _from_columns(cols: Sequence[Sequence[int]], nrows: int) -> list[list[int]]:
-    if not cols:
-        return [[] for _ in range(nrows)]
     return [[col[i] for col in cols] for i in range(nrows)]
 
 
@@ -60,10 +58,10 @@ def _snf_ext(M: Sequence[Sequence[int]], u: bool = False, v: bool = False, uinv:
     entries, a nonnegative dividing chain.  A transform that is not tracked
     comes back as [].  The steps do not depend on what is tracked, so a
     tracked transform is the same whatever else is.  Callers track U and V
-    (`smith_normal_form`); U, Uinv, both or neither (`_kernel`: U for
-    generators, Uinv for coordinates of relations, then Uinv of the relation
-    matrix for generators); U (`hom_cokernel`); or nothing (`cokernel`).
-    The fifth slot is always None.
+    (`smith_normal_form`); U and, given source relations, Uinv, then Uinv
+    (`hom_kernel`); U (`hom_cokernel`); or nothing (`cokernel`, and
+    `homology`, which reads two diagonals by saturation).  The fifth slot is
+    always None.
 
     The steps are a contract, as `tests/golden/snf_*.out` and
     `bench/digests.json` pin the bytes of U and V; only a deliberate change
@@ -405,41 +403,33 @@ def _summands(diag: list[int], k: int, vecs: Sequence = ()):
     return group, vecs[r:] + vecs[ones:r] if vecs else []
 
 
-def _kernel(f: GroupHom, denom: Sequence[Sequence[int]], gens: bool = True):
-    """ker(f) modulo the lattice of the columns `denom`, which f must send
-    into the target relations; returns (group, generator_vectors) as
-    `_summands` orders them, with no vector when `gens` is false.
-
-    With T the nonzero target orders on a diagonal, x ∈ Z^ns lies in the kernel
-    iff (x, y) is in the kernel lattice K of P = [M | T] for some y, which is
-    then unique, so K projects isomorphically onto it.  Each column x of `denom`
-    lifts to (x, −Mx/T), after a check, before any Smith form, that Mx is 0 on
-    free coordinates and T divides the rest, else "homology requires f∘g = 0".
-    One Smith form U·Pᵀ·V = D of rank r gives K the basis of the rows r… of U,
-    the columns r… of U⁻¹ coordinates in it, and a second the lifts' summands.
-    U is tracked only for `gens`, U⁻¹ only for a nonempty `denom`.
-    """
+def _lifts(f: GroupHom, cols: Sequence[Sequence[int]]):
+    """Mᵀ, and each x of `cols` lifted to (x, −Mx/T) in the kernel K of [M | T],
+    T the nonzero target orders on a diagonal, once Mx is 0 on the free target
+    coordinates and T divides the rest, else "homology requires f∘g = 0"."""
     ns, free, facs = f.source.num_generators, f.target.free_rank, f.target.invariant_factors
     Mt = list(zip(*f.matrix)) or [() for _ in range(ns)]
     # the rows of Mᵀ give each Mx as a row
-    mxs = _mat_mul(denom, Mt, free + len(facs))
+    mxs = _mat_mul(cols, Mt, free + len(facs))
     if any(any(mx[:free]) or any(y % e for y, e in zip(mx[free:], facs)) for mx in mxs):
         raise ValueError("homology requires f∘g = 0")
-    Pt = Mt + _relation_columns(f.target)
-    U, diag, _, Uinv, _ = _snf_ext(Pt, u=gens, uinv=bool(denom))
-    r = len(diag) - diag.count(0)
-    k = len(Pt) - r
-    lifts = [[*x, *(-y // e for y, e in zip(mx[free:], facs))] for x, mx in zip(denom, mxs)]
-    rel = [c for c in _mat_mul(lifts, [row[r:] for row in Uinv], k) if any(c)]
-    _, diag, _, W, _ = _snf_ext(_from_columns(rel, k), uinv=gens)
-    group, vecs = _summands(diag, k, _transpose(W))
-    return group, _mat_mul(vecs, [row[:ns] for row in U[r:]], ns)
+    return Mt, [[*x, *(-y // e for y, e in zip(mx[free:], facs))] for x, mx in zip(cols, mxs)]
 
 
 def hom_kernel(f: GroupHom):
-    """Kernel of f with its inclusion into f.source."""
-    group, gens = _kernel(f, _relation_columns(f.source))
-    return group, GroupHom.from_columns(group, f.source, gens)
+    """Kernel of f with its inclusion: a Smith form U·[M | T]ᵀ·V of rank r gives
+    K the basis of the rows r… of U and the lifted source relations coordinates
+    in it, the columns r… of U⁻¹; a second, their summands and generators."""
+    ns = f.source.num_generators
+    Mt, lifts = _lifts(f, _relation_columns(f.source))
+    Pt = Mt + _relation_columns(f.target)
+    U, diag, _, Uinv, _ = _snf_ext(Pt, u=True, uinv=bool(lifts))
+    r = len(diag) - diag.count(0)
+    k = len(Pt) - r
+    rel = [c for c in _mat_mul(lifts, [row[r:] for row in Uinv], k) if any(c)]
+    _, diag, _, W, _ = _snf_ext(_from_columns(rel, k), uinv=True)
+    group, vecs = _summands(diag, k, _transpose(W))
+    return group, GroupHom.from_columns(group, f.source, _mat_mul(vecs, [row[:ns] for row in U[r:]], ns))
 
 
 def hom_cokernel(f: GroupHom):
@@ -459,13 +449,22 @@ def cokernel(f: GroupHom) -> FgAbGroup:
 
 
 def homology(f: GroupHom, g: GroupHom | None = None) -> FgAbGroup:
-    """ker(f)/im(g) for composable maps with f∘g = 0 (checked in `_kernel`), or ker(f) when g is None."""
-    denom = _relation_columns(f.source)
+    """ker(f)/im(g) for composable maps with f∘g = 0, or ker(f) when g is None.
+
+    K ≅ {x ∈ Z^ns : f sends x into the target relations}, holding the lifts D̃
+    of g's columns and the source relations, is saturated as a kernel lattice
+    (Newman, *Integral Matrices*, ch. II), so H ≅ K/D̃ is the torsion of
+    Z^(ns+t)/D̃ plus Z^(rank K − rank D̃), rank K = ns − rank of M's free rows:
+    two Smith diagonals, no transform."""
+    cols = _relation_columns(f.source)
     if g is not None:
         if g.target != f.source:
             raise ValueError(f"composition mismatch: {g.target} is not {f.source}")
-        denom = _transpose(g.matrix) + denom
-    return _kernel(f, denom, gens=False)[0]
+        cols = _transpose(g.matrix) + cols
+    _, lifts = _lifts(f, cols)
+    top = f.matrix[:f.target.free_rank]
+    diag = _snf_ext(top)[1] if any(map(any, top)) else []
+    return _summands(_snf_ext(lifts)[1] if lifts else [], f.source.num_generators - len(diag) + diag.count(0))[0]
 
 
 # ---------------------------------------------------------------------------

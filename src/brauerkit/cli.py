@@ -263,10 +263,8 @@ def _cmd_lbr_mo(args) -> dict:
 
 
 def _cmd_ss_run(args) -> dict:
-    from .ssengine import page_from_json, page_to_json, turn_page
-    page, rules = page_from_json(_user_file(args.page))
-    nxt = turn_page(page, rules)
-    return json.loads(page_to_json(nxt))
+    from .ssengine import page_from_json, page_to_dict, turn_page
+    return page_to_dict(turn_page(*page_from_json(_user_file(args.page))))
 
 
 def _cmd_ss_chart(args) -> str:

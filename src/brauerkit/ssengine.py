@@ -372,19 +372,22 @@ def _rule_from_json(d: dict, groups: dict, provenance_key: str = "provenance") -
                             take(d, "relabel", "string", ""))
 
 
-def page_to_json(page: SSPage) -> str:
-    """The page as JSON; a turned page has no rules, so `"rules"` is empty."""
+def page_to_dict(page: SSPage) -> dict:
+    """The page as a JSON object; a turned page has no rules, so `"rules"` is empty."""
     # each distinct entry value is converted once; the page holds them all, so ids are stable
     written = {id(e.value): e.value for e in page.entries.values()}
     written = {key: _entry_value_to_json(value) for key, value in written.items()}
-    data = {
+    return {
         "r": page.r,
         "entries": [{"s": s, "t": t, "entry": written[id(e.value)],
                      "label": e.label, "index": e.index, "assumed": e.assumed}
                     for (s, t), e in sorted(page.entries.items())],
         "rules": [],
     }
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def page_to_json(page: SSPage) -> str:
+    return json.dumps(page_to_dict(page), sort_keys=True, separators=(",", ":"))
 
 
 def page_from_json(text: str) -> tuple[SSPage, list[DifferentialRule]]:

@@ -324,12 +324,20 @@ def test_each_operation_takes_a_fixed_number_of_smith_forms(monkeypatch):
 
     monkeypatch.setattr(abelian, "_snf_ext", spy)
     z = FgAbGroup.free(1)
-    # Z ⊕ Z/4 → Z ⊕ Z/6: the source relation makes homology and hom_kernel track U⁻¹
+    # Z ⊕ Z/4 → Z ⊕ Z/6: the source relation makes hom_kernel track U⁻¹, while
+    # homology takes the diagonals of the lifts and of the free rows alone
     f = GroupHom(FgAbGroup.from_orders([0, 4]), FgAbGroup.from_orders([0, 6]), ((2, 0), (1, 3)))
     g = GroupHom(z, f.source, ((0,), (2,)))
+    # from a free source nothing lifts; into a torsion target no row is free
+    free = GroupHom(FgAbGroup.free(2), f.target, ((1, 2), (3, 0)))
+    torsion = GroupHom(FgAbGroup.free(2), FgAbGroup.cyclic(6), ((1, 2),))
+    g2 = GroupHom(z, torsion.source, ((4,), (1,)))
     for op, want in ((lambda: abelian.cokernel(f), [()]),
-                     (lambda: homology(f), [("uinv",), ()]),
-                     (lambda: homology(f, g), [("uinv",), ()]),
+                     (lambda: homology(f), [(), ()]),
+                     (lambda: homology(f, g), [(), ()]),
+                     (lambda: homology(free), [()]),
+                     (lambda: homology(torsion), []),
+                     (lambda: homology(torsion, g2), [()]),
                      (lambda: hom_cokernel(f), [("u",)]),
                      (lambda: hom_kernel(f), [("u", "uinv"), ("uinv",)]),
                      (lambda: smith_normal_form([[2, 4], [6, 8]]), [("u", "v")])):

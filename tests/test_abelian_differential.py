@@ -15,7 +15,9 @@ Seeded homs between free, torsion, mixed and zero groups, and composable
 pairs f, g with f∘g = 0 (free ones drawn as the benchmark's homology
 requests, torsion ones through a cokernel), must give the oracle's group
 from `hom_kernel` and `homology`; the inclusion must send its generators,
-and the oracle's, to the same subgroup of the source.
+and the oracle's, to the same subgroup of the source.  So must `homology`
+on seeded A → B → C with free and torsion parts, g through the inclusion
+of ker f, f zero, g absent and zero groups among A, B and C.
 Homs of every shape (zero maps into Z^n, maps out of and into the zero
 group, torsion targets, and seeded homs drawn as the benchmark's algebra
 workload draws them) must give the same groups from `hom_kernel` and
@@ -273,6 +275,38 @@ def test_homology_refuses_a_composite_off_one_coordinate(monkeypatch):
             seen.add("zero")
             assert homology(f, g) == abelian_oracle.kernel(f, gcols)[0], f"seed {seed}: {f}, {g}"
     assert seen == {"zero", "free", "torsion"}, f"seed {seed}"
+
+
+def test_homology_matches_three_smith_forms_on_random_triples():
+    # A --g--> B --f--> C with free and torsion parts: g through the inclusion
+    # of ker f, f zero, g absent, and the zero group at every place
+    seed = differential_seed(20261021)
+    rng = random.Random(seed)
+    zero = FgAbGroup.zero()
+
+    def group():
+        return zero if rng.random() < 0.15 else FgAbGroup.from_orders(
+            [rng.choice(ORDERS + (0, 0)) for _ in range(rng.randrange(1, 5))])
+
+    seen = set()
+    for i in range(400):
+        A, B, C = group(), group(), group()
+        f = _hom_between(rng, B, C)
+        if i % 4 == 0:
+            f = GroupHom.from_columns(B, C, [[0] * C.num_generators] * B.num_generators)
+        if i % 5 == 0:
+            g = None
+        elif i % 4 == 0:
+            g = _hom_between(rng, A, B)
+        else:
+            ker, incl = hom_kernel(f)
+            g = incl.compose(_hom_between(rng, A, ker))
+        denom = _columns(g.matrix, A.num_generators) if g else []
+        want = abelian_oracle.kernel(f, denom)[0]
+        assert homology(f, g) == want, f"seed {seed}: {f}, {g}"
+        seen.add("zero" if want.is_zero() else "free" if not want.invariant_factors
+                 else "torsion" if want.is_finite() else "mixed")
+    assert seen == {"zero", "free", "torsion", "mixed"}, f"seed {seed}"
 
 
 def _apply(matrix, vec, orders):

@@ -54,6 +54,9 @@ ALLOWED = {
         "benchmark entry point: the algebra workload's hom requests; turn_page reads "
         "the cokernel group alone, through cokernel",
     "abelian.GroupHom.from_columns": "benchmark entry point: the inclusion hom_kernel returns",
+    "ssengine.page_to_json":
+        "benchmark entry point: the algebra workload writes each turned page through it; "
+        "ss-run returns the page_to_dict it dumps, which the report writer encodes",
     "ssengine.DifferentialRule.matches":
         "tracer hook: bench/tracing.py patches it to count rule matches, and "
         "tests/ssengine_oracle.py scans rules through it; turn_page looks rules up by source",
