@@ -3,8 +3,10 @@
 An operator is a sum of terms c*j^k*x^(p^e) acting on a degree window of
 F_p[j] or F_p[j^{±1}].  Everything is additive over F_p, so on coefficient
 vectors each term sends the degree-d monomial to c*j^(k + d*p^e); kernels
-and cokernels reduce to F_p linear algebra.  A degree-growth (top-Frobenius
-dominance) argument certifies when the window already sees the full answer.
+and cokernels reduce to F_p linear algebra: over F_2 one column reduction on
+int bitsets gives both, over F_3 a dense RREF gives the kernel and a dense
+column echelon the cokernel.  A degree-growth (top-Frobenius dominance)
+argument certifies when the window already sees the full answer.
 
 The module also computes the Cech cohomology of punctured affine space on
 the standard chart cover.
@@ -21,8 +23,8 @@ from .errors import WindowTooSmall
 from .record import record
 
 
-# degrees a module may span: a polynomial window of 512 (where the cokernel
-# of x + j*x^2 takes about 5.5 s on a 2-vCPU VM) or a Laurent one of ±256
+# degrees a module may span: a polynomial window of 512 (where the dense F_3
+# cokernel of x + 2*x^3 takes about 4 s on a 2-vCPU VM) or a Laurent one of ±256
 WINDOW_DEGREE_BOUND = 513
 # cokernel degrees [low_cut, prefix] a report may list, as many as the Cech
 # bound; a Frobenius power or a power of j reaches past it on a small window
@@ -183,6 +185,64 @@ def _kernel_basis_fp(cols: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
+def _echelon_tops(cols: list[list[int]], p: int) -> set[int]:
+    """Rows of the top entries of the column span, by a dense column echelon
+    with each pivot at the highest nonzero entry of its column."""
+    work = [list(c) for c in cols]
+    pivot_rows = set()
+    for _ in range(len(work)):
+        # pick the unused column whose top nonzero entry has the largest degree
+        best = None
+        for idx, col in enumerate(work):
+            top = next((i for i in range(len(col) - 1, -1, -1) if col[i] % p), None)
+            if top is None:
+                continue
+            if top in pivot_rows:
+                continue
+            if best is None or top > best[1]:
+                best = (idx, top)
+        if best is None:
+            break
+        idx, top = best
+        inv = pow(work[idx][top], -1, p)
+        work[idx] = [(x * inv) % p for x in work[idx]]
+        for jdx, col in enumerate(work):
+            if jdx != idx and col[top] % p:
+                f = col[top]
+                work[jdx] = [(a - f * b) % p for a, b in zip(col, work[idx])]
+        pivot_rows.add(top)
+    return pivot_rows
+
+
+def _reduce_f2(op: SemilinearOperator, degrees: Sequence[int]):
+    """(kernel basis, image top degrees) of an F_2 operator on `degrees`.
+
+    Int-bitset columns over the reachable output degrees are reduced left to
+    right against a table top row -> (column, input combination), the
+    persistence standard algorithm.  A column that reduces to zero gives a
+    kernel vector; its combination takes in table columns only, so it is 0 on
+    every other zero column and the basis is the RREF one of `_kernel_basis_fp`.
+    """
+    out_degrees = sorted({k + d * 2 ** e for d in degrees for _, k, e in op.terms})
+    row_of = {d: i for i, d in enumerate(out_degrees)}
+    table: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for i, d in enumerate(degrees):
+        col, combo = 0, 1 << i
+        for _, k, e in op.terms:
+            col ^= 1 << row_of[k + d * 2 ** e]
+        while col:
+            top = col.bit_length() - 1
+            if top not in table:
+                table[top] = (col, combo)
+                break
+            col ^= table[top][0]
+            combo ^= table[top][1]
+        else:
+            kernel.append(tuple((degrees[j], 1) for j in range(i + 1) if combo >> j & 1))
+    return kernel, {out_degrees[t] for t in table}
+
+
 def _dominance_region(op: SemilinearOperator) -> tuple[int, int]:
     """Degree interval (lo, hi) that can support kernel elements.
 
@@ -231,18 +291,17 @@ def operator_kernel(op: SemilinearOperator, m: TruncatedCharPModule):
     """
     _check_window(op, m)
     degrees = list(m.degrees())
-    cols, _ = _operator_matrix(op, degrees)
-    basis_vecs = _kernel_basis_fp(cols, op.p)
-    basis = []
-    for v in basis_vecs:
-        poly = [(degrees[i], coef) for i, coef in enumerate(v) if coef]
-        basis.append(tuple(sorted(poly)))
-    basis.sort()
-    return basis, True
+    if op.p == 2:
+        basis, _ = _reduce_f2(op, degrees)
+    else:
+        cols, _ = _operator_matrix(op, degrees)
+        basis = [tuple((degrees[i], coef) for i, coef in enumerate(v) if coef)
+                 for v in _kernel_basis_fp(cols, op.p)]
+    return sorted(basis), True
 
 
 def operator_cokernel_basis(op: SemilinearOperator, m: TruncatedCharPModule):
-    """(monomial degrees, stable_prefix_degree) for coker(op) by row reduction.
+    """(monomial degrees, stable_prefix_degree) for coker(op).
 
     The returned degrees represent a basis of the cokernel in degrees up to
     the stable prefix, certified unchanged under window enlargement.  More
@@ -265,33 +324,12 @@ def operator_cokernel_basis(op: SemilinearOperator, m: TruncatedCharPModule):
         raise ValueError(f"the certified cokernel [{low_cut}, {prefix}] has {prefix - low_cut + 1} degrees, "
                          f"over the bound of {COKERNEL_DEGREE_BOUND}")
     degrees = list(m.degrees())
-    cols, out_degrees = _operator_matrix(op, degrees)
-    # column echelon with pivots at the highest-degree entry of each column
-    work = [list(c) for c in cols]
-    pivot_rows = set()
-    for _ in range(len(work)):
-        # pick the unused column whose top nonzero entry has the largest degree
-        best = None
-        for idx, col in enumerate(work):
-            top = next((i for i in range(len(col) - 1, -1, -1) if col[i] % p), None)
-            if top is None:
-                continue
-            if top in pivot_rows:
-                continue
-            if best is None or top > best[1]:
-                best = (idx, top)
-        if best is None:
-            break
-        idx, top = best
-        inv = pow(work[idx][top], -1, p)
-        work[idx] = [(x * inv) % p for x in work[idx]]
-        for jdx, col in enumerate(work):
-            if jdx != idx and col[top] % p:
-                f = col[top]
-                work[jdx] = [(a - f * b) % p for a, b in zip(col, work[idx])]
-        pivot_rows.add(top)
-    pivot_degrees = {out_degrees[i] for i in pivot_rows}
-    basis = [d for d in range(low_cut, prefix + 1) if d not in pivot_degrees]
+    if p == 2:
+        _, tops = _reduce_f2(op, degrees)
+    else:
+        cols, out_degrees = _operator_matrix(op, degrees)
+        tops = {out_degrees[i] for i in _echelon_tops(cols, p)}
+    basis = [d for d in range(low_cut, prefix + 1) if d not in tops]
     return basis, prefix
 
 

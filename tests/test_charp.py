@@ -1,8 +1,12 @@
 import itertools
 import math
+import random
+import time
 
 import pytest
 
+from seeds import differential_seed
+from brauerkit import charp
 from brauerkit.charp import (
     PuncturedAffineCohomology,
     SemilinearOperator,
@@ -208,6 +212,7 @@ def test_polynomial_module_refuses_a_negative_power_of_j(capsys):
 def test_rank_nullity():
     from brauerkit.charp import _kernel_basis_fp, _operator_matrix
     for text, p, m in [("x + x^2", 2, TruncatedCharPModule(2, (0, 12))),
+                       ("x + j*x^2 + j^2*x^4", 2, TruncatedCharPModule(2, (-6, 6), laurent=True)),
                        ("x - x^3", 3, TruncatedCharPModule(3, (0, 6)))]:
         op = parse_operator(text, p)
         degrees = list(m.degrees())
@@ -221,6 +226,67 @@ def test_rank_nullity():
         rank = round(math.log(len(span), p))
         assert len(span) == p ** rank
         assert len(kernel) == len(degrees) - rank
+        assert len(operator_kernel(op, m)[0]) == len(degrees) - rank
+
+
+def _dense_f2(op, degrees):
+    """What `_reduce_f2` returns, from the dense F_p path that p = 3 runs."""
+    cols, out_degrees = charp._operator_matrix(op, degrees)
+    kernel = [tuple((degrees[i], c) for i, c in enumerate(v) if c)
+              for v in charp._kernel_basis_fp(cols, 2)]
+    return kernel, {out_degrees[r] for r in charp._echelon_tops(cols, 2)}
+
+
+def test_f2_reduction_matches_the_dense_path(monkeypatch):
+    # polynomial and Laurent windows [lo, lo + w] with 4 <= w <= 40, operators
+    # of 1-4 terms j^k*x^(2^e) with e <= 2 and k >= 0 on polynomial modules
+    seed = differential_seed(20261022)
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < 300:
+        laurent = rng.random() < 0.5
+        width = rng.randint(4, 40)
+        lo = -rng.randint(1, width - 1) if laurent else 0
+        m = TruncatedCharPModule(2, (lo, lo + width), laurent=laurent)
+        terms = [(1, rng.randint(-4 if laurent else 0, 4), rng.randint(0, 2))
+                 for _ in range(rng.randint(1, 4))]
+        try:
+            op = SemilinearOperator(2, tuple(terms))
+            sparse = operator_kernel(op, m), operator_cokernel_basis(op, m)
+        except (ValueError, WindowTooSmall):  # the terms cancel, or the window is too small
+            continue
+        degrees = list(m.degrees())
+        assert charp._reduce_f2(op, degrees) == _dense_f2(op, degrees), f"seed {seed}: {op} on {m}"
+        cases.append((op, m, sparse))
+    # the draws above have kernels of rank 0 or 1, where any basis is the RREF
+    # one; x^4 + (u^2 + uv + v^2)*x^2 + uv(u + v)*x has the kernel span{u, v}
+    for text, window, laurent, kernel in (
+            ("x^4 + x^2 + j^3*x^2 + j^4*x^2 + j^2*x + j^5*x", (0, 24), False,
+             [((0, 1), (1, 1)), ((2, 1),)]),  # u = 1 + j, v = j^2
+            ("x^4 + j^-2*x^2 + x^2 + j^2*x^2 + j*x + j^-1*x", (-12, 12), True,
+             [((-1, 1),), ((1, 1),)])):  # u = j^-1, v = j
+        op, m = parse_operator(text, 2), TruncatedCharPModule(2, window, laurent=laurent)
+        sparse = operator_kernel(op, m), operator_cokernel_basis(op, m)
+        assert sparse[0] == (kernel, True)
+        assert charp._reduce_f2(op, list(m.degrees())) == _dense_f2(op, list(m.degrees()))
+        cases.append((op, m, sparse))
+    assert {m.laurent for _, m, _ in cases} == {False, True}
+    monkeypatch.setattr(charp, "_reduce_f2", _dense_f2)
+    for op, m, sparse in cases:
+        assert (operator_kernel(op, m), operator_cokernel_basis(op, m)) == sparse, f"seed {seed}: {op} on {m}"
+
+
+def test_f2_kernel_and_cokernel_at_the_degree_bound_take_under_a_second():
+    # x + j*x^2 on the largest modules, a polynomial window of 512 and a
+    # Laurent one of ±256, where the dense O(w^3) elimination takes seconds
+    op = parse_operator("x + j*x^2", 2)
+    start = time.perf_counter()
+    poly = TruncatedCharPModule(2, (0, 512))
+    laurent = TruncatedCharPModule(2, (-256, 256), laurent=True)
+    results = [(operator_kernel(op, m), operator_cokernel_basis(op, m)) for m in (poly, laurent)]
+    assert time.perf_counter() - start < 1.0
+    assert results[0] == (([], True), (list(range(0, 513, 2)), 512))
+    assert results[1][0] == ([((-1, 1),)], True)
 
 
 def test_kernel_window_doubling_stable():
