@@ -6,7 +6,9 @@ vectors each term sends the degree-d monomial to c*j^(k + d*p^e); kernels
 and cokernels reduce to F_p linear algebra: over F_2 one column reduction on
 int bitsets gives both, over F_3 a dense RREF gives the kernel and a dense
 column echelon the cokernel.  A degree-growth (top-Frobenius dominance)
-argument certifies when the window already sees the full answer.
+argument bounds the region of degrees a kernel element can reach and
+certifies when the window holds it; at both characteristics the kernel is
+taken on the columns of that region alone.
 
 The module also computes the Cech cohomology of punctured affine space on
 the standard chart cover.
@@ -264,10 +266,13 @@ def _dominance_region(op: SemilinearOperator) -> tuple[int, int]:
     return (min(los), max(his))
 
 
-def _check_window(op: SemilinearOperator, m: TruncatedCharPModule) -> None:
-    """Refuse a module of another characteristic, and a negative power of j
+def _check_window(op: SemilinearOperator, m: TruncatedCharPModule) -> range:
+    """The degrees of the kernel support region, clipped to the module.
+
+    Refuse a module of another characteristic, and a negative power of j
     on a polynomial module; raise WindowTooSmall unless the window holds the
-    whole (nonempty) kernel support region."""
+    whole (nonempty) region.  The region is empty for an injective operator.
+    """
     if op.p != m.p:
         raise ValueError("operator and module characteristics differ")
     lo, hi = m.window
@@ -280,17 +285,21 @@ def _check_window(op: SemilinearOperator, m: TruncatedCharPModule) -> None:
         rlo = max(rlo, 0)
     if rlo <= rhi and (rlo < lo or rhi > hi):
         raise WindowTooSmall(f"kernel support region [{rlo},{rhi}] exceeds window [{lo},{hi}]")
+    return range(rlo, rhi + 1)
 
 
 def operator_kernel(op: SemilinearOperator, m: TruncatedCharPModule):
     """(basis, stabilized): F_p-basis of the certified kernel on the window.
 
-    Basis elements are lists of (degree, coefficient) pairs, increasing degree.
-    Raises WindowTooSmall if the degree-growth analysis cannot confine all
-    kernel elements to the window, so `stabilized` is always True.
+    Basis elements are tuples of (degree, coefficient) pairs, increasing
+    degree.  Raises WindowTooSmall if the degree-growth analysis cannot
+    confine all kernel elements to the window, so `stabilized` is always
+    True.  Only the columns of that certified region are reduced.  A window
+    column outside it is never free: its dependency on the earlier columns
+    would be a kernel element outside the region.  So the free columns, and
+    the RREF basis they index, are those of the whole window.
     """
-    _check_window(op, m)
-    degrees = list(m.degrees())
+    degrees = _check_window(op, m)
     if op.p == 2:
         basis, _ = _reduce_f2(op, degrees)
     else:

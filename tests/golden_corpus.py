@@ -61,6 +61,14 @@ def _cases():
         yield (f"artin-schreier_as2j_laurent_cokernel_w{window}",
                ["artin-schreier", "--p", "2", "--op", "x + j*x^2", "--laurent",
                 "--window", str(window), "--cokernel"])
+    # an F_3 Laurent cokernel, with the kernel j^10 on the region [10, 10]
+    yield ("artin-schreier_as3_laurent_j10_cokernel_w16",
+           ["artin-schreier", "--p", "3", "--op", "j^-8*x^3 + 2*j^12*x", "--laurent",
+            "--window", "16", "--cokernel"])
+    # the kernel j^-200 + j^200 on a region of 401 of the 513 window degrees
+    yield ("artin-schreier_as2_laurent_j200_w256",
+           ["artin-schreier", "--p", "2", "--op", "x^2 + j^-200*x + j^200*x", "--laurent",
+            "--window", "256"])
     yield "cech_n2_w4", ["cech", "--n-vars", "2", "--window", "4"]
     yield "cech_n3_w5", ["cech", "--n-vars", "3", "--window", "5"]
     yield "br-number-ring_z", ["br-number-ring", "--places", '[{"kind":"real"}]']

@@ -289,6 +289,86 @@ def test_f2_kernel_and_cokernel_at_the_degree_bound_take_under_a_second():
     assert results[1][0] == ([((-1, 1),)], True)
 
 
+def window_kernel(op, m):
+    """The kernel eliminated over every column of the window, refused as
+    `operator_kernel` refuses: the oracle of the region-only kernel."""
+    charp._check_window(op, m)
+    degrees = list(m.degrees())
+    if op.p == 2:
+        basis, _ = charp._reduce_f2(op, degrees)
+    else:
+        cols, _ = charp._operator_matrix(op, degrees)
+        basis = [tuple((degrees[i], c) for i, c in enumerate(v) if c)
+                 for v in charp._kernel_basis_fp(cols, op.p)]
+    return sorted(basis), True
+
+
+def test_region_kernel_matches_the_window_kernel():
+    # p in {2, 3}, polynomial and Laurent windows of 2-40 degrees, operators
+    # of 1-4 terms c*j^k*x^(p^e) with e <= 2 and -4 <= k <= 5 (k >= 0 on
+    # polynomial modules); some windows miss the region and are refused
+    seed = differential_seed(20261023)
+    rng = random.Random(seed)
+    seen = {"refused": 0, "empty region": 0, "kernel": 0, "several top terms": 0}
+    draws = 0
+    while draws < 1200:
+        p = rng.choice((2, 3))
+        laurent = rng.random() < 0.5
+        width = rng.randint(2, 40)
+        lo = -rng.randint(0, width - 1) if laurent else 0
+        m = TruncatedCharPModule(p, (lo, lo + width - 1), laurent=laurent)
+        terms = [(rng.randint(1, p - 1), rng.randint(-4 if laurent else 0, 5), rng.randint(0, 2))
+                 for _ in range(rng.randint(1, 4))]
+        try:
+            op = SemilinearOperator(p, tuple(terms))
+        except ValueError:  # the terms cancel
+            continue
+        draws += 1
+        e_star = max(e for _, _, e in op.terms)
+        seen["several top terms"] += sum(e == e_star for _, _, e in op.terms) > 1
+        try:
+            want = window_kernel(op, m)
+        except WindowTooSmall:
+            with pytest.raises(WindowTooSmall):
+                operator_kernel(op, m)
+            seen["refused"] += 1
+            continue
+        assert operator_kernel(op, m) == want, f"seed {seed}: {op} on {m}"
+        rlo, rhi = charp._dominance_region(op)
+        seen["empty region"] += max(rlo, lo) > rhi
+        seen["kernel"] += bool(want[0])
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("p, text, window, laurent, region", [
+    (3, "x + 2*x^3", (0, 16), False, [0]),
+    (3, "x + 2*x^3", (0, 128), False, [0]),
+    (3, "x + 2*x^3", (0, 512), False, [0]),
+    (2, "x + j*x^2", (-256, 256), True, [-1]),
+    (2, "x + j*x^2", (0, 512), False, []),
+])
+def test_kernel_eliminates_only_the_region_columns(monkeypatch, p, text, window, laurent, region):
+    calls = []
+    for name in ("_reduce_f2", "_operator_matrix"):
+        def spy(op, degrees, real=getattr(charp, name)):
+            calls.append(list(degrees))
+            return real(op, degrees)
+        monkeypatch.setattr(charp, name, spy)
+    operator_kernel(parse_operator(text, p), TruncatedCharPModule(p, window, laurent=laurent))
+    assert calls == [region]
+
+
+def test_f3_kernel_at_the_degree_bound_takes_under_a_twentieth_of_a_second():
+    # x + 2*x^3 has the kernel 1 on the region [0, 0], where eliminating all
+    # 513 window columns takes about 0.1 s on each module
+    op = parse_operator("x + 2*x^3", 3)
+    start = time.perf_counter()
+    results = [operator_kernel(op, TruncatedCharPModule(3, window, laurent=laurent))
+               for window, laurent in (((0, 512), False), ((-256, 256), True))]
+    assert time.perf_counter() - start < 0.05
+    assert results == [([((0, 1),)], True)] * 2
+
+
 def test_kernel_window_doubling_stable():
     cases = [
         ("x + x^2", 2, TruncatedCharPModule(2, (0, 16))),
